@@ -12,9 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dropout import DropoutConfig
+from .dropout import DropoutConfig, Thinner
 from .streams import make_rng
 from .topics import Document, DocumentBatch
+
+
+_SCORE_BLOCK_BYTES = 4 << 20
 
 
 class DegenerateDataError(ValueError):
@@ -38,7 +41,24 @@ class LinearClassifier:
             raise ValueError("classifier parameters must be finite")
 
     def scores(self, counts: np.ndarray) -> np.ndarray:
-        return np.asarray(counts, dtype=float) @ self.weights + self.intercept
+        x = np.asarray(counts)
+        if x.ndim != 2:
+            return x.astype(float) @ self.weights + self.intercept
+        # Convert ~4 MB row blocks to float rather than the whole matrix.
+        # Blocks are a multiple of 8 rows and a lone last row joins the block
+        # before it (numpy scores a single row with a vector dot, not gemv),
+        # so with single-threaded BLAS the scores equal the whole product's
+        # bit for bit.
+        n = x.shape[0]
+        rows = max(8, _SCORE_BLOCK_BYTES // (8 * max(1, x.shape[1])) // 8 * 8)
+        bounds = list(range(0, n, rows)) + [n]
+        if len(bounds) > 2 and n - bounds[-2] == 1:
+            del bounds[-2]
+        out = np.empty(n)
+        for start, stop in zip(bounds, bounds[1:]):
+            block = x[start:stop].astype(float, copy=False)
+            out[start:stop] = block @ self.weights + self.intercept
+        return out
 
     def predict(self, counts: np.ndarray) -> np.ndarray:
         return (self.scores(counts) > 0.0).astype(np.int64)
@@ -60,8 +80,8 @@ class TrainConfig:
 
     step_size=None picks 1/L from a power-iteration estimate of the smoothness
     constant.  batch_size=None runs full-batch descent; otherwise each epoch
-    makes one pass of seeded mini-batches.  The intercept stays frozen at zero
-    unless train_intercept is set; downstream protocols recalibrate it.
+    makes one pass of seeded mini-batches.  The intercept stays frozen at zero;
+    downstream protocols recalibrate it.
     """
 
     l2_weight: float = 1e-7
@@ -70,7 +90,6 @@ class TrainConfig:
     batch_size: int | None = None
     dropout: DropoutConfig = field(default_factory=DropoutConfig)
     seed: int = 0
-    train_intercept: bool = False
 
     def __post_init__(self):
         if self.l2_weight < 0:
@@ -128,14 +147,21 @@ def _check_classes(y: np.ndarray):
         raise DegenerateDataError("training data must contain both classes")
 
 
+def _reject_full_thinning(cfg: TrainConfig):
+    if cfg.dropout.delta >= 1.0:
+        raise ValueError("delta = 1 deletes every word, so logistic training "
+                         "would return zero weights; the delta = 1 endpoint "
+                         "is naive Bayes (train_naive_bayes)")
+
+
 def _fit_logistic(x_counts: np.ndarray, y: np.ndarray,
                   cfg: TrainConfig) -> LinearClassifier:
     """Shared descent loop; thins fresh copies per pass when delta > 0."""
     n, d = x_counts.shape
     delta = cfg.dropout.delta
     m = cfg.dropout.mc_replicates if delta > 0.0 else 1
-    keep = 1.0 - delta
     x_float = x_counts.astype(float)
+    thinner = Thinner(x_counts, delta)
     step = cfg.step_size
     if step is None:
         if delta > 0.0:
@@ -144,7 +170,8 @@ def _fit_logistic(x_counts: np.ndarray, y: np.ndarray,
             # headroom for replicate-to-replicate fluctuation and a floor
             # at the expected thinned curvature
             pilot_rng = make_rng(cfg.seed, "logistic-gd-pilot")
-            pilot = pilot_rng.binomial(x_counts, keep).astype(float)
+            pilot = thinner.draw(pilot_rng).astype(float)
+            keep = 1.0 - delta
             floor = keep * keep * _smoothness_bound(x_float, cfg.l2_weight)
             smooth = 2.0 * max(_smoothness_bound(pilot, cfg.l2_weight), floor)
         else:
@@ -152,43 +179,34 @@ def _fit_logistic(x_counts: np.ndarray, y: np.ndarray,
         step = 1.0 / max(smooth, 1e-12)
     rng = make_rng(cfg.seed, "logistic-gd")
     w = np.zeros(d)
-    b = 0.0
     yf = y.astype(float)
 
-    def batch_grad(xb_counts, xb_float, yb):
+    def batch_grad(idx):
+        if idx is None:
+            xb_float, yb, draw = x_float, yf, thinner.draw
+        else:
+            xb_float, yb = x_float[idx], yf[idx]
+            draw = Thinner(x_counts[idx], delta).draw
         gw = np.zeros(d)
-        gb = 0.0
         for _ in range(m):
-            if delta > 0.0:
-                xb = rng.binomial(xb_counts, keep).astype(float)
-            else:
-                xb = xb_float
-            p = _sigmoid(xb @ w + b)
-            err = p - yb
+            xb = draw(rng).astype(float) if delta > 0.0 else xb_float
+            err = _sigmoid(xb @ w) - yb
             gw += xb.T @ err
-            gb += err.sum()
-        scale = 1.0 / (len(yb) * m)
-        return gw * scale + cfg.l2_weight * w, gb * scale
+        return gw * (1.0 / (len(yb) * m)) + cfg.l2_weight * w
 
     for _ in range(cfg.epochs):
         if cfg.batch_size is None or cfg.batch_size >= n:
-            gw, gb = batch_grad(x_counts, x_float, yf)
-            w -= step * gw
-            if cfg.train_intercept:
-                b -= step * gb
+            w -= step * batch_grad(None)
         else:
             order = rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                gw, gb = batch_grad(x_counts[idx], x_float[idx], yf[idx])
-                w -= step * gw
-                if cfg.train_intercept:
-                    b -= step * gb
-    return LinearClassifier(weights=w, intercept=b)
+                w -= step * batch_grad(order[start:start + cfg.batch_size])
+    return LinearClassifier(weights=w)
 
 
 def train_logistic(data, cfg: TrainConfig) -> LinearClassifier:
     """L2-regularized logistic regression on the raw counts (no thinning)."""
+    _reject_full_thinning(cfg)
     if cfg.dropout.delta != 0.0:
         raise ValueError("train_logistic requires delta = 0; "
                          "use train_logistic_dropout")
@@ -203,8 +221,10 @@ def train_logistic_dropout(data, cfg: TrainConfig) -> LinearClassifier:
     Each pass re-thins every example mc_replicates times with fresh noise and
     averages the gradient over the replicates, giving an unbiased stochastic
     gradient of the expected thinned loss.  delta = 0 falls back to the plain
-    trainer and produces bit-identical output.
+    trainer and produces bit-identical output; delta = 1 is rejected (its
+    endpoint is naive Bayes).
     """
+    _reject_full_thinning(cfg)
     if cfg.dropout.delta == 0.0:
         return train_logistic(data, cfg)
     x, y, _ = as_arrays(data)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import LinearClassifier
+from .dropout import thin_counts
 from .linalg import min_singular_value
 from .stats import binomial_se
 from .topics import DiscreteSampler, TopicModel, sample_documents
@@ -158,8 +159,7 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
     while done < mc_budget:
         b = min(chunk, mc_budget - done)
         batch = sample_documents(sampler, b, rng)
-        thinned = rng.binomial(batch.counts, 1.0 - delta) if delta > 0 \
-            else batch.counts
+        thinned = thin_counts(batch.counts, delta, rng)
         idx = id_order[np.searchsorted(sorted_ids, batch.topics)]
         pred_raw = clf.predict(batch.counts)
         pred_thin = clf.predict(thinned)

@@ -162,6 +162,8 @@ def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
         else:
             for cell in cells:
                 records[cell] = _run_cell(spec, cell[0], cell[1], cell[2], test)
+        # free this trial's test set before the next one is sampled
+        del test
     ordered = [records[(n, di, t)]
                for n in spec.n_grid
                for di in range(len(spec.delta_grid))
@@ -398,6 +400,10 @@ def run_influence_demo(delta: float = 0.75, n: int = 10_000,
     rates on a fresh evaluation sample: thinning redistributes gradient
     influence from the rare hard cluster toward the common easy one.
     """
+    if not 0.0 <= delta < 1.0:
+        raise ValueError("the influence demo needs delta in [0, 1): delta = 1 "
+                         "deletes every word, and its endpoint is naive Bayes, "
+                         "not a logistic fit")
     config = config or InfluenceDemoConfig()
     model = config.model()
     sampler = DiscreteSampler(model)

@@ -406,9 +406,13 @@ def build_synthetic_model(exp_rate: float = 3.0, vocab_size: int = 500,
         theta = np.zeros((n, vocab_size))
         theta[~ones, :block_size] = 1.0
         theta[ones, block_size:2 * block_size] = tau[ones, None]
-        z = np.exp(theta)
-        intensities = doc_length * z / z.sum(axis=1, keepdims=True)
-        return tau, intensities
+        # softmax in place: the same operations in the same order as
+        # doc_length * z / z.sum(...), without three more (n, d) temporaries
+        z = np.exp(theta, out=theta)
+        total = z.sum(axis=1, keepdims=True)
+        np.multiply(doc_length, z, out=z)
+        np.divide(z, total, out=z)
+        return tau, z
 
     return ParametricSampler(
         label_prior=label_prior, vocab_size=vocab_size, topic_fn=topic_fn,

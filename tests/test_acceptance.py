@@ -195,6 +195,7 @@ def small_n_curves():
     return run_learning_curves(spec, threads=4)
 
 
+@pytest.mark.slow
 def test_criterion_7a_small_n_ordering(small_n_curves):
     """Synthetic benchmark at n = 100: heavy thinning should beat plain
     training on the mean over 10 paired trials."""
@@ -208,6 +209,7 @@ def test_criterion_7a_small_n_ordering(small_n_curves):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7b_naive_bayes_plateau():
     """The rate-1 (naive Bayes) endpoint moves < 0.01 between n = 4000 and
     n = 16000."""

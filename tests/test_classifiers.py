@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +14,8 @@ from droplab import (DegenerateDataError, DimensionError, DiscreteSampler,
                      make_rng, recalibrate_intercept, sample_documents,
                      thin_counts, train_logistic, train_logistic_dropout,
                      train_naive_bayes)
+import droplab
+from droplab import classifiers
 from droplab.presets import two_word_intensity
 from droplab.topics import Document, DocumentBatch, Topic, TopicModel
 
@@ -47,6 +54,32 @@ class TestLinearClassifier:
         again = LinearClassifier.from_dict(clf.to_dict())
         assert np.array_equal(again.weights, clf.weights)
         assert again.intercept == clf.intercept
+
+    def test_blocked_scores_match_whole_matrix_product(self):
+        # Row counts around the 1,048-row block size of a 500-word matrix,
+        # including a lone last row.  Multi-threaded BLAS partitions gemv
+        # rows by matrix size, so bit-equality is checked with one thread.
+        code = """
+import numpy as np
+from droplab import LinearClassifier
+rng = np.random.default_rng(30)
+clf = LinearClassifier(weights=rng.normal(size=500), intercept=-0.75)
+ok = []
+for n in (0, 1, 2, 7, 1047, 1048, 1049, 3145):
+    for dtype in (np.uint8, np.int64, float):
+        x = rng.poisson(2.0, size=(n, 500)).astype(dtype)
+        whole = np.asarray(x, dtype=float) @ clf.weights + clf.intercept
+        ok.append(np.array_equal(clf.scores(x), whole))
+print(all(ok))
+"""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(Path(droplab.__file__).parents[1])]
+                       + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "True", out.stderr
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=1e3))
@@ -132,6 +165,33 @@ class TestTrainLogistic:
 
 
 class TestTrainLogisticDropout:
+    @pytest.mark.parametrize("trainer", [train_logistic,
+                                         train_logistic_dropout])
+    def test_full_thinning_rejected(self, trainer):
+        # delta = 1 would thin every count to zero and return zero weights
+        data = batch_from([[1], [2]], [0, 1])
+        cfg = TrainConfig(epochs=5, dropout=DropoutConfig(delta=1.0))
+        with pytest.raises(ValueError, match="naive Bayes"):
+            trainer(data, cfg)
+
+    def test_minibatches_thin_through_the_shared_thinner(self, monkeypatch):
+        drawn = []
+
+        class Recording(classifiers.Thinner):
+            def draw(self, rng):
+                drawn.append(self.counts.shape)
+                return super().draw(rng)
+
+        monkeypatch.setattr(classifiers, "Thinner", Recording)
+        sampler = two_topic_sampler([2.0, 1.0], [1.0, 2.0])
+        train = sample_documents(sampler, 100, make_rng(105, "mb-thin"))
+        cfg = TrainConfig(epochs=3, batch_size=40, seed=2,
+                          dropout=DropoutConfig(delta=0.9, mc_replicates=2))
+        train_logistic_dropout(train, cfg)
+        # the pilot draw on the full set, then two draws per mini-batch
+        assert drawn == [(100, 2)] + [(40, 2)] * 4 + [(20, 2)] * 2 \
+            + [(40, 2)] * 4 + [(20, 2)] * 2 + [(40, 2)] * 4 + [(20, 2)] * 2
+
     def test_zero_rate_is_bit_identical_to_plain(self):
         sampler = two_topic_sampler([5.0, 1.0], [1.0, 5.0])
         train = sample_documents(sampler, 300, make_rng(102, "d0"))

@@ -194,3 +194,11 @@ class TestDemoInfluence:
         doc = json.loads(out.read_text())
         assert doc["angle_degrees"] == 0.0
         assert doc["plain"] == doc["dropout"]
+
+    def test_full_thinning_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "demo.json"
+        code = cli_dispatch(["demo-influence", "--delta", "1",
+                             "--n", "400", "--out", str(out)])
+        assert code == 1
+        assert "naive Bayes" in capsys.readouterr().err
+        assert not out.exists()

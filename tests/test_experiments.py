@@ -166,9 +166,15 @@ class TestInfluenceDemo:
         assert rep.clf_plain is rep.clf_dropout
         assert rep.angle_degrees == 0.0
 
+    def test_full_thinning_rejected(self):
+        with pytest.raises(ValueError, match="naive Bayes"):
+            run_influence_demo(delta=1.0, n=100, eval_size=100)
+
+    @pytest.mark.slow
     def test_fitted_normals_diverge(self, influence_report):
         assert influence_report.angle_degrees > 5.0
 
+    @pytest.mark.slow
     def test_common_cluster_error_not_worse_under_thinning(self,
                                                            influence_report):
         common = 1.0

@@ -218,6 +218,19 @@ class TestSyntheticBenchmark:
         sums = batch.intensities.sum(axis=1)
         assert np.all(np.abs(sums - 1000.0) < 1e-9)
 
+    def test_intensities_match_softmax_reference(self):
+        # the sampler computes its softmax in place; same values bit for bit
+        sampler = build_synthetic_model()
+        batch = sample_documents(sampler, 1_000, make_rng(15, "softmax"),
+                                 return_intensities=True)
+        theta = np.zeros((1_000, 500))
+        ones = batch.labels == 1
+        theta[~ones, :7] = 1.0
+        theta[ones, 7:14] = batch.topics[ones, None]
+        z = np.exp(theta)
+        expected = 1000.0 * z / z.sum(axis=1, keepdims=True)
+        assert np.array_equal(batch.intensities, expected)
+
     def test_label0_block_structure(self):
         sampler = build_synthetic_model()
         batch = sample_documents(sampler, 2_000, make_rng(11, "blocks"),
