@@ -11,7 +11,7 @@ from .bounds import (BERRY_ESSEEN_CONSTANT, BerryEsseenReport, BoundReport,
                      MarginReport, RankDeficientError, TailCheckReport,
                      altitude_error_bound, berry_esseen_check,
                      gaussian_error_estimate, gaussian_tail_check,
-                     margin_condition, normal_cdf, normal_quantile)
+                     margin_condition, normal_cdf)
 from .classifiers import (DegenerateDataError, DimensionError, EmptyDataError,
                           LinearClassifier, TrainConfig, erm_zero_one_small,
                           error_by_topic, evaluate_error,
@@ -26,18 +26,16 @@ from .diagnostics import (ModelDiagnostics, RiskDecomposition,
                           score_moments)
 from .dropout import (DropoutConfig, dropout_posterior, thin_counts,
                       thinned_model)
+from .experiments import VERSION as __version__
 from .experiments import (BiasCheckReport, CurveRecord, CurveResult, CurveSpec,
                           InfluenceDemoConfig, InfluenceDemoReport, SweepConfig,
                           SweepResult, curve_csv, curve_summary,
-                          run_altitude_sweep, run_bias_check,
+                          fit_classifier, run_altitude_sweep, run_bias_check,
                           run_influence_demo, run_learning_curves)
 from .streams import make_rng, seed_fingerprint
-from .topics import (BayesErrorResult, DiscreteSampler, Document,
-                     DocumentBatch, EnumerationTooLargeError,
-                     GenerativeSampler, ParametricSampler, Topic, TopicModel,
+from .topics import (BayesErrorResult, DiscreteSampler, DocumentBatch,
+                     EnumerationTooLargeError, GenerativeSampler,
+                     ParametricSampler, Topic, TopicModel,
                      UndefinedPosteriorError, bayes_error, bayes_posterior,
-                     build_synthetic_model, sample_document,
-                     sample_document_multinomial, sample_documents,
+                     build_synthetic_model, sample_documents,
                      sample_documents_multinomial)
-
-__version__ = "0.1.0"

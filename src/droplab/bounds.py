@@ -16,7 +16,6 @@ import numpy as np
 from scipy.special import erfc
 
 from .diagnostics import berry_esseen_statistic, model_diagnostics, score_moments
-from .linalg import jacobi_eigenvalues
 from .stats import dkw_slack, kolmogorov_distance
 from .topics import TopicModel
 
@@ -28,20 +27,6 @@ def normal_cdf(x) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     out = 0.5 * erfc(-x / np.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF (bisection on normal_cdf, |x| <= 40)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def gaussian_error_estimate(weights: np.ndarray, intensity: np.ndarray,
@@ -227,7 +212,7 @@ def margin_condition(model: TopicModel, delta: float,
     holds = diag.min_singular_value >= threshold
 
     gram = pi.T @ pi
-    eigs = jacobi_eigenvalues(gram)
+    eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= rank_tol * max(eigs[-1], 1.0):
         raise RankDeficientError(
             "word-probability matrix does not have full column rank")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dropout import DropoutConfig, Thinner
 from .streams import make_rng
-from .topics import Document, DocumentBatch
+from .topics import DocumentBatch
 
 
 _SCORE_BLOCK_BYTES = 4 << 20
@@ -103,18 +103,13 @@ class TrainConfig:
 
 
 def as_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Normalize a DocumentBatch or a list of Documents to (X, y, topics)."""
+    """(X, y, topics) of a DocumentBatch; an empty list or tuple is empty
+    data, which the callers reject with EmptyDataError."""
     if isinstance(data, DocumentBatch):
         return data.counts, data.labels, data.topics
-    if isinstance(data, (list, tuple)):
-        if len(data) == 0:
-            return np.zeros((0, 0), dtype=np.int64), np.zeros(0, np.int64), None
-        if isinstance(data[0], Document):
-            x = np.stack([d.counts for d in data])
-            y = np.array([d.label for d in data], dtype=np.int64)
-            t = np.array([d.topic_id for d in data], dtype=float)
-            return x, y, t
-    raise TypeError("data must be a DocumentBatch or a list of Documents")
+    if isinstance(data, (list, tuple)) and len(data) == 0:
+        return np.zeros((0, 0), dtype=np.int64), np.zeros(0, np.int64), None
+    raise TypeError("data must be a DocumentBatch")
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:

@@ -17,13 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .classifiers import (LinearClassifier, TrainConfig, evaluate_error,
-                          recalibrate_intercept, train_logistic,
-                          train_logistic_dropout, train_naive_bayes)
+from .classifiers import LinearClassifier, TrainConfig, evaluate_error
 from .corpus import Corpus, SplitSpec, corpus_from_text, load_corpus
 from .dropout import DropoutConfig
 from .experiments import (VERSION, CurveSpec, curve_csv, curve_summary,
-                          run_influence_demo, run_learning_curves)
+                          fit_classifier, run_influence_demo,
+                          run_learning_curves)
 from .streams import make_rng
 from .topics import (DiscreteSampler, DocumentBatch, SYNTHETIC_PRESET,
                      TopicModel, build_synthetic_model, sample_documents)
@@ -83,13 +82,29 @@ def _cmd_sample(args) -> int:
 def _read_docs_jsonl(path: str) -> DocumentBatch:
     counts, labels, topics = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             doc = json.loads(line)
-            counts.append(doc["counts"])
-            labels.append(int(doc["label"]))
+            where = f"{path}:{lineno}"
+            if not isinstance(doc, dict) or not {"counts", "label"} <= set(doc):
+                raise ValidationError(
+                    f"{where}: a document needs 'counts' and 'label'")
+            row, label = doc["counts"], doc["label"]
+            if type(label) is not int or label not in (0, 1):
+                raise ValidationError(
+                    f"{where}: label must be 0 or 1, got {label!r}")
+            if not isinstance(row, list) or not all(
+                    type(c) is int and c >= 0 for c in row):
+                raise ValidationError(
+                    f"{where}: counts must be non-negative integers")
+            if counts and len(row) != len(counts[0]):
+                raise ValidationError(
+                    f"{where}: {len(row)} counts, but the first document "
+                    f"has {len(counts[0])}")
+            counts.append(row)
+            labels.append(label)
             topics.append(float(doc.get("topic", -1)))
     if not counts:
         raise ValidationError(f"no documents found in {path}")
@@ -126,19 +141,12 @@ def _cmd_train(args) -> int:
         train = _read_docs_jsonl(args.docs)
         heldout = None
 
-    if args.delta >= 1.0:
-        clf = train_naive_bayes(train, smoothing=args.smoothing)
-    else:
-        cfg = TrainConfig(l2_weight=args.l2, step_size=args.step,
-                          epochs=args.epochs, batch_size=args.batch_size,
-                          dropout=DropoutConfig(delta=args.delta,
-                                                mc_replicates=args.mc_replicates),
-                          seed=args.seed)
-        if args.delta == 0.0:
-            clf = train_logistic(train, cfg)
-        else:
-            clf = train_logistic_dropout(train, cfg)
-    clf = recalibrate_intercept(clf, train)
+    cfg = TrainConfig(l2_weight=args.l2, step_size=args.step,
+                      epochs=args.epochs, batch_size=args.batch_size,
+                      dropout=DropoutConfig(delta=args.delta,
+                                            mc_replicates=args.mc_replicates),
+                      seed=args.seed)
+    clf = fit_classifier(train, cfg, nb_smoothing=args.smoothing)
 
     meta = _meta(args, command="train", delta=args.delta,
                  corpus=args.corpus, docs=args.docs,
@@ -169,6 +177,10 @@ def _cmd_eval(args) -> int:
         data = _corpus_batch(corpus_from_text(args.corpus, vocabulary))
     else:
         data = _read_docs_jsonl(args.docs)
+        if data.counts.shape[1] != len(clf.weights):
+            raise ValidationError(
+                f"{args.docs} has {data.counts.shape[1]} counts per document "
+                f"but the classifier has {len(clf.weights)} weights")
     report = _meta(args, command="eval", classifier=args.classifier,
                    corpus=args.corpus, docs=args.docs)
     report = {"meta": report, "error": evaluate_error(clf, data),

@@ -62,10 +62,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def documents(self) -> list[tuple[np.ndarray, int]]:
-        return [(self.counts[i], int(self.labels[i])) for i in range(len(self))]
-
 
 def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]

@@ -15,7 +15,6 @@ import numpy as np
 
 from .classifiers import LinearClassifier
 from .dropout import thin_counts
-from .linalg import min_singular_value
 from .stats import binomial_se
 from .topics import DiscreteSampler, TopicModel, sample_documents
 
@@ -110,7 +109,8 @@ def model_diagnostics(model: TopicModel) -> ModelDiagnostics:
         min_length=float(model.doc_lengths.min()),
         oracle_error=oracle,
         word_prob_matrix=pi,
-        min_singular_value=min_singular_value(pi),
+        min_singular_value=float(np.sqrt(max(
+            np.linalg.eigvalsh(pi.T @ pi)[0], 0.0))),
     )
 
 

@@ -136,6 +136,8 @@ def thinned_model(model: TopicModel, delta: float) -> TopicModel:
 
 
 def dropout_posterior(model: TopicModel, delta: float,
-                      counts: np.ndarray) -> float:
-    """P(y = 1 | thinned counts = v): the Bayes posterior of the thinned model."""
+                      counts: np.ndarray) -> float | np.ndarray:
+    """P(y = 1 | thinned counts = v): the Bayes posterior of the thinned model.
+
+    Like bayes_posterior, a vector gives a float and a matrix one per row."""
     return bayes_posterior(thinned_model(model, delta), counts)

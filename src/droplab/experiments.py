@@ -99,18 +99,26 @@ class CurveResult:
         return float(np.mean(errs)) if errs else float("nan")
 
 
-def _train_cell(train: DocumentBatch, delta: float, spec: CurveSpec,
-                train_seed: int) -> LinearClassifier:
-    if delta >= 1.0:
-        clf = train_naive_bayes(train, smoothing=spec.nb_smoothing)
+def fit_classifier(train: DocumentBatch, cfg: TrainConfig,
+                   nb_smoothing: float = 1.0) -> LinearClassifier:
+    """The classifier droplab fits at thinning rate cfg.dropout.delta.
+
+    delta = 1 is naive Bayes (the full-thinning endpoint), delta = 0 plain
+    logistic regression, anything between dropout-trained logistic
+    regression; the intercept is then recalibrated on the training set.
+    """
+    delta = cfg.dropout.delta
+    if delta == 1.0:
+        clf = train_naive_bayes(train, smoothing=nb_smoothing)
+    elif delta == 0.0:
+        clf = train_logistic(train, cfg)
     else:
-        cfg = replace(spec.train_cfg, seed=train_seed,
-                      dropout=replace(spec.train_cfg.dropout, delta=delta))
-        if delta == 0.0:
-            clf = train_logistic(train, cfg)
-        else:
-            clf = train_logistic_dropout(train, cfg)
+        clf = train_logistic_dropout(train, cfg)
     return recalibrate_intercept(clf, train)
+
+
+def _at_delta(cfg: TrainConfig, delta: float, seed: int) -> TrainConfig:
+    return replace(cfg, seed=seed, dropout=replace(cfg.dropout, delta=delta))
 
 
 def _run_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int,
@@ -125,7 +133,8 @@ def _run_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int,
     note = ""
     try:
         train = sample_documents(spec.sampler, n, rng)
-        clf = _train_cell(train, delta, spec, train_seed)
+        clf = fit_classifier(train, _at_delta(spec.train_cfg, delta,
+                                              train_seed), spec.nb_smoothing)
         train_error = evaluate_error(clf, train)
         test_error = evaluate_error(clf, test)
     except ValueError as exc:
@@ -247,18 +256,14 @@ def run_bias_check(model: TopicModel, delta_grid, v_budget: int
     lengths = model.doc_lengths
     equal = bool(np.max(lengths) - np.min(lengths) <= 1e-9 * np.max(lengths))
     grid = enumerate_counts(model.vocab_size, v_budget)
+    raw = bayes_posterior(model, grid)
     max_gap: dict[float, float] = {}
     worst: dict[float, tuple[int, ...]] = {}
     for delta in delta_grid:
-        gap = -1.0
-        arg = None
-        for v in grid:
-            g = abs(dropout_posterior(model, float(delta), v)
-                    - bayes_posterior(model, v))
-            if g > gap:
-                gap, arg = g, tuple(int(c) for c in v)
-        max_gap[float(delta)] = gap
-        worst[float(delta)] = arg
+        gaps = np.abs(dropout_posterior(model, float(delta), grid) - raw)
+        i = int(np.argmax(gaps))  # the first vector reaching the maximum
+        max_gap[float(delta)] = float(gaps[i])
+        worst[float(delta)] = tuple(int(c) for c in grid[i])
     return BiasCheckReport(equal_length=equal, v_budget=v_budget,
                            max_gap=max_gap, worst_vector=worst)
 
@@ -411,16 +416,10 @@ def run_influence_demo(delta: float = 0.75, n: int = 10_000,
     train = sample_documents(sampler, n, rng)
     train_seed = int(rng.integers(0, 2 ** 31 - 1))
 
-    cfg0 = replace(config.train_cfg, seed=train_seed,
-                   dropout=DropoutConfig(delta=0.0))
-    clf_plain = recalibrate_intercept(train_logistic(train, cfg0), train)
-    if delta == 0.0:
-        clf_drop = clf_plain
-    else:
-        cfgd = replace(config.train_cfg, seed=train_seed,
-                       dropout=replace(config.train_cfg.dropout, delta=delta))
-        clf_drop = recalibrate_intercept(
-            train_logistic_dropout(train, cfgd), train)
+    clf_plain = fit_classifier(train, _at_delta(config.train_cfg, 0.0,
+                                                train_seed))
+    clf_drop = clf_plain if delta == 0.0 else fit_classifier(
+        train, _at_delta(config.train_cfg, delta, train_seed))
 
     eval_rng = make_rng(master_seed, "influence-eval")
     eval_batch = sample_documents(sampler, eval_size, eval_rng)

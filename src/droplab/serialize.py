@@ -23,7 +23,6 @@ def format_float(x: float) -> str:
 def _encode(obj, indent: int | None, level: int) -> str:
     pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
     end_pad = "" if indent is None else "\n" + " " * (indent * level)
-    sep = "," if indent is None else ","
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -43,7 +42,7 @@ def _encode(obj, indent: int | None, level: int) -> str:
         if not obj:
             return "[]"
         items = (_encode(v, indent, level + 1) for v in obj)
-        return "[" + pad + (sep + pad).join(items) + end_pad + "]"
+        return "[" + pad + ("," + pad).join(items) + end_pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -51,7 +50,7 @@ def _encode(obj, indent: int | None, level: int) -> str:
             json.dumps(str(k)) + ": " + _encode(v, indent, level + 1)
             for k, v in obj.items()
         )
-        return "{" + pad + (sep + pad).join(items) + end_pad + "}"
+        return "{" + pad + ("," + pad).join(items) + end_pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

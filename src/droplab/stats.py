@@ -60,24 +60,8 @@ def chi_square_two_sample(counts_a: np.ndarray, counts_b: np.ndarray,
     """
     a = np.asarray(counts_a, dtype=float)
     b = np.asarray(counts_b, dtype=float)
-    a_p, b_p = [], []
-    a_acc = b_acc = 0.0
-    for av, bv in zip(a, b):
-        a_acc += av
-        b_acc += bv
-        if a_acc + b_acc >= 2 * min_expected:
-            a_p.append(a_acc)
-            b_p.append(b_acc)
-            a_acc = b_acc = 0.0
-    if a_acc + b_acc > 0:
-        if a_p:
-            a_p[-1] += a_acc
-            b_p[-1] += b_acc
-        else:
-            a_p.append(a_acc)
-            b_p.append(b_acc)
-    a_p = np.asarray(a_p)
-    b_p = np.asarray(b_p)
+    a_p, ab_p = pool_bins(a, a + b, 2 * min_expected)
+    b_p = ab_p - a_p
     na, nb = a_p.sum(), b_p.sum()
     if len(a_p) < 2:
         return 0.0, 1.0

@@ -10,6 +10,7 @@ whose label-1 topics form a continuum).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -140,21 +141,6 @@ class TopicModel:
 
 
 @dataclass(frozen=True)
-class Document:
-    """One sampled document: counts, label, and the latent topic."""
-
-    counts: np.ndarray
-    label: int
-    topic_id: float
-    length: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
-        if int(self.counts.sum()) != self.length:
-            raise ValueError("length must equal the sum of counts")
-
-
-@dataclass(frozen=True)
 class DocumentBatch:
     """Column-oriented batch of sampled documents."""
 
@@ -169,22 +155,6 @@ class DocumentBatch:
     @property
     def lengths(self) -> np.ndarray:
         return self.counts.sum(axis=1)
-
-    def document(self, i: int) -> Document:
-        return Document(counts=self.counts[i], label=int(self.labels[i]),
-                        topic_id=float(self.topics[i]),
-                        length=int(self.counts[i].sum()))
-
-    def documents(self) -> list[Document]:
-        return [self.document(i) for i in range(len(self))]
-
-    @staticmethod
-    def concatenate(batches: "list[DocumentBatch]") -> "DocumentBatch":
-        return DocumentBatch(
-            counts=np.concatenate([b.counts for b in batches]),
-            labels=np.concatenate([b.labels for b in batches]),
-            topics=np.concatenate([b.topics for b in batches]),
-        )
 
 
 @runtime_checkable
@@ -259,12 +229,6 @@ def sample_documents(sampler: GenerativeSampler, n: int,
                          intensities=intensities if return_intensities else None)
 
 
-def sample_document(sampler: GenerativeSampler,
-                    rng: np.random.Generator) -> Document:
-    """Draw a single document."""
-    return sample_documents(sampler, 1, rng).document(0)
-
-
 def sample_documents_multinomial(sampler: GenerativeSampler, n: int,
                                  rng: np.random.Generator) -> DocumentBatch:
     """Draw documents length-first: Poisson total length, then multinomial words.
@@ -277,12 +241,6 @@ def sample_documents_multinomial(sampler: GenerativeSampler, n: int,
     probs = intensities / totals[:, None]
     counts = rng.multinomial(lengths, probs)
     return DocumentBatch(counts=counts, labels=labels, topics=topic_ids)
-
-
-def sample_document_multinomial(sampler: GenerativeSampler,
-                                rng: np.random.Generator) -> Document:
-    """Single-document version of the length-first sampler."""
-    return sample_documents_multinomial(sampler, 1, rng).document(0)
 
 
 def _poisson_log_pmf(counts: np.ndarray, intensity: np.ndarray) -> np.ndarray:
@@ -314,36 +272,57 @@ def _log_class_likelihoods(model: TopicModel, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def bayes_posterior(model: TopicModel, counts: np.ndarray) -> float:
+def bayes_posterior(model: TopicModel, counts: np.ndarray
+                    ) -> float | np.ndarray:
     """Exact P(y = 1 | x = v) under a discrete model, computed in log space.
 
-    Raises UndefinedPosteriorError when v is impossible under both classes.
+    A count vector gives a float; an (m, d) matrix gives one posterior per
+    row.  Raises UndefinedPosteriorError when any v is impossible under both
+    classes.
     """
-    ll = _log_class_likelihoods(model, counts)[0]
+    v = np.asarray(counts)
+    ll = _log_class_likelihoods(model, v)
     p1 = model.label_prior
     with np.errstate(divide="ignore"):
         log_prior = np.array([np.log(1.0 - p1) if p1 < 1.0 else -np.inf,
                               np.log(p1) if p1 > 0.0 else -np.inf])
     joint = ll + log_prior
-    if np.all(np.isneginf(joint)):
+    if np.any(np.all(np.isneginf(joint), axis=1)):
         raise UndefinedPosteriorError(
             "count vector has zero likelihood under both classes")
-    total = logsumexp(joint)
-    return float(np.exp(joint[1] - total))
+    post = np.exp(joint[:, 1] - logsumexp(joint, axis=1))
+    return float(post[0]) if v.ndim == 1 else post
 
 
 def enumerate_counts(d: int, max_total: int, cell_budget: int = 5_000_000
                      ) -> np.ndarray:
-    """All non-negative integer vectors of length d with sum <= max_total."""
-    from math import comb
+    """All non-negative integer vectors of length d with sum <= max_total,
+    in lexicographic order (first coordinate slowest).
 
+    Built one leading coordinate at a time: the vectors of length k + 1 are,
+    for each first entry f = 0, 1, ..., the length-k vectors with sum at most
+    max_total - f.  The result is the only allocation of its size.
+    """
     n_cells = comb(max_total + d, d)
     if n_cells > cell_budget:
         raise EnumerationTooLargeError(
             f"{n_cells} cells exceed the budget of {cell_budget}")
-    grids = [np.arange(max_total + 1)] * d
-    mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, d)
-    return mesh[mesh.sum(axis=1) <= max_total]
+    tails = np.zeros((1, 0), dtype=np.int64)
+    sums = np.zeros(1, dtype=np.int64)
+    for k in range(d):
+        # rows of the next level whose first entry is f: tails with sum <= T-f
+        fits = np.cumsum(np.bincount(sums, minlength=max_total + 1))
+        sizes = fits[::-1]
+        out = np.empty((int(sizes.sum()), k + 1), dtype=np.int64)
+        start = 0
+        for f, size in enumerate(sizes):
+            block = out[start:start + size]
+            block[:, 0] = f
+            block[:, 1:] = tails[sums <= max_total - f]
+            start += size
+        tails = out
+        sums = out.sum(axis=1)
+    return tails
 
 
 @dataclass(frozen=True)

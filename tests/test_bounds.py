@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from droplab import (BERRY_ESSEEN_CONSTANT, RankDeficientError,
                      altitude_error_bound, berry_esseen_check,
                      gaussian_error_estimate, gaussian_tail_check, make_rng,
-                     margin_condition, normal_cdf, normal_quantile)
+                     margin_condition, normal_cdf)
 from droplab.presets import orthogonal_topic_model, two_word_intensity
 
 # frozen with 30-digit arithmetic
@@ -31,11 +31,6 @@ class TestNormalCdf:
         out = normal_cdf(np.array([-1.0, 0.0, 1.0]))
         assert out.shape == (3,)
         assert out[0] + out[2] == pytest.approx(1.0, abs=1e-15)
-
-    def test_quantile_round_trip(self):
-        for p in (1e-6, 0.01, 0.3, 0.5, 0.99):
-            assert normal_cdf(normal_quantile(p)) == pytest.approx(p,
-                                                                   rel=1e-9)
 
 
 class TestGaussianErrorEstimate:
@@ -178,6 +173,15 @@ class TestMarginCondition:
             Topic(id=1, rho0=0.0, rho1=1.0, intensity=lam)))
         with pytest.raises(RankDeficientError):
             margin_condition(model, 0.5)
+
+    def test_more_than_64_topics(self):
+        model = orthogonal_topic_model(doc_length=400.0, n_topics=80)
+        rep = margin_condition(model, 0.5)
+        # two words per topic: every column has squared norm 1/2
+        assert rep.min_singular_value == pytest.approx(np.sqrt(0.5),
+                                                       abs=1e-12)
+        assert rep.max_margin_error <= 1e-9
+        assert rep.signs.shape == (80,)
 
     def test_condition_fails_for_short_documents(self):
         model = orthogonal_topic_model(doc_length=5.0)

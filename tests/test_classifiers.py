@@ -17,7 +17,7 @@ from droplab import (DegenerateDataError, DimensionError, DiscreteSampler,
 import droplab
 from droplab import classifiers
 from droplab.presets import two_word_intensity
-from droplab.topics import Document, DocumentBatch, Topic, TopicModel
+from droplab.topics import DocumentBatch, Topic, TopicModel
 
 EXACT_THINNED_RATE = 0.043627118658197702   # P[thinned score <= 0], z = 2.5
 GAUSSIAN_THINNED_RATE = 0.038549935871770885
@@ -149,12 +149,6 @@ class TestTrainLogistic:
         e_ref = evaluate_error(ref, test)
         se = np.sqrt(e_clf * (1 - e_clf) / len(test))
         assert abs(e_clf - e_ref) <= 3 * 2 * se
-
-    def test_accepts_document_lists(self):
-        docs = [Document(counts=np.array([0]), label=0, topic_id=0, length=0),
-                Document(counts=np.array([4]), label=1, topic_id=1, length=4)]
-        clf = train_logistic(docs, TrainConfig(epochs=50))
-        assert evaluate_error(clf, docs) == 0.0
 
     def test_minibatch_variant_trains(self):
         sampler = two_topic_sampler([8.0, 2.0], [2.0, 8.0])

@@ -117,6 +117,50 @@ class TestTrainEval:
         assert cli_dispatch(["train", "--corpus", toy_corpus,
                              "--docs", "x.jsonl"]) == 1
 
+    def test_naive_bayes_validates_logistic_flags(self, toy_corpus, capsys):
+        assert cli_dispatch(["train", "--corpus", toy_corpus, "--delta", "1",
+                             "--epochs", "0"]) == 1
+        assert "epochs" in capsys.readouterr().err
+
+
+GOOD_DOC = '{"counts": [3, 1], "label": 0}'
+
+
+class TestDocsValidation:
+    CASES = {
+        "missing_counts": '{"label": 1}',
+        "missing_label": '{"counts": [1, 4]}',
+        "label_outside_0_1": '{"counts": [1, 4], "label": 2}',
+        "fractional_count": '{"counts": [0.5, 5], "label": 1}',
+        "negative_count": '{"counts": [-1, 5], "label": 1}',
+        "ragged_rows": '{"counts": [1, 4, 2], "label": 1}',
+    }
+
+    @staticmethod
+    def run(command, lines, tmp_path):
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = [command, "--docs", str(docs)]
+        if command == "eval":
+            clf = tmp_path / "clf.json"
+            clf.write_text(dumps({"weights": [1.0, -1.0], "intercept": 0.0}),
+                           encoding="utf-8")
+            argv += ["--classifier", str(clf)]
+        return cli_dispatch(argv)
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_document_exits_1(self, command, case, tmp_path, capsys):
+        lines = ["# header", GOOD_DOC, self.CASES[case]]
+        assert self.run(command, lines, tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "docs.jsonl:3" in err
+
+    def test_eval_dimension_mismatch_exits_1(self, tmp_path, capsys):
+        lines = ['{"counts": [1, 4, 2], "label": 1}']
+        assert self.run("eval", lines, tmp_path) == 1
+        assert "3 counts per document" in capsys.readouterr().err
+
 
 class TestCurves:
     ARGS = ["curves", "--model", "synthetic-sec6", "--seed", "7",

@@ -75,6 +75,24 @@ class TestModelDiagnostics:
         diag = model_diagnostics(model)
         assert diag.min_singular_value == pytest.approx(1.0, abs=1e-12)
 
+    def test_more_than_64_topics(self):
+        model = orthogonal_topic_model(doc_length=400.0, n_topics=80)
+        diag = model_diagnostics(model)
+        assert diag.min_singular_value == pytest.approx(np.sqrt(0.5),
+                                                        abs=1e-12)
+
+    def test_min_singular_value_matches_svd(self):
+        rng = make_rng(12, "svd")
+        for n_topics in (2, 5, 9):
+            topics = tuple(
+                Topic(id=t, rho0=1.0 / n_topics, rho1=1.0 / n_topics,
+                      intensity=rng.uniform(0.1, 5.0, size=12))
+                for t in range(n_topics))
+            model = TopicModel(label_prior=0.5, topics=topics, vocab_size=12)
+            diag = model_diagnostics(model)
+            ref = np.linalg.svd(diag.word_prob_matrix, compute_uv=False).min()
+            assert diag.min_singular_value == pytest.approx(ref, rel=1e-9)
+
     def test_single_ambiguous_topic(self):
         model = TopicModel(label_prior=0.7, vocab_size=1, topics=(
             Topic(id=0, rho0=1.0, rho1=1.0, intensity=np.array([2.0])),))

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from droplab import (CurveSpec, DropoutConfig, TrainConfig,
-                     build_synthetic_model, curve_csv, curve_summary,
-                     run_altitude_sweep, run_bias_check, run_influence_demo,
-                     run_learning_curves)
+from droplab import (CurveSpec, DiscreteSampler, DropoutConfig, TrainConfig,
+                     bayes_posterior, build_synthetic_model, curve_csv,
+                     curve_summary, dropout_posterior, fit_classifier,
+                     make_rng, recalibrate_intercept, run_altitude_sweep,
+                     run_bias_check, run_influence_demo, run_learning_curves,
+                     sample_documents, train_logistic, train_logistic_dropout,
+                     train_naive_bayes)
+from droplab import experiments
 from droplab.experiments import CurveResult, InfluenceDemoConfig, SweepConfig
 from droplab.presets import (default_sweep_configs, equal_length_models,
                              two_word_intensity, unequal_length_control)
@@ -29,6 +33,21 @@ class TestBiasCheck:
         assert rep.max_gap[0.5] >= 0.05
         # the gap at the empty document alone already exceeds the threshold
         assert rep.max_gap[0.5] >= UNEQUAL_CONTROL_GAP - 1e-12
+
+    def test_matches_per_vector_loop(self):
+        # reference: one posterior pair per count vector, first strict max
+        for model in equal_length_models() + [unequal_length_control()]:
+            rep = run_bias_check(model, (0.25, 0.5, 0.9), v_budget=6)
+            grid = experiments.enumerate_counts(model.vocab_size, 6)
+            for delta in (0.25, 0.5, 0.9):
+                gap, arg = -1.0, None
+                for v in grid:
+                    g = abs(dropout_posterior(model, delta, v)
+                            - bayes_posterior(model, v))
+                    if g > gap:
+                        gap, arg = g, tuple(int(c) for c in v)
+                assert rep.max_gap[delta] == gap
+                assert rep.worst_vector[delta] == arg
 
 
 class TestAltitudeSweep:
@@ -68,6 +87,49 @@ class TestAltitudeSweep:
                           delta=0.5)
         with pytest.raises(ValueError):
             run_altitude_sweep([cfg], mc_budget=100)
+
+
+class TestFitClassifier:
+    @staticmethod
+    def data():
+        return sample_documents(DiscreteSampler(equal_length_models()[0]),
+                                200, make_rng(3, "fit"))
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+    def test_dispatches_by_delta_and_recalibrates(self, delta):
+        train = self.data()
+        cfg = TrainConfig(epochs=30, seed=4,
+                          dropout=DropoutConfig(delta=delta, mc_replicates=2))
+        if delta == 1.0:
+            raw = train_naive_bayes(train, smoothing=0.5)
+        elif delta == 0.0:
+            raw = train_logistic(train, cfg)
+        else:
+            raw = train_logistic_dropout(train, cfg)
+        want = recalibrate_intercept(raw, train)
+        got = fit_classifier(train, cfg, nb_smoothing=0.5)
+        assert np.array_equal(got.weights, want.weights)
+        assert got.intercept == want.intercept
+
+    @pytest.mark.parametrize("delta, trainer", [
+        (0.0, "train_logistic"), (0.5, "train_logistic_dropout"),
+        (1.0, "train_naive_bayes")])
+    def test_calls_the_module_level_names(self, monkeypatch, delta, trainer):
+        # a tracer that rebinds experiments' names must see every call
+        seen = []
+        for name in ("train_logistic", "train_logistic_dropout",
+                     "train_naive_bayes", "recalibrate_intercept"):
+            original = getattr(experiments, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                seen.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, spy)
+        cfg = TrainConfig(epochs=5, dropout=DropoutConfig(delta=delta,
+                                                          mc_replicates=1))
+        experiments.fit_classifier(self.data(), cfg)
+        assert seen == [trainer, "recalibrate_intercept"]
 
 
 def tiny_spec(**overrides) -> CurveSpec:

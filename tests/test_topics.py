@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -5,9 +7,9 @@ from scipy import stats as sps
 from droplab import (DiscreteSampler, EnumerationTooLargeError,
                      ParametricSampler, Topic, TopicModel,
                      UndefinedPosteriorError, bayes_error, bayes_posterior,
-                     build_synthetic_model, make_rng, sample_document,
-                     sample_document_multinomial, sample_documents,
+                     build_synthetic_model, make_rng, sample_documents,
                      sample_documents_multinomial)
+from droplab.topics import enumerate_counts
 from droplab.presets import equal_length_models, unequal_length_control
 from droplab.stats import chi_square_gof, chi_square_two_sample
 
@@ -76,9 +78,11 @@ class TestSampling:
         assert np.array_equal(batch.topics.astype(int), batch.labels)
 
     def test_single_document_has_consistent_length(self):
-        doc = sample_document(DiscreteSampler(single_topic_model([2.0, 3.0])),
-                              make_rng(3, "one"))
-        assert doc.length == int(doc.counts.sum())
+        batch = sample_documents(
+            DiscreteSampler(single_topic_model([2.0, 3.0])), 1,
+            make_rng(3, "one"))
+        assert batch.counts.shape == (1, 2)
+        assert batch.lengths[0] == int(batch.counts[0].sum())
 
     def test_multinomial_zero_probability_word(self):
         sampler = DiscreteSampler(single_topic_model([0.0, 5.0]))
@@ -88,8 +92,10 @@ class TestSampling:
 
     def test_multinomial_single_document(self):
         sampler = DiscreteSampler(single_topic_model([2.0, 3.0]))
-        doc = sample_document_multinomial(sampler, make_rng(4, "multi-one"))
-        assert doc.length == int(doc.counts.sum())
+        batch = sample_documents_multinomial(sampler, 1,
+                                             make_rng(4, "multi-one"))
+        assert batch.counts.shape == (1, 2)
+        assert batch.lengths[0] == int(batch.counts[0].sum())
 
     def test_multinomial_document_lengths_are_poisson(self):
         sampler = DiscreteSampler(single_topic_model([1.0, 1.0, 1.0]))
@@ -170,6 +176,53 @@ class TestBayesPosterior:
         v = np.array([5000, 5000])
         post = bayes_posterior(model, v)
         assert 0.0 < post < 1.0 and np.isfinite(post)
+
+    def test_vector_gives_float_matrix_gives_rows(self):
+        model = equal_length_models()[1]
+        grid = enumerate_counts(model.vocab_size, 5)
+        post = bayes_posterior(model, grid)
+        assert isinstance(bayes_posterior(model, grid[3]), float)
+        assert isinstance(post, np.ndarray) and post.shape == (len(grid),)
+        assert post.tolist() == [bayes_posterior(model, v) for v in grid]
+
+    def test_impossible_row_in_matrix_raises(self):
+        model = two_class_model([1.0, 0.0], [2.0, 0.0])
+        with pytest.raises(UndefinedPosteriorError):
+            bayes_posterior(model, np.array([[1, 0], [0, 3], [2, 0]]))
+
+
+def meshgrid_counts(d, max_total):
+    """Reference enumeration: filter the full (max_total + 1)^d grid."""
+    grids = [np.arange(max_total + 1)] * d
+    mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, d)
+    return mesh[mesh.sum(axis=1) <= max_total]
+
+
+class TestEnumerateCounts:
+    @pytest.mark.parametrize("d, max_total",
+                             [(1, 5), (2, 6), (3, 0), (3, 6), (3, 14),
+                              (4, 10)])
+    def test_matches_meshgrid_order(self, d, max_total):
+        got = enumerate_counts(d, max_total)
+        ref = meshgrid_counts(d, max_total)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+    def test_peak_memory_is_a_small_multiple_of_the_result(self):
+        # the filtered meshgrid allocates 41^4 rows (about 90 MB) here
+        tracemalloc.start()
+        try:
+            out = enumerate_counts(4, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (135_751, 4)
+        assert peak < 4 * out.nbytes
+
+    def test_budget_counts_the_real_cells(self):
+        assert len(enumerate_counts(3, 8, cell_budget=165)) == 165
+        with pytest.raises(EnumerationTooLargeError):
+            enumerate_counts(3, 8, cell_budget=164)
 
 
 class TestBayesError:
