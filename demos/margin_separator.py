@@ -25,8 +25,7 @@ def main():
         rep = margin_condition(model, delta)
         clf = LinearClassifier(weights=rep.separator)
         decomp = excess_risk_decomposition(
-            model, clf, delta, mc, reference=clf,
-            rng=make_rng(0, "demo-margin", k))
+            model, clf, delta, mc, make_rng(0, "demo-margin", k))
         worst = max(td.suboptimal_rate_thinned for td in decomp.per_topic)
         print(f"{length:>8.0f} {rep.min_singular_value:>10.4f} "
               f"{rep.threshold:>10.4f} {str(rep.holds):>6} "

@@ -17,7 +17,7 @@ from .classifiers import (DegenerateDataError, DimensionError, EmptyDataError,
                           error_by_topic, evaluate_error,
                           recalibrate_intercept, train_logistic,
                           train_logistic_dropout, train_naive_bayes)
-from .corpus import (Corpus, EmptyClassError, MalformedLineError, SplitSpec,
+from .corpus import (EmptyClassError, MalformedLineError, SplitSpec,
                      load_corpus, tokenize)
 from .diagnostics import (ModelDiagnostics, RiskDecomposition,
                           TopicDiagnostics, ZeroVarianceError,

@@ -20,6 +20,9 @@ from .stats import dkw_slack, kolmogorov_distance
 from .topics import TopicModel
 
 BERRY_ESSEEN_CONSTANT = 4.0
+_DKW_CONFIDENCE = 0.999      # of the sampling slack in berry_esseen_check
+_CHUNK = 1_000_000           # simulated scores per Poisson draw
+_RANK_TOL = 1e-12            # relative eigenvalue floor of the Gram matrix
 
 
 def normal_cdf(x) -> np.ndarray | float:
@@ -61,13 +64,12 @@ class BerryEsseenReport:
 
 
 def berry_esseen_check(weights: np.ndarray, intensity: np.ndarray,
-                       n_samples: int, rng: np.random.Generator,
-                       confidence: float = 0.999,
-                       chunk: int = 1_000_000) -> BerryEsseenReport:
+                       n_samples: int, rng: np.random.Generator
+                       ) -> BerryEsseenReport:
     """Compare the empirical CDF of w.x (Poisson counts) with its Gaussian fit.
 
     The Kolmogorov distance must not exceed the theoretical bound
-    4 * sqrt(be_stat) plus a DKW sampling slack at the given confidence.
+    4 * sqrt(be_stat) plus a DKW sampling slack at 99.9% confidence.
     """
     w = np.asarray(weights, dtype=float)
     lam = np.asarray(intensity, dtype=float)
@@ -77,7 +79,7 @@ def berry_esseen_check(weights: np.ndarray, intensity: np.ndarray,
     scores = np.empty(n_samples)
     done = 0
     while done < n_samples:
-        b = min(chunk, n_samples - done)
+        b = min(_CHUNK, n_samples - done)
         counts = rng.poisson(lam, size=(b, len(lam)))
         scores[done:done + b] = counts @ w
         done += b
@@ -85,7 +87,7 @@ def berry_esseen_check(weights: np.ndarray, intensity: np.ndarray,
     return BerryEsseenReport(
         sup_distance=dist,
         bound=BERRY_ESSEEN_CONSTANT * float(np.sqrt(be)),
-        slack=dkw_slack(n_samples, confidence),
+        slack=dkw_slack(n_samples, _DKW_CONFIDENCE),
         n_samples=n_samples, be_stat=be)
 
 
@@ -190,8 +192,7 @@ class MarginReport:
     max_margin_error: float
 
 
-def margin_condition(model: TopicModel, delta: float,
-                     rank_tol: float = 1e-12) -> MarginReport:
+def margin_condition(model: TopicModel, delta: float) -> MarginReport:
     """Check that topics are separable with margin and build the separator.
 
     The condition compares the smallest singular value of the d x T
@@ -213,7 +214,7 @@ def margin_condition(model: TopicModel, delta: float,
 
     gram = pi.T @ pi
     eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= rank_tol * max(eigs[-1], 1.0):
+    if eigs[0] <= _RANK_TOL * max(eigs[-1], 1.0):
         raise RankDeficientError(
             "word-probability matrix does not have full column rank")
     signs = np.where(diag.majority_labels == 1, 1.0, -1.0)

@@ -92,24 +92,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.l2_weight < 0:
-            raise ValueError("l2_weight must be >= 0")
+        if not 0 <= self.l2_weight < np.inf:
+            raise ValueError("l2_weight must be finite and >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if self.step_size is not None and not 0 < self.step_size < np.inf:
+            raise ValueError("step_size must be finite and positive")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
 
-def as_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(X, y, topics) of a DocumentBatch; an empty list or tuple is empty
-    data, which the callers reject with EmptyDataError."""
-    if isinstance(data, DocumentBatch):
-        return data.counts, data.labels, data.topics
-    if isinstance(data, (list, tuple)) and len(data) == 0:
-        return np.zeros((0, 0), dtype=np.int64), np.zeros(0, np.int64), None
-    raise TypeError("data must be a DocumentBatch")
+def as_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, y, topics) of a DocumentBatch."""
+    if not isinstance(data, DocumentBatch):
+        raise TypeError("data must be a DocumentBatch")
+    return data.counts, data.labels, data.topics
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
@@ -117,12 +114,13 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _smoothness_bound(x: np.ndarray, l2_weight: float, iters: int = 32) -> float:
-    """Upper estimate of the logistic-loss smoothness constant via power iteration."""
+def _smoothness_bound(x: np.ndarray, l2_weight: float) -> float:
+    """Upper estimate of the logistic-loss smoothness constant via 32 steps
+    of power iteration."""
     n, d = x.shape
     v = np.full(d, 1.0 / np.sqrt(d))
     sigma_sq = 0.0
-    for _ in range(iters):
+    for _ in range(32):
         u = x @ v
         v = x.T @ u
         norm = np.linalg.norm(v)
@@ -189,13 +187,19 @@ def _fit_logistic(x_counts: np.ndarray, y: np.ndarray,
             gw += xb.T @ err
         return gw * (1.0 / (len(yb) * m)) + cfg.l2_weight * w
 
-    for _ in range(cfg.epochs):
-        if cfg.batch_size is None or cfg.batch_size >= n:
-            w -= step * batch_grad(None)
-        else:
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                w -= step * batch_grad(order[start:start + cfg.batch_size])
+    # an overflow can only end in non-finite weights, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            if cfg.batch_size is None or cfg.batch_size >= n:
+                w -= step * batch_grad(None)
+            else:
+                order = rng.permutation(n)
+                for start in range(0, n, cfg.batch_size):
+                    w -= step * batch_grad(order[start:start + cfg.batch_size])
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"gradient descent diverged at step size {step:g}; "
+                         "use a smaller step size, or none to size it from "
+                         "the data")
     return LinearClassifier(weights=w)
 
 
@@ -267,17 +271,14 @@ def recalibrate_intercept(clf: LinearClassifier, data) -> LinearClassifier:
     cum0 = np.cumsum(n0_at)
     n0_total = cum0[-1]
     n1_total = cum1[-1]
-    # threshold below all scores: predict everything 1
-    thresholds = [u[0] - 1.0]
-    errors = [n0_total]
-    for i in range(len(u) - 1):
-        thresholds.append(0.5 * (u[i] + u[i + 1]))
-        errors.append(cum1[i] + (n0_total - cum0[i]))
-    # threshold above all scores: predict everything 0
-    thresholds.append(u[-1] + 1.0)
-    errors.append(n1_total)
-    best = min(range(len(thresholds)),
-               key=lambda i: (errors[i], abs(-thresholds[i]), -thresholds[i]))
+    # below all scores everything is predicted 1, above all scores 0
+    thresholds = np.concatenate(([u[0] - 1.0], 0.5 * (u[:-1] + u[1:]),
+                                 [u[-1] + 1.0]))
+    errors = np.concatenate(([n0_total], cum1[:-1] + (n0_total - cum0[:-1]),
+                             [n1_total]))
+    # lexsort's last key is the primary one; it is stable, so exact ties
+    # keep the first candidate
+    best = np.lexsort((-thresholds, np.abs(thresholds), errors))[0]
     return LinearClassifier(weights=clf.weights, intercept=-thresholds[best])
 
 
@@ -337,8 +338,6 @@ def evaluate_error(clf: LinearClassifier, data) -> float:
 def error_by_topic(clf: LinearClassifier, data) -> dict[float, float]:
     """Misclassification rate per latent topic id."""
     x, y, topics = as_arrays(data)
-    if topics is None:
-        raise ValueError("data carries no topic ids")
     wrong = clf.predict(x) != y
     out = {}
     for t in np.unique(topics):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import serialize
 from .classifiers import LinearClassifier, TrainConfig, evaluate_error
-from .corpus import Corpus, SplitSpec, corpus_from_text, load_corpus
+from .corpus import SplitSpec, corpus_from_text, load_corpus
 from .dropout import DropoutConfig
 from .experiments import (VERSION, CurveSpec, curve_csv, curve_summary,
                           fit_classifier, run_influence_demo,
@@ -31,6 +31,9 @@ from .verify import VERIFY_SUITES, run_verification
 
 class ValidationError(ValueError):
     """Bad command-line input; maps to exit code 1."""
+
+
+_MAX_COUNT = np.iinfo(np.int64).max
 
 
 def _load_sampler(spec: str):
@@ -86,36 +89,39 @@ def _read_docs_jsonl(path: str) -> DocumentBatch:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            doc = json.loads(line)
             where = f"{path}:{lineno}"
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{where}: not JSON ({exc.msg})") \
+                    from None
             if not isinstance(doc, dict) or not {"counts", "label"} <= set(doc):
                 raise ValidationError(
                     f"{where}: a document needs 'counts' and 'label'")
             row, label = doc["counts"], doc["label"]
+            topic = doc.get("topic", -1)
             if type(label) is not int or label not in (0, 1):
                 raise ValidationError(
                     f"{where}: label must be 0 or 1, got {label!r}")
             if not isinstance(row, list) or not all(
-                    type(c) is int and c >= 0 for c in row):
+                    type(c) is int and 0 <= c <= _MAX_COUNT for c in row):
                 raise ValidationError(
-                    f"{where}: counts must be non-negative integers")
+                    f"{where}: counts must be integers in [0, {_MAX_COUNT}]")
             if counts and len(row) != len(counts[0]):
                 raise ValidationError(
                     f"{where}: {len(row)} counts, but the first document "
                     f"has {len(counts[0])}")
+            if type(topic) not in (int, float):
+                raise ValidationError(
+                    f"{where}: topic must be a number, got {topic!r}")
             counts.append(row)
             labels.append(label)
-            topics.append(float(doc.get("topic", -1)))
+            topics.append(float(topic))
     if not counts:
         raise ValidationError(f"no documents found in {path}")
     return DocumentBatch(counts=np.asarray(counts, dtype=np.int64),
                          labels=np.asarray(labels, dtype=np.int64),
                          topics=np.asarray(topics))
-
-
-def _corpus_batch(c: Corpus) -> DocumentBatch:
-    return DocumentBatch(counts=c.counts, labels=c.labels,
-                         topics=np.full(len(c), -1.0))
 
 
 def _check_delta(delta: float):
@@ -133,10 +139,7 @@ def _cmd_train(args) -> int:
                           train_size=args.train_size) \
             if args.train_size else SplitSpec(seed=args.seed,
                                               train_fraction=args.train_frac)
-        train_corpus, test_corpus = load_corpus(args.corpus, split)
-        vocabulary = train_corpus.vocabulary
-        train = _corpus_batch(train_corpus)
-        heldout = _corpus_batch(test_corpus)
+        train, heldout, vocabulary = load_corpus(args.corpus, split)
     else:
         train = _read_docs_jsonl(args.docs)
         heldout = None
@@ -174,7 +177,7 @@ def _cmd_eval(args) -> int:
         if vocabulary is None:
             raise ValidationError(
                 "classifier JSON carries no vocabulary; evaluate with --docs")
-        data = _corpus_batch(corpus_from_text(args.corpus, vocabulary))
+        data = corpus_from_text(args.corpus, vocabulary)
     else:
         data = _read_docs_jsonl(args.docs)
         if data.counts.shape[1] != len(clf.weights):

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .streams import make_rng
+from .topics import DocumentBatch
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
@@ -47,22 +48,6 @@ class SplitSpec:
             raise ValueError("train_size must be >= 1")
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """Count matrix plus labels over a fixed token vocabulary."""
-
-    vocabulary: dict[str, int]
-    counts: np.ndarray       # (n, d) int64
-    labels: np.ndarray       # (n,)
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self.vocabulary)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
 def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
 
@@ -88,7 +73,9 @@ def _parse_lines(path: str | Path) -> list[tuple[int, list[str]]]:
 
 
 def _to_counts(docs: list[tuple[int, list[str]]],
-               vocabulary: dict[str, int]) -> Corpus:
+               vocabulary: dict[str, int]) -> DocumentBatch:
+    """Count matrix and labels over the vocabulary; real text has no latent
+    topic, so every topic id is -1."""
     counts = np.zeros((len(docs), len(vocabulary)), dtype=np.int64)
     labels = np.empty(len(docs), dtype=np.int64)
     for i, (label, tokens) in enumerate(docs):
@@ -97,7 +84,8 @@ def _to_counts(docs: list[tuple[int, list[str]]],
             j = vocabulary.get(tok)
             if j is not None:
                 counts[i, j] += 1
-    return Corpus(vocabulary=vocabulary, counts=counts, labels=labels)
+    return DocumentBatch(counts=counts, labels=labels,
+                         topics=np.full(len(docs), -1.0))
 
 
 def build_vocabulary(docs: list[tuple[int, list[str]]]) -> dict[str, int]:
@@ -106,8 +94,9 @@ def build_vocabulary(docs: list[tuple[int, list[str]]]) -> dict[str, int]:
     return {tok: i for i, tok in enumerate(tokens)}
 
 
-def load_corpus(path: str | Path, split: SplitSpec) -> tuple[Corpus, Corpus]:
-    """Load, shuffle, and split a corpus file into (train, test).
+def load_corpus(path: str | Path, split: SplitSpec
+                ) -> tuple[DocumentBatch, DocumentBatch, dict[str, int]]:
+    """Load, shuffle, and split a corpus file into (train, test, vocabulary).
 
     The vocabulary comes from the training split only.  Raises
     EmptyClassError when either split misses a class.
@@ -125,10 +114,10 @@ def load_corpus(path: str | Path, split: SplitSpec) -> tuple[Corpus, Corpus]:
     for name, c in (("train", train), ("test", test)):
         if not (np.any(c.labels == 0) and np.any(c.labels == 1)):
             raise EmptyClassError(f"{name} split is missing a class")
-    return train, test
+    return train, test, vocabulary
 
 
 def corpus_from_text(path: str | Path,
-                     vocabulary: dict[str, int]) -> Corpus:
+                     vocabulary: dict[str, int]) -> DocumentBatch:
     """Vectorize a corpus file against an existing vocabulary."""
     return _to_counts(_parse_lines(path), vocabulary)

@@ -18,6 +18,8 @@ from .dropout import thin_counts
 from .stats import binomial_se
 from .topics import DiscreteSampler, TopicModel, sample_documents
 
+_CHUNK = 200_000            # documents per sampling round
+
 
 class ZeroVarianceError(ValueError):
     """The score has zero variance under this intensity vector."""
@@ -116,14 +118,10 @@ def model_diagnostics(model: TopicModel) -> ModelDiagnostics:
 
 @dataclass(frozen=True)
 class RiskDecomposition:
-    """Monte Carlo risk decomposition of a classifier against a reference."""
+    """Monte Carlo raw and thinned error rates with per-topic diagnostics."""
 
     error: float
     error_thinned: float
-    reference_error: float
-    reference_error_thinned: float
-    excess: float
-    excess_thinned: float
     per_topic: tuple[TopicDiagnostics, ...]
     identity_residual: float
     identity_tolerance: float
@@ -132,11 +130,9 @@ class RiskDecomposition:
 
 def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
                               delta: float, mc_budget: int,
-                              reference: LinearClassifier,
-                              rng: np.random.Generator,
-                              chunk: int = 200_000) -> RiskDecomposition:
-    """Estimate raw and thinned error rates, excess risks, and per-topic
-    sub-optimal prediction rates on a shared Monte Carlo stream.
+                              rng: np.random.Generator) -> RiskDecomposition:
+    """Estimate raw and thinned error rates and per-topic sub-optimal
+    prediction rates on a shared Monte Carlo stream.
 
     Also checks the counting identity: the thinned excess error over the
     topic-oracle error equals the topic-probability-weighted sum of thinned
@@ -153,18 +149,16 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
     n_topic = np.zeros(model.n_topics, dtype=np.int64)
     sub_raw = np.zeros(model.n_topics, dtype=np.int64)
     sub_thin = np.zeros(model.n_topics, dtype=np.int64)
-    clf_err = clf_err_thin = ref_err = ref_err_thin = 0
+    clf_err = clf_err_thin = 0
 
     done = 0
     while done < mc_budget:
-        b = min(chunk, mc_budget - done)
+        b = min(_CHUNK, mc_budget - done)
         batch = sample_documents(sampler, b, rng)
         thinned = thin_counts(batch.counts, delta, rng)
         idx = id_order[np.searchsorted(sorted_ids, batch.topics)]
         pred_raw = clf.predict(batch.counts)
         pred_thin = clf.predict(thinned)
-        rpred_raw = reference.predict(batch.counts)
-        rpred_thin = reference.predict(thinned)
         cvec = majority[idx]
         n_topic += np.bincount(idx, minlength=model.n_topics)
         sub_raw += np.bincount(idx, weights=(pred_raw != cvec),
@@ -173,8 +167,6 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
                                 minlength=model.n_topics).astype(np.int64)
         clf_err += int(np.count_nonzero(pred_raw != batch.labels))
         clf_err_thin += int(np.count_nonzero(pred_thin != batch.labels))
-        ref_err += int(np.count_nonzero(rpred_raw != batch.labels))
-        ref_err_thin += int(np.count_nonzero(rpred_thin != batch.labels))
         done += b
 
     per_topic = []
@@ -195,8 +187,6 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
 
     err = clf_err / mc_budget
     err_thin = clf_err_thin / mc_budget
-    r_err = ref_err / mc_budget
-    r_err_thin = ref_err_thin / mc_budget
 
     # counting identity for the thinned excess over the topic oracle
     gaps = np.abs(2.0 * diag.label1_given_topic - 1.0)
@@ -212,9 +202,6 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
     residual = abs((err_thin - diag.oracle_error) - weighted)
 
     return RiskDecomposition(
-        error=err, error_thinned=err_thin,
-        reference_error=r_err, reference_error_thinned=r_err_thin,
-        excess=err - r_err, excess_thinned=err_thin - r_err_thin,
-        per_topic=tuple(per_topic),
+        error=err, error_thinned=err_thin, per_topic=tuple(per_topic),
         identity_residual=residual, identity_tolerance=tol,
         n_samples=mc_budget)

@@ -31,6 +31,7 @@ VERSION = "0.1.0"
 
 _CELL_TAG = "curve-cell"
 _TEST_TAG = "curve-test"
+_SWEEP_CHUNK = 1_000_000    # sweep documents per Poisson draw
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class CurveSpec:
     trials: int = 10
     test_size: int = 100_000
     train_cfg: TrainConfig = field(default_factory=TrainConfig)
-    nb_smoothing: float = 1.0
     master_seed: int = 0
     sampler_name: str = ""
 
@@ -71,7 +71,7 @@ class CurveSpec:
             "batch_size": self.train_cfg.batch_size,
             "step_size": self.train_cfg.step_size,
             "mc_replicates": self.train_cfg.dropout.mc_replicates,
-            "nb_smoothing": self.nb_smoothing,
+            "nb_smoothing": 1.0,  # fit_classifier's default
             "master_seed": self.master_seed,
         }
 
@@ -134,7 +134,7 @@ def _run_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int,
     try:
         train = sample_documents(spec.sampler, n, rng)
         clf = fit_classifier(train, _at_delta(spec.train_cfg, delta,
-                                              train_seed), spec.nb_smoothing)
+                                              train_seed))
         train_error = evaluate_error(clf, train)
         test_error = evaluate_error(clf, test)
     except ValueError as exc:
@@ -292,8 +292,8 @@ class SweepResult:
     exponent_target: float
 
 
-def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0,
-                       chunk: int = 1_000_000) -> list[SweepResult]:
+def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
+                       ) -> list[SweepResult]:
     """Measure raw and thinned sub-optimal rates for fixed linear scores.
 
     For each configuration the raw counts are sampled from the Poisson
@@ -314,7 +314,7 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0,
         wrong = wrong_thin = 0
         done = 0
         while done < mc_budget:
-            b = min(chunk, mc_budget - done)
+            b = min(_SWEEP_CHUNK, mc_budget - done)
             counts = rng.poisson(lam, size=(b, len(lam)))
             thinned = thin_counts(counts, cfg.delta, rng)
             wrong += int(np.count_nonzero(counts @ w <= 0.0))

@@ -20,9 +20,10 @@ def two_word_intensity(z_ratio: float, sigma: float) -> tuple[float, float]:
     return lam1, lam2
 
 
-def default_sweep_configs(delta: float = 0.5) -> list[SweepConfig]:
-    """Exponent-sweep points: the z = 2.5 score at three concentration levels
-    plus an unthinned control."""
+def default_sweep_configs() -> list[SweepConfig]:
+    """Exponent-sweep points at delta = 0.5: the z = 2.5 score at two
+    concentration levels, z = 5 at a third, plus an unthinned control."""
+    delta = 0.5
     return [
         SweepConfig(weights=(1.0, -1.0),
                     intensity=two_word_intensity(2.5, 10.0), delta=delta),

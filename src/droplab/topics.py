@@ -147,7 +147,6 @@ class DocumentBatch:
     counts: np.ndarray          # (n, d) integer counts
     labels: np.ndarray          # (n,) in {0, 1}
     topics: np.ndarray          # (n,) latent topic ids (float for continua)
-    intensities: np.ndarray | None = None  # (n, d) when requested
 
     def __len__(self) -> int:
         return self.counts.shape[0]
@@ -220,13 +219,15 @@ class ParametricSampler:
 
 
 def sample_documents(sampler: GenerativeSampler, n: int,
-                     rng: np.random.Generator,
-                     return_intensities: bool = False) -> DocumentBatch:
-    """Draw n documents: label, topic, then independent Poisson counts."""
+                     rng: np.random.Generator) -> DocumentBatch:
+    """Draw n documents: label, topic, then independent Poisson counts.
+
+    The labels and topics are those of `sampler.draw_topics(n, rng)`, which
+    consumes the stream first.
+    """
     labels, topic_ids, intensities = sampler.draw_topics(n, rng)
     counts = rng.poisson(intensities)
-    return DocumentBatch(counts=counts, labels=labels, topics=topic_ids,
-                         intensities=intensities if return_intensities else None)
+    return DocumentBatch(counts=counts, labels=labels, topics=topic_ids)
 
 
 def sample_documents_multinomial(sampler: GenerativeSampler, n: int,
@@ -360,10 +361,13 @@ def bayes_error(model: TopicModel, max_total_count: int | None = None,
 SYNTHETIC_PRESET = "synthetic-sec6"
 
 
-def build_synthetic_model(exp_rate: float = 3.0, vocab_size: int = 500,
-                          block_size: int = 7, doc_length: float = 1000.0,
-                          label_prior: float = 0.5) -> ParametricSampler:
-    """Two-block synthetic benchmark sampler.
+# the synthetic benchmark's constants, written into every curves header
+SYNTHETIC_PARAMS = {"exp_rate": 3.0, "vocab_size": 500, "block_size": 7,
+                    "doc_length": 1000.0, "label_prior": 0.5}
+
+
+def build_synthetic_model() -> ParametricSampler:
+    """Two-block synthetic benchmark sampler (constants in SYNTHETIC_PARAMS).
 
     Label 0 always uses the fixed topic whose log-intensity profile is 1 on
     the first word block and 0 elsewhere.  Label 1 draws a topic strength
@@ -372,16 +376,15 @@ def build_synthetic_model(exp_rate: float = 3.0, vocab_size: int = 500,
     profile scaled to the expected document length, so every document has
     the same expected length regardless of topic.
     """
-    if exp_rate <= 0 or doc_length <= 0:
-        raise ValueError("exp_rate and doc_length must be positive")
-    if vocab_size < 2 * block_size:
-        raise ValueError("vocabulary too small for two word blocks")
+    p = SYNTHETIC_PARAMS
+    vocab_size, block_size = p["vocab_size"], p["block_size"]
 
     def topic_fn(labels, rng):
         n = len(labels)
         tau = np.zeros(n)
         ones = labels == 1
-        tau[ones] = rng.exponential(scale=1.0 / exp_rate, size=int(ones.sum()))
+        tau[ones] = rng.exponential(scale=1.0 / p["exp_rate"],
+                                    size=int(ones.sum()))
         theta = np.zeros((n, vocab_size))
         theta[~ones, :block_size] = 1.0
         theta[ones, block_size:2 * block_size] = tau[ones, None]
@@ -389,13 +392,10 @@ def build_synthetic_model(exp_rate: float = 3.0, vocab_size: int = 500,
         # doc_length * z / z.sum(...), without three more (n, d) temporaries
         z = np.exp(theta, out=theta)
         total = z.sum(axis=1, keepdims=True)
-        np.multiply(doc_length, z, out=z)
+        np.multiply(p["doc_length"], z, out=z)
         np.divide(z, total, out=z)
         return tau, z
 
     return ParametricSampler(
-        label_prior=label_prior, vocab_size=vocab_size, topic_fn=topic_fn,
-        name=SYNTHETIC_PRESET,
-        params={"exp_rate": exp_rate, "vocab_size": vocab_size,
-                "block_size": block_size, "doc_length": doc_length,
-                "label_prior": label_prior})
+        label_prior=p["label_prior"], vocab_size=vocab_size,
+        topic_fn=topic_fn, name=SYNTHETIC_PRESET, params=dict(p))

@@ -131,8 +131,7 @@ def run_margin_suite(seed: int = 0, mc: int = 1_000_000) -> list[dict]:
         })
         clf = LinearClassifier(weights=rep.separator)
         rng = make_rng(seed, "verify-margin", k)
-        decomp = excess_risk_decomposition(model, clf, MARGIN_DELTA, mc,
-                                           reference=clf, rng=rng)
+        decomp = excess_risk_decomposition(model, clf, MARGIN_DELTA, mc, rng)
         target = 1.0 / np.sqrt(length)
         worst = 0.0
         ok = True

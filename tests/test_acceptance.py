@@ -165,8 +165,7 @@ def test_criterion_6_margin_construction():
         rep = margin_condition(model, 0.5)
         clf = LinearClassifier(weights=rep.separator)
         decomp = excess_risk_decomposition(
-            model, clf, 0.5, mc, reference=clf,
-            rng=make_rng(2024, "acceptance-margin", k))
+            model, clf, 0.5, mc, make_rng(2024, "acceptance-margin", k))
         target = 1.0 / np.sqrt(length)
         topic_ok = all(
             td.suboptimal_rate_thinned

@@ -102,6 +102,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field", ["l2_weight", "step_size"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rates_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value})
+
 
 class TestTrainLogistic:
     def test_separable_data_reaches_zero_error(self):
@@ -149,6 +155,16 @@ class TestTrainLogistic:
         e_ref = evaluate_error(ref, test)
         se = np.sqrt(e_clf * (1 - e_clf) / len(test))
         assert abs(e_clf - e_ref) <= 3 * 2 * se
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_divergence_names_the_step(self, delta, recwarn):
+        sampler = two_topic_sampler([8.0, 2.0], [2.0, 8.0])
+        train = sample_documents(sampler, 200, make_rng(102, "diverge"))
+        cfg = TrainConfig(step_size=1e9, epochs=400,
+                          dropout=DropoutConfig(delta=delta, mc_replicates=2))
+        with pytest.raises(ValueError, match="diverged at step size 1e\\+09"):
+            train_logistic_dropout(train, cfg)
+        assert not [w for w in recwarn if "overflow" in str(w.message)]
 
     def test_minibatch_variant_trains(self):
         sampler = two_topic_sampler([8.0, 2.0], [2.0, 8.0])
@@ -275,7 +291,42 @@ class TestRecalibrateIntercept:
 
     def test_empty_data_rejected(self):
         with pytest.raises(EmptyDataError):
-            recalibrate_intercept(LinearClassifier(np.array([1.0])), [])
+            recalibrate_intercept(LinearClassifier(np.array([1.0])),
+                                  batch_from(np.zeros((0, 1)), []))
+
+    @staticmethod
+    def loop_intercept(clf, data):
+        """The candidate scan as a Python loop, one threshold at a time."""
+        s = data.counts.astype(float) @ clf.weights
+        u, inverse = np.unique(s, return_inverse=True)
+        cum1 = np.cumsum(np.bincount(inverse, weights=(data.labels == 1),
+                                     minlength=len(u)))
+        cum0 = np.cumsum(np.bincount(inverse, weights=(data.labels == 0),
+                                     minlength=len(u)))
+        thresholds, errors = [u[0] - 1.0], [cum0[-1]]
+        for i in range(len(u) - 1):
+            thresholds.append(0.5 * (u[i] + u[i + 1]))
+            errors.append(cum1[i] + (cum0[-1] - cum0[i]))
+        thresholds.append(u[-1] + 1.0)
+        errors.append(cum1[-1])
+        best = min(range(len(thresholds)),
+                   key=lambda i: (errors[i], abs(thresholds[i]),
+                                  -thresholds[i]))
+        return -thresholds[best]
+
+    def test_vectorised_scan_matches_the_loop_bit_for_bit(self):
+        rng = make_rng(110, "recal-loop")
+        for _ in range(300):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+            # few distinct small scores, so error and |threshold| ties occur
+            counts = rng.integers(0, 4, size=(n, d))
+            labels = rng.integers(0, 2, size=n)
+            w = rng.integers(-2, 3, size=d).astype(float)
+            if rng.random() < 0.5:
+                w = w + rng.normal(size=d)
+            clf, data = LinearClassifier(w), batch_from(counts, labels)
+            got = recalibrate_intercept(clf, data).intercept
+            assert got == self.loop_intercept(clf, data)
 
 
 class TestZeroOneOracle:
@@ -329,7 +380,14 @@ class TestEvaluateError:
 
     def test_empty_data_rejected(self):
         with pytest.raises(EmptyDataError):
-            evaluate_error(LinearClassifier(np.array([1.0])), [])
+            evaluate_error(LinearClassifier(np.array([1.0])),
+                           batch_from(np.zeros((0, 1)), []))
+
+    @pytest.mark.parametrize("data", [[], (), np.zeros((2, 1)),
+                                      {"counts": [[1]], "labels": [0]}])
+    def test_only_a_document_batch_is_data(self, data):
+        with pytest.raises(TypeError, match="DocumentBatch"):
+            evaluate_error(LinearClassifier(np.array([1.0])), data)
 
     def test_thinned_evaluation_measures_thinned_error_rate(self):
         # fixed rule on thinned counts: exact rate known for the z=2.5 score

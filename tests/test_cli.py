@@ -1,9 +1,14 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from droplab.cli import cli_dispatch
+from droplab.cli import (ValidationError, _float_list, _int_list,
+                         _read_docs_jsonl, cli_dispatch)
 from droplab.serialize import dumps
 from droplab.topics import Topic, TopicModel
 
@@ -117,6 +122,18 @@ class TestTrainEval:
         assert cli_dispatch(["train", "--corpus", toy_corpus,
                              "--docs", "x.jsonl"]) == 1
 
+    def test_divergent_step_exits_1_with_the_cause(self, toy_corpus, capsys):
+        assert cli_dispatch(["train", "--corpus", toy_corpus, "--delta", "0.5",
+                             "--step", "1e9", "--epochs", "300"]) == 1
+        err = capsys.readouterr().err
+        assert "diverged at step size 1e+09" in err
+        assert "overflow" not in err
+
+    def test_non_finite_l2_exits_1(self, toy_corpus, capsys):
+        assert cli_dispatch(["train", "--corpus", toy_corpus,
+                             "--l2", "nan"]) == 1
+        assert "l2_weight must be finite" in capsys.readouterr().err
+
     def test_naive_bayes_validates_logistic_flags(self, toy_corpus, capsys):
         assert cli_dispatch(["train", "--corpus", toy_corpus, "--delta", "1",
                              "--epochs", "0"]) == 1
@@ -160,6 +177,57 @@ class TestDocsValidation:
         lines = ['{"counts": [1, 4, 2], "label": 1}']
         assert self.run("eval", lines, tmp_path) == 1
         assert "3 counts per document" in capsys.readouterr().err
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False) | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+# documents near the valid shape: the right keys, each value often valid
+DOC_LIKE = st.fixed_dictionaries(
+    {}, optional={"counts": st.lists(st.integers(0, 9), min_size=2, max_size=2)
+                  | st.lists(st.integers(), max_size=3) | JSON_VALUES,
+                  "label": st.sampled_from([0, 1]) | JSON_VALUES,
+                  "topic": JSON_VALUES})
+
+
+class TestDocsProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(line=st.one_of(DOC_LIKE.map(json.dumps), JSON_VALUES.map(json.dumps),
+                          st.text(max_size=20)),
+           blanks=st.integers(min_value=0, max_value=2))
+    # lines that once escaped as JSONDecodeError, TypeError and OverflowError
+    @example(line="not json", blanks=0)
+    @example(line='{"counts": [1, 2], "label": 0, "topic": []}', blanks=0)
+    @example(line='{"counts": [1, 99999999999999999999], "label": 0}',
+             blanks=0)
+    def test_malformed_line_names_its_number(self, line, blanks):
+        lines = ["# header", GOOD_DOC] + [""] * blanks + [GOOD_DOC]
+        lines.append(" ".join(line.splitlines()))
+        lineno = len(lines)
+        fd, path = tempfile.mkstemp(suffix=".jsonl")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            try:
+                batch = _read_docs_jsonl(path)
+            except ValidationError as exc:
+                assert str(exc).startswith(f"{path}:{lineno}: ")
+            else:
+                assert batch.counts.shape[0] in (2, 3)
+        finally:
+            os.unlink(path)
+
+    @given(st.lists(st.integers()))
+    def test_int_list_round_trip(self, values):
+        assert _int_list(",".join(map(str, values))) == values
+
+    @given(st.lists(st.floats(allow_nan=False)))
+    def test_float_list_round_trip(self, values):
+        assert _float_list(",".join(map(repr, values))) == values
 
 
 class TestCurves:

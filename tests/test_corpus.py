@@ -1,8 +1,14 @@
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from droplab import (EmptyClassError, MalformedLineError, SplitSpec,
-                     load_corpus, tokenize)
+from droplab import (DocumentBatch, EmptyClassError, MalformedLineError,
+                     SplitSpec, load_corpus, tokenize)
 from droplab.corpus import build_vocabulary, corpus_from_text, _parse_lines
 
 
@@ -23,8 +29,10 @@ def test_counts_from_tiny_corpus(tmp_path):
     vocab = build_vocabulary(docs)
     assert vocab == {"bad": 0, "good": 1, "movie": 2}
     corpus = corpus_from_text(path, vocab)
+    assert isinstance(corpus, DocumentBatch)
     assert corpus.counts.tolist() == [[0, 1, 1], [1, 0, 1]]
     assert corpus.labels.tolist() == [1, 0]
+    assert corpus.topics.tolist() == [-1.0, -1.0]
 
 
 def test_repeated_tokens_increment_counts(tmp_path):
@@ -37,29 +45,29 @@ def test_repeated_tokens_increment_counts(tmp_path):
 def test_split_is_deterministic_per_seed(tmp_path):
     lines = [f"{i % 2}\tword{i} shared" for i in range(40)]
     path = write(tmp_path, lines)
-    a_train, a_test = load_corpus(path, SplitSpec(seed=3))
-    b_train, b_test = load_corpus(path, SplitSpec(seed=3))
-    c_train, _ = load_corpus(path, SplitSpec(seed=4))
+    a_train, a_test, a_vocab = load_corpus(path, SplitSpec(seed=3))
+    b_train, b_test, b_vocab = load_corpus(path, SplitSpec(seed=3))
+    _, _, c_vocab = load_corpus(path, SplitSpec(seed=4))
     assert np.array_equal(a_train.counts, b_train.counts)
     assert np.array_equal(a_test.labels, b_test.labels)
-    assert a_train.vocabulary != c_train.vocabulary
+    assert a_vocab == b_vocab != c_vocab
 
 
 def test_vocabulary_built_from_train_split_only(tmp_path):
     lines = [f"{i % 2}\tcommon token{i}" for i in range(10)]
     path = write(tmp_path, lines)
-    train, test = load_corpus(path, SplitSpec(seed=0, train_fraction=0.5))
-    train_tokens = set(train.vocabulary)
+    train, test, vocabulary = load_corpus(
+        path, SplitSpec(seed=0, train_fraction=0.5))
     # out-of-vocabulary test tokens are dropped, never extend the vocabulary
-    assert test.vocab_size == train.vocab_size
-    assert "common" in train_tokens
+    assert test.counts.shape[1] == train.counts.shape[1] == len(vocabulary)
+    assert "common" in vocabulary
 
 
 def test_train_size_split(tmp_path):
     lines = [f"{i % 2}\tw{i} shared" for i in range(30)]
     path = write(tmp_path, lines)
-    train, test = load_corpus(path, SplitSpec(seed=1, train_fraction=None,
-                                              train_size=12))
+    train, test, _ = load_corpus(path, SplitSpec(seed=1, train_fraction=None,
+                                                 train_size=12))
     assert len(train) == 12 and len(test) == 18
 
 
@@ -88,3 +96,39 @@ def test_split_spec_validation():
         SplitSpec(train_fraction=None, train_size=None)
     with pytest.raises(ValueError):
         SplitSpec(train_fraction=1.5)
+
+
+@given(st.text())
+def test_tokens_are_lowercase_alphanumeric(text):
+    assert all(re.fullmatch(r"[a-z0-9]+", tok) for tok in tokenize(text))
+
+
+WORDS = st.lists(st.sampled_from(["good", "bad", "Film", "plot-twist", "9"]),
+                 max_size=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(docs=st.lists(WORDS, min_size=12, max_size=40),
+       blank_every=st.integers(min_value=2, max_value=5),
+       fraction=st.floats(min_value=0.25, max_value=0.75),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_split_sizes_add_up_to_the_document_count(docs, blank_every,
+                                                  fraction, seed):
+    lines = []
+    for i, words in enumerate(docs):
+        if i % blank_every == 0:
+            lines.append("")  # blank lines are not documents
+        lines.append(f"{i % 2}\t{' '.join(words)}")
+    fd, path = tempfile.mkstemp(suffix=".tsv")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        try:
+            train, test, vocabulary = load_corpus(
+                path, SplitSpec(seed=seed, train_fraction=fraction))
+        except EmptyClassError:
+            return  # the shuffle put a single class in one split
+    finally:
+        os.unlink(path)
+    assert len(train) + len(test) == len(docs)
+    assert train.counts.shape[1] == test.counts.shape[1] == len(vocabulary)

@@ -111,23 +111,13 @@ class TestModelDiagnostics:
 
 
 class TestExcessRiskDecomposition:
-    def test_classifier_equal_to_reference_has_zero_excess(self):
-        model = equal_length_models()[0]
-        clf = LinearClassifier(weights=np.array([-1.0, 1.0]))
-        rng = make_rng(1, "decomp-self")
-        decomp = excess_risk_decomposition(model, clf, 0.5, 50_000,
-                                           reference=clf, rng=rng)
-        assert decomp.excess == 0.0
-        assert decomp.excess_thinned == 0.0
-
     def test_pure_topic_error_decomposes_exactly(self):
         # with pure topics the error is the topic-weighted sub-optimal rate
         model = equal_length_models()[0]
         clf = LinearClassifier(weights=np.array([-1.0, 1.0]))
         rng = make_rng(2, "decomp-pure")
         n = 100_000
-        decomp = excess_risk_decomposition(model, clf, 0.5, n,
-                                           reference=clf, rng=rng)
+        decomp = excess_risk_decomposition(model, clf, 0.5, n, rng)
         recombined = sum(td.n_samples / n * td.suboptimal_rate
                          for td in decomp.per_topic)
         assert decomp.error == pytest.approx(recombined, abs=1e-15)
@@ -137,8 +127,7 @@ class TestExcessRiskDecomposition:
         model = equal_length_models()[1]  # three mixed topics
         clf = LinearClassifier(weights=np.array([-1.0, 0.0, 1.0]))
         rng = make_rng(3, "decomp-mixed")
-        decomp = excess_risk_decomposition(model, clf, 0.5, 200_000,
-                                           reference=clf, rng=rng)
+        decomp = excess_risk_decomposition(model, clf, 0.5, 200_000, rng)
         assert decomp.identity_residual <= decomp.identity_tolerance
 
     def test_reference_two_word_rates(self):
@@ -150,8 +139,7 @@ class TestExcessRiskDecomposition:
         clf = LinearClassifier(weights=np.array([1.0, -1.0]))
         rng = make_rng(4, "decomp-z25")
         n = 1_000_000
-        decomp = excess_risk_decomposition(model, clf, 0.5, n,
-                                           reference=clf, rng=rng)
+        decomp = excess_risk_decomposition(model, clf, 0.5, n, rng)
         td = decomp.per_topic[0]
         be_slack = 4.0 * np.sqrt(td.be_stat)
         for rate, target in ((td.suboptimal_rate, 0.0062096653257761352),

@@ -264,31 +264,45 @@ class TestBayesError:
 
 
 class TestSyntheticBenchmark:
+    # labels, topics and intensities come from draw_topics, which
+    # sample_documents calls first on the same stream
     def test_intensities_sum_to_document_length(self):
         sampler = build_synthetic_model()
-        batch = sample_documents(sampler, 1_000, make_rng(10, "sums"),
-                                 return_intensities=True)
-        sums = batch.intensities.sum(axis=1)
+        _, _, intensities = sampler.draw_topics(1_000, make_rng(10, "sums"))
+        sums = intensities.sum(axis=1)
         assert np.all(np.abs(sums - 1000.0) < 1e-9)
 
     def test_intensities_match_softmax_reference(self):
         # the sampler computes its softmax in place; same values bit for bit
         sampler = build_synthetic_model()
-        batch = sample_documents(sampler, 1_000, make_rng(15, "softmax"),
-                                 return_intensities=True)
+        labels, topics, intensities = sampler.draw_topics(
+            1_000, make_rng(15, "softmax"))
         theta = np.zeros((1_000, 500))
-        ones = batch.labels == 1
+        ones = labels == 1
         theta[~ones, :7] = 1.0
-        theta[ones, 7:14] = batch.topics[ones, None]
+        theta[ones, 7:14] = topics[ones, None]
         z = np.exp(theta)
         expected = 1000.0 * z / z.sum(axis=1, keepdims=True)
-        assert np.array_equal(batch.intensities, expected)
+        assert np.array_equal(intensities, expected)
+
+    def test_draw_topics_is_the_head_of_sample_documents(self):
+        sampler = build_synthetic_model()
+        labels, topics, _ = sampler.draw_topics(500, make_rng(16, "head"))
+        batch = sample_documents(sampler, 500, make_rng(16, "head"))
+        assert np.array_equal(batch.labels, labels)
+        assert np.array_equal(batch.topics, topics)
+
+    def test_params_header_is_unchanged(self):
+        # CurveSpec.describe() writes these into every curves header
+        assert list(build_synthetic_model().params.items()) == [
+            ("exp_rate", 3.0), ("vocab_size", 500), ("block_size", 7),
+            ("doc_length", 1000.0), ("label_prior", 0.5)]
 
     def test_label0_block_structure(self):
         sampler = build_synthetic_model()
-        batch = sample_documents(sampler, 2_000, make_rng(11, "blocks"),
-                                 return_intensities=True)
-        rows = batch.intensities[batch.labels == 0]
+        labels, _, intensities = sampler.draw_topics(
+            2_000, make_rng(11, "blocks"))
+        rows = intensities[labels == 0]
         block = rows[:, :7]
         background = rows[:, 14:]
         assert np.all(np.ptp(block, axis=1) == 0.0)
@@ -298,21 +312,20 @@ class TestSyntheticBenchmark:
 
     def test_background_words_identical_for_label1(self):
         sampler = build_synthetic_model()
-        batch = sample_documents(sampler, 2_000, make_rng(12, "bg"),
-                                 return_intensities=True)
-        rows = batch.intensities[batch.labels == 1]
+        labels, _, intensities = sampler.draw_topics(2_000, make_rng(12, "bg"))
+        rows = intensities[labels == 1]
         assert np.all(np.ptp(rows[:, 14:], axis=1) == 0.0)
 
     def test_label_frequency(self):
         sampler = build_synthetic_model()
-        batch = sample_documents(sampler, 100_000, make_rng(13, "labels"))
+        labels, _, _ = sampler.draw_topics(100_000, make_rng(13, "labels"))
         tol = 3.0 * np.sqrt(0.25 / 100_000)
-        assert abs(batch.labels.mean() - 0.5) < tol
+        assert abs(labels.mean() - 0.5) < tol
 
     def test_topic_strength_distribution_is_exponential(self):
-        sampler = build_synthetic_model(exp_rate=3.0)
-        batch = sample_documents(sampler, 200_000, make_rng(14, "tau"))
-        tau = batch.topics[batch.labels == 1]
+        sampler = build_synthetic_model()
+        labels, topics, _ = sampler.draw_topics(200_000, make_rng(14, "tau"))
+        tau = topics[labels == 1]
         assert abs(tau.mean() - 1.0 / 3.0) < 3.0 * (1.0 / 3.0) / np.sqrt(len(tau))
 
 
