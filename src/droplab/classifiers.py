@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dropout import DropoutConfig, Thinner
+from .serialize import read_field
 from .streams import make_rng
 from .topics import DocumentBatch
-
-
-_SCORE_BLOCK_BYTES = 4 << 20
 
 
 class DegenerateDataError(ValueError):
@@ -37,28 +35,16 @@ class LinearClassifier:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        if self.weights.ndim != 1:
+            raise ValueError("weights must be a vector")
         if not np.all(np.isfinite(self.weights)) or not np.isfinite(self.intercept):
             raise ValueError("classifier parameters must be finite")
 
     def scores(self, counts: np.ndarray) -> np.ndarray:
-        x = np.asarray(counts)
-        if x.ndim != 2:
-            return x.astype(float) @ self.weights + self.intercept
-        # Convert ~4 MB row blocks to float rather than the whole matrix.
-        # Blocks are a multiple of 8 rows and a lone last row joins the block
-        # before it (numpy scores a single row with a vector dot, not gemv),
-        # so with single-threaded BLAS the scores equal the whole product's
-        # bit for bit.
-        n = x.shape[0]
-        rows = max(8, _SCORE_BLOCK_BYTES // (8 * max(1, x.shape[1])) // 8 * 8)
-        bounds = list(range(0, n, rows)) + [n]
-        if len(bounds) > 2 and n - bounds[-2] == 1:
-            del bounds[-2]
-        out = np.empty(n)
-        for start, stop in zip(bounds, bounds[1:]):
-            block = x[start:stop].astype(float, copy=False)
-            out[start:stop] = block @ self.weights + self.intercept
-        return out
+        # einsum reads the stored counts directly and calls no BLAS, so a
+        # row's score does not depend on the row count or the thread count
+        return np.einsum("...j,j->...", np.asarray(counts),
+                         self.weights) + self.intercept
 
     def predict(self, counts: np.ndarray) -> np.ndarray:
         return (self.scores(counts) > 0.0).astype(np.int64)
@@ -70,24 +56,24 @@ class LinearClassifier:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LinearClassifier":
-        return cls(weights=np.asarray(doc["weights"], dtype=float),
-                   intercept=float(doc["intercept"]))
+        """Inverse of to_dict; raises ValueError naming a missing or bad key."""
+        return cls(weights=read_field(doc, "weights",
+                                      lambda v: np.asarray(v, dtype=float)),
+                   intercept=read_field(doc, "intercept", float))
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Gradient-descent settings for the logistic trainers.
 
-    step_size=None picks 1/L from a power-iteration estimate of the smoothness
-    constant.  batch_size=None runs full-batch descent; otherwise each epoch
-    makes one pass of seeded mini-batches.  The intercept stays frozen at zero;
-    downstream protocols recalibrate it.
+    Each epoch is one full-batch descent step.  step_size=None picks 1/L
+    from a power-iteration estimate of the smoothness constant.  The
+    intercept stays frozen at zero; downstream protocols recalibrate it.
     """
 
     l2_weight: float = 1e-7
     step_size: float | None = None
     epochs: int = 400
-    batch_size: int | None = None
     dropout: DropoutConfig = field(default_factory=DropoutConfig)
     seed: int = 0
 
@@ -98,8 +84,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.step_size is not None and not 0 < self.step_size < np.inf:
             raise ValueError("step_size must be finite and positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 def as_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,28 +158,15 @@ def _fit_logistic(x_counts: np.ndarray, y: np.ndarray,
     w = np.zeros(d)
     yf = y.astype(float)
 
-    def batch_grad(idx):
-        if idx is None:
-            xb_float, yb, draw = x_float, yf, thinner.draw
-        else:
-            xb_float, yb = x_float[idx], yf[idx]
-            draw = Thinner(x_counts[idx], delta).draw
-        gw = np.zeros(d)
-        for _ in range(m):
-            xb = draw(rng).astype(float) if delta > 0.0 else xb_float
-            err = _sigmoid(xb @ w) - yb
-            gw += xb.T @ err
-        return gw * (1.0 / (len(yb) * m)) + cfg.l2_weight * w
-
     # an overflow can only end in non-finite weights, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
-            if cfg.batch_size is None or cfg.batch_size >= n:
-                w -= step * batch_grad(None)
-            else:
-                order = rng.permutation(n)
-                for start in range(0, n, cfg.batch_size):
-                    w -= step * batch_grad(order[start:start + cfg.batch_size])
+            gw = np.zeros(d)
+            for _ in range(m):
+                xb = thinner.draw(rng).astype(float) if delta > 0.0 else x_float
+                err = _sigmoid(xb @ w) - yf
+                gw += xb.T @ err
+            w -= step * (gw * (1.0 / (n * m)) + cfg.l2_weight * w)
     if not np.all(np.isfinite(w)):
         raise ValueError(f"gradient descent diverged at step size {step:g}; "
                          "use a smaller step size, or none to size it from "
@@ -263,7 +234,7 @@ def recalibrate_intercept(clf: LinearClassifier, data) -> LinearClassifier:
     x, y, _ = as_arrays(data)
     if len(y) == 0:
         raise EmptyDataError("no examples to recalibrate on")
-    s = np.asarray(x, dtype=float) @ clf.weights
+    s = LinearClassifier(weights=clf.weights).scores(x)
     u, inverse = np.unique(s, return_inverse=True)
     n1_at = np.bincount(inverse, weights=(y == 1), minlength=len(u))
     n0_at = np.bincount(inverse, weights=(y == 0), minlength=len(u))

@@ -40,13 +40,22 @@ def _load_sampler(spec: str):
     """Resolve --model: a named preset or a path to a model JSON file."""
     if spec == SYNTHETIC_PRESET:
         return build_synthetic_model()
-    path = Path(spec)
-    if not path.exists():
+    if not Path(spec).exists():
         raise ValidationError(
             f"model {spec!r} is neither the preset {SYNTHETIC_PRESET!r} "
             f"nor an existing file")
+    return DiscreteSampler(_read_json(spec, TopicModel.from_dict)[1])
+
+
+def _read_json(path: str, from_dict):
+    """(document, from_dict(document)) of a JSON file; a malformed document
+    raises ValidationError starting with the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return DiscreteSampler(TopicModel.from_dict(json.load(fh)))
+        try:
+            doc = json.load(fh)
+            return doc, from_dict(doc)
+        except (ValueError, RecursionError) as exc:  # bad JSON, key or value
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def _write_output(text: str, out: str | None):
@@ -92,9 +101,8 @@ def _read_docs_jsonl(path: str) -> DocumentBatch:
             where = f"{path}:{lineno}"
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{where}: not JSON ({exc.msg})") \
-                    from None
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise ValidationError(f"{where}: not JSON ({exc})") from None
             if not isinstance(doc, dict) or not {"counts", "label"} <= set(doc):
                 raise ValidationError(
                     f"{where}: a document needs 'counts' and 'label'")
@@ -145,7 +153,7 @@ def _cmd_train(args) -> int:
         heldout = None
 
     cfg = TrainConfig(l2_weight=args.l2, step_size=args.step,
-                      epochs=args.epochs, batch_size=args.batch_size,
+                      epochs=args.epochs,
                       dropout=DropoutConfig(delta=args.delta,
                                             mc_replicates=args.mc_replicates),
                       seed=args.seed)
@@ -169,14 +177,18 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     if (args.corpus is None) == (args.docs is None):
         raise ValidationError("provide exactly one of --corpus / --docs")
-    with open(args.classifier, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    clf = LinearClassifier.from_dict(doc)
+    doc, clf = _read_json(args.classifier, LinearClassifier.from_dict)
     if args.corpus is not None:
-        vocabulary = doc.get("meta", {}).get("vocabulary")
-        if vocabulary is None:
+        meta = doc.get("meta")
+        vocabulary = meta.get("vocabulary") if isinstance(meta, dict) else None
+        if not (isinstance(vocabulary, dict)
+                and all(type(j) is int for j in vocabulary.values())
+                and sorted(vocabulary.values())
+                == list(range(len(clf.weights)))):
             raise ValidationError(
-                "classifier JSON carries no vocabulary; evaluate with --docs")
+                f"{args.classifier}: key 'meta.vocabulary' must map each word "
+                f"to its own index among the {len(clf.weights)} weights; "
+                f"without one, evaluate with --docs")
         data = corpus_from_text(args.corpus, vocabulary)
     else:
         data = _read_docs_jsonl(args.docs)
@@ -197,7 +209,7 @@ def _cmd_curves(args) -> int:
     for d in args.delta_grid:
         _check_delta(d)
     cfg = TrainConfig(l2_weight=args.l2, step_size=args.step,
-                      epochs=args.epochs, batch_size=args.batch_size,
+                      epochs=args.epochs,
                       dropout=DropoutConfig(delta=0.0,
                                             mc_replicates=args.mc_replicates))
     spec = CurveSpec(sampler=sampler, n_grid=tuple(args.n_grid),
@@ -283,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", type=float, default=1e-7)
     p.add_argument("--epochs", type=int, default=400)
     p.add_argument("--step", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--smoothing", type=float, default=1.0,
                    help="naive Bayes smoothing (delta = 1)")
     p.add_argument("--train-frac", type=float, default=0.6)
@@ -309,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", type=float, default=1e-7)
     p.add_argument("--epochs", type=int, default=150)
     p.add_argument("--step", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--mc", dest="mc_replicates", type=int, default=4,
                    help="thinned replicates per pass")
     p.add_argument("--timing", action="store_true",

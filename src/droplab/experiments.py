@@ -68,7 +68,6 @@ class CurveSpec:
             "test_size": self.test_size,
             "l2_weight": self.train_cfg.l2_weight,
             "epochs": self.train_cfg.epochs,
-            "batch_size": self.train_cfg.batch_size,
             "step_size": self.train_cfg.step_size,
             "mc_replicates": self.train_cfg.dropout.mc_replicates,
             "nb_smoothing": 1.0,  # fit_classifier's default

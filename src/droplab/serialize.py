@@ -1,4 +1,4 @@
-"""Deterministic JSON/CSV emission.
+"""Deterministic JSON/CSV emission, and checked reads of decoded JSON.
 
 All floats are written with 17 significant digits so emitted files are
 byte-stable across runs and round-trip exactly.
@@ -60,3 +60,14 @@ def dumps(obj, indent: int | None = None) -> str:
     Dict insertion order is preserved; non-finite floats become null.
     """
     return _encode(obj, indent, 0)
+
+
+def read_field(doc, key: str, convert):
+    """convert(doc[key]) of a decoded JSON object; a missing key, or a value
+    that convert rejects, raises ValueError naming the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"key {key!r}: {exc}") from None

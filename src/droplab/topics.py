@@ -14,9 +14,12 @@ from math import comb
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, xlogy
+
+from .serialize import read_field
 
 PROB_ATOL = 1e-12
+_BAYES_BLOCK_ROWS = 65_536  # enumeration rows per bayes_error likelihood call
 
 
 class UndefinedPosteriorError(ValueError):
@@ -131,13 +134,17 @@ class TopicModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TopicModel":
-        topics = tuple(
-            Topic(id=int(t["id"]), rho0=float(t["rho0"]), rho1=float(t["rho1"]),
-                  intensity=np.asarray(t["intensity"], dtype=float))
-            for t in doc["topics"]
-        )
-        return cls(label_prior=float(doc["label_prior"]), topics=topics,
-                   vocab_size=int(doc["vocab_size"]))
+        """Inverse of to_dict; raises ValueError naming a missing or bad key."""
+        def topic(t):
+            return Topic(id=read_field(t, "id", int),
+                         rho0=read_field(t, "rho0", float),
+                         rho1=read_field(t, "rho1", float),
+                         intensity=read_field(t, "intensity", np.asarray))
+
+        return cls(label_prior=read_field(doc, "label_prior", float),
+                   topics=read_field(doc, "topics",
+                                     lambda ts: tuple(map(topic, ts))),
+                   vocab_size=read_field(doc, "vocab_size", int))
 
 
 @dataclass(frozen=True)
@@ -244,29 +251,20 @@ def sample_documents_multinomial(sampler: GenerativeSampler, n: int,
     return DocumentBatch(counts=counts, labels=labels, topics=topic_ids)
 
 
-def _poisson_log_pmf(counts: np.ndarray, intensity: np.ndarray) -> np.ndarray:
-    """Rows of log PMFs: counts (m, d) against intensity (d,), summed over d."""
-    lam = np.asarray(intensity, dtype=float)
-    v = np.asarray(counts, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_lam = np.where(lam > 0, np.log(np.where(lam > 0, lam, 1.0)), -np.inf)
-        terms = np.where(v > 0, v * log_lam, 0.0)
-    return terms.sum(axis=-1) - lam.sum() - gammaln(v + 1.0).sum(axis=-1)
-
-
 def _log_class_likelihoods(model: TopicModel, counts: np.ndarray) -> np.ndarray:
     """log P(x = v | y = c) for each row v; returns (m, 2)."""
-    v = np.atleast_2d(np.asarray(counts))
+    v = np.atleast_2d(np.asarray(counts, dtype=float))
     if v.shape[1] != model.vocab_size:
         raise ValueError("count vector length must match vocab_size")
     if np.any(v < 0):
         raise ValueError("counts must be non-negative")
-    per_topic = np.stack(
-        [_poisson_log_pmf(v, t.intensity) for t in model.topics], axis=1)  # (m, T)
+    # Poisson log PMF of each row under each topic, summed over words: (m, T)
+    norm = gammaln(v + 1.0).sum(axis=-1)
+    per_topic = np.stack([xlogy(v, t.intensity).sum(axis=-1)
+                          - t.intensity.sum() - norm
+                          for t in model.topics], axis=1)
     with np.errstate(divide="ignore"):
-        log_rho = np.where(model.rho > 0,
-                           np.log(np.where(model.rho > 0, model.rho, 1.0)),
-                           -np.inf)
+        log_rho = np.log(model.rho)  # -inf where a topic has weight 0
     out = np.empty((v.shape[0], 2))
     for c in (0, 1):
         out[:, c] = logsumexp(per_topic + log_rho[c][None, :], axis=1)
@@ -348,11 +346,14 @@ def bayes_error(model: TopicModel, max_total_count: int | None = None,
         mean_len = float(np.max(model.doc_lengths))
         max_total_count = int(np.ceil(mean_len + 10.0 * np.sqrt(mean_len)))
     grid = enumerate_counts(model.vocab_size, max_total_count, cell_budget)
-    ll = _log_class_likelihoods(model, grid)
-    p1 = model.label_prior
-    joint = np.exp(ll) * np.array([1.0 - p1, p1])[None, :]
-    covered = float(joint.sum())
-    risk = float(np.minimum(joint[:, 0], joint[:, 1]).sum())
+    prior = np.array([1.0 - model.label_prior, model.label_prior])
+    covered = risk = 0.0
+    # fixed row blocks bound the float temporaries whatever the grid size
+    for start in range(0, grid.shape[0], _BAYES_BLOCK_ROWS):
+        block = grid[start:start + _BAYES_BLOCK_ROWS]
+        joint = np.exp(_log_class_likelihoods(model, block)) * prior
+        covered += float(joint.sum())
+        risk += float(np.minimum(joint[:, 0], joint[:, 1]).sum())
     return BayesErrorResult(value=risk, truncation_mass=max(0.0, 1.0 - covered),
                             max_total_count=max_total_count,
                             n_cells=grid.shape[0])

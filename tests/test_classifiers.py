@@ -56,30 +56,72 @@ class TestLinearClassifier:
         assert again.intercept == clf.intercept
 
     def test_blocked_scores_match_whole_matrix_product(self):
-        # Row counts around the 1,048-row block size of a 500-word matrix,
-        # including a lone last row.  Multi-threaded BLAS partitions gemv
-        # rows by matrix size, so bit-equality is checked with one thread.
+        # einsum sums each row on its own, so a row scores the same in any
+        # slice of the matrix and as a lone vector
+        rng = np.random.default_rng(30)
+        clf = LinearClassifier(weights=rng.normal(size=500), intercept=-0.75)
+        x = rng.poisson(2.0, size=(3145, 500))
+        whole = clf.scores(x)
+        blocks = np.concatenate([clf.scores(x[i:i + 1048])
+                                 for i in range(0, len(x), 1048)])
+        rows = np.concatenate([clf.scores(x[i:i + 1])
+                               for i in range(len(x))])
+        vectors = np.array([clf.scores(x[i]) for i in range(len(x))])
+        assert np.array_equal(blocks, whole)
+        assert np.array_equal(rows, whole)
+        assert np.array_equal(vectors, whole)
+        for dtype in (np.uint8, float):
+            assert np.array_equal(clf.scores(x.astype(dtype)), whole)
+        assert clf.scores(np.zeros((0, 500), dtype=np.int64)).shape == (0,)
+
+    def test_scores_do_not_depend_on_blas_threads(self):
+        # A multi-threaded gemv splits rows between threads by the matrix
+        # size, so a row's last bit could depend on the row count and the
+        # thread count: a whole 4,997-row product differed from 1,048-row
+        # blocks at 2 threads, and 4 MB row blocks of the first 2,001 rows
+        # differed between 1 and 2 threads.  Each subprocess writes, per row
+        # count, the whole and the blocked scores; all must be equal.
         code = """
 import numpy as np
 from droplab import LinearClassifier
-rng = np.random.default_rng(30)
-clf = LinearClassifier(weights=rng.normal(size=500), intercept=-0.75)
-ok = []
-for n in (0, 1, 2, 7, 1047, 1048, 1049, 3145):
-    for dtype in (np.uint8, np.int64, float):
-        x = rng.poisson(2.0, size=(n, 500)).astype(dtype)
-        whole = np.asarray(x, dtype=float) @ clf.weights + clf.intercept
-        ok.append(np.array_equal(clf.scores(x), whole))
-print(all(ok))
+rng = np.random.default_rng(31)
+clf = LinearClassifier(weights=rng.normal(size=500), intercept=0.25)
+x = rng.poisson(2.0, size=(4997, 500))
+for n in (4997, 2001):
+    blocks = np.concatenate([clf.scores(x[i:min(i + 1048, n)])
+                             for i in range(0, n, 1048)])
+    print(clf.scores(x[:n]).tobytes().hex(), blocks.tobytes().hex())
 """
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       [str(Path(droplab.__file__).parents[1])]
-                       + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.stdout.strip() == "True", out.stderr
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [str(Path(droplab.__file__).parents[1])]
+                           + os.environ.get("PYTHONPATH", "").split(
+                               os.pathsep)))
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            runs.append([line.split() for line in out.stdout.splitlines()])
+        for n, one, two in zip((4997, 2001), *runs):
+            assert len(set(one + two)) == 1, f"{n} rows"
+
+    def test_weights_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="vector"):
+            LinearClassifier(weights=np.ones((2, 2)))
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"intercept": 0.0}, "weights"),
+        ({"weights": [1.0]}, "intercept"),
+        ({"weights": 5, "intercept": 0.0}, "weights"),
+        ({"weights": [1.0], "intercept": [2]}, "intercept"),
+        ({"weights": [[1.0], [2.0, 3.0]], "intercept": 0.0}, "weights"),
+        ([1.0], "weights"),
+    ])
+    def test_from_dict_names_the_bad_key(self, doc, key):
+        with pytest.raises(ValueError, match=key):
+            LinearClassifier.from_dict(doc)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=1e3))
@@ -99,8 +141,6 @@ class TestTrainConfig:
             TrainConfig(l2_weight=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(step_size=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
 
     @pytest.mark.parametrize("field", ["l2_weight", "step_size"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -166,13 +206,6 @@ class TestTrainLogistic:
             train_logistic_dropout(train, cfg)
         assert not [w for w in recwarn if "overflow" in str(w.message)]
 
-    def test_minibatch_variant_trains(self):
-        sampler = two_topic_sampler([8.0, 2.0], [2.0, 8.0])
-        train = sample_documents(sampler, 500, make_rng(101, "mb"))
-        clf = train_logistic(train, TrainConfig(epochs=40, batch_size=64,
-                                                seed=3))
-        assert evaluate_error(clf, train) < 0.2
-
 
 class TestTrainLogisticDropout:
     @pytest.mark.parametrize("trainer", [train_logistic,
@@ -184,10 +217,14 @@ class TestTrainLogisticDropout:
         with pytest.raises(ValueError, match="naive Bayes"):
             trainer(data, cfg)
 
-    def test_minibatches_thin_through_the_shared_thinner(self, monkeypatch):
-        drawn = []
+    def test_descent_thins_through_one_thinner(self, monkeypatch):
+        made, drawn = [], []
 
         class Recording(classifiers.Thinner):
+            def __init__(self, counts, delta):
+                made.append(counts.shape)
+                super().__init__(counts, delta)
+
             def draw(self, rng):
                 drawn.append(self.counts.shape)
                 return super().draw(rng)
@@ -195,12 +232,13 @@ class TestTrainLogisticDropout:
         monkeypatch.setattr(classifiers, "Thinner", Recording)
         sampler = two_topic_sampler([2.0, 1.0], [1.0, 2.0])
         train = sample_documents(sampler, 100, make_rng(105, "mb-thin"))
-        cfg = TrainConfig(epochs=3, batch_size=40, seed=2,
+        cfg = TrainConfig(epochs=3, seed=2,
                           dropout=DropoutConfig(delta=0.9, mc_replicates=2))
         train_logistic_dropout(train, cfg)
-        # the pilot draw on the full set, then two draws per mini-batch
-        assert drawn == [(100, 2)] + [(40, 2)] * 4 + [(20, 2)] * 2 \
-            + [(40, 2)] * 4 + [(20, 2)] * 2 + [(40, 2)] * 4 + [(20, 2)] * 2
+        # one Thinner per fit: the pilot draw, then mc_replicates full-set
+        # draws per epoch
+        assert made == [(100, 2)]
+        assert drawn == [(100, 2)] * (1 + 3 * 2)
 
     def test_zero_rate_is_bit_identical_to_plain(self):
         sampler = two_topic_sampler([5.0, 1.0], [1.0, 5.0])
@@ -297,7 +335,7 @@ class TestRecalibrateIntercept:
     @staticmethod
     def loop_intercept(clf, data):
         """The candidate scan as a Python loop, one threshold at a time."""
-        s = data.counts.astype(float) @ clf.weights
+        s = clf.scores(data.counts)  # clf.intercept is 0
         u, inverse = np.unique(s, return_inverse=True)
         cum1 = np.cumsum(np.bincount(inverse, weights=(data.labels == 1),
                                      minlength=len(u)))

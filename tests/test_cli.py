@@ -1,14 +1,18 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import droplab
 from droplab.cli import (ValidationError, _float_list, _int_list,
-                         _read_docs_jsonl, cli_dispatch)
+                         _load_sampler, _read_docs_jsonl, cli_dispatch)
 from droplab.serialize import dumps
 from droplab.topics import Topic, TopicModel
 
@@ -78,6 +82,21 @@ class TestSample:
     def test_missing_model_file_exits_1(self, capsys):
         assert cli_dispatch(["sample", "--model", "/nope.json"]) == 1
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"label_prior": 0.5, "vocab_size": 2}', "topics"),
+        ('{"label_prior": 0.5, "vocab_size": 2, "topics": 5}', "topics"),
+        ('{"label_prior": 0.5, "vocab_size": 2, "topics": '
+         '[{"id": 0, "rho0": 1, "rho1": 1}]}', "intensity"),
+        ('{"label_prior": "half", "vocab_size": 2, "topics": []}',
+         "label_prior"),
+    ])
+    def test_malformed_model_exits_1(self, text, key, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli_dispatch(["sample", "--model", str(path), "--n", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and f"key '{key}'" in err
+
 
 class TestTrainEval:
     def test_corpus_round_trip(self, toy_corpus, tmp_path, capsys):
@@ -116,6 +135,30 @@ class TestTrainEval:
         assert cli_dispatch(["train", "--corpus", toy_corpus, "--delta", "1",
                              "--out", str(clf_path)]) == 0
         assert np.isfinite(json.loads(clf_path.read_text())["intercept"])
+
+    @pytest.mark.parametrize("doc, source, key", [
+        ({"intercept": 0.0}, "docs", "'weights'"),
+        ({"weights": [1.0, -1.0]}, "docs", "'intercept'"),
+        ({"weights": [1.0, -1.0], "intercept": 0.0,
+          "meta": {"vocabulary": {"good": 0, "bad": 5}}}, "corpus",
+         "'meta.vocabulary'"),
+        ({"weights": [1.0, -1.0], "intercept": 0.0,
+          "meta": {"vocabulary": {"good": 0.0, "bad": 1.0}}}, "corpus",
+         "'meta.vocabulary'"),
+        ({"weights": [1.0, -1.0], "intercept": 0.0, "meta": 5}, "corpus",
+         "'meta.vocabulary'"),
+    ])
+    def test_malformed_classifier_exits_1(self, doc, source, key, toy_corpus,
+                                          tmp_path, capsys):
+        clf = tmp_path / "clf.json"
+        clf.write_text(json.dumps(doc), encoding="utf-8")
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(GOOD_DOC + "\n", encoding="utf-8")
+        data = toy_corpus if source == "corpus" else str(docs)
+        assert cli_dispatch(["eval", "--classifier", str(clf),
+                             f"--{source}", data]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {clf}: ") and f"key {key}" in err
 
     def test_train_requires_exactly_one_source(self, toy_corpus, capsys):
         assert cli_dispatch(["train"]) == 1
@@ -194,13 +237,31 @@ DOC_LIKE = st.fixed_dictionaries(
                   "topic": JSON_VALUES})
 
 
+VALID_MODEL = {"label_prior": 0.5, "vocab_size": 2, "topics": [
+    {"id": 0, "rho0": 1.0, "rho1": 0.0, "intensity": [6.0, 2.0]},
+    {"id": 1, "rho0": 0.0, "rho1": 1.0, "intensity": [2.0, 6.0]}]}
+# model documents near the valid shape: each key often present and valid
+TOPIC_LIKE = st.fixed_dictionaries(
+    {}, optional={"id": st.integers(0, 3) | JSON_VALUES,
+                  "rho0": st.sampled_from([0.0, 1.0]) | JSON_VALUES,
+                  "rho1": st.sampled_from([0.0, 1.0]) | JSON_VALUES,
+                  "intensity": st.lists(st.floats(0, 9), min_size=2,
+                                        max_size=2) | JSON_VALUES})
+MODEL_LIKE = st.fixed_dictionaries(
+    {}, optional={"label_prior": st.floats(0, 1) | JSON_VALUES,
+                  "vocab_size": st.just(2) | JSON_VALUES,
+                  "topics": st.lists(TOPIC_LIKE, max_size=2) | JSON_VALUES})
+
+
 class TestDocsProperties:
     @settings(max_examples=200, deadline=None)
     @given(line=st.one_of(DOC_LIKE.map(json.dumps), JSON_VALUES.map(json.dumps),
                           st.text(max_size=20)),
            blanks=st.integers(min_value=0, max_value=2))
-    # lines that once escaped as JSONDecodeError, TypeError and OverflowError
+    # lines that once escaped as JSONDecodeError, TypeError, OverflowError
+    # and RecursionError
     @example(line="not json", blanks=0)
+    @example(line='{"counts": ' + "[" * 100_000, blanks=0)
     @example(line='{"counts": [1, 2], "label": 0, "topic": []}', blanks=0)
     @example(line='{"counts": [1, 99999999999999999999], "label": 0}',
              blanks=0)
@@ -218,6 +279,31 @@ class TestDocsProperties:
                 assert str(exc).startswith(f"{path}:{lineno}: ")
             else:
                 assert batch.counts.shape[0] in (2, 3)
+        finally:
+            os.unlink(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.one_of(MODEL_LIKE.map(json.dumps),
+                          JSON_VALUES.map(json.dumps), st.text(max_size=20)))
+    # documents that once escaped as KeyError, TypeError and RecursionError,
+    # an int too large for a float, and a valid model
+    @example(text='{"label_prior": 0.5, "vocab_size": 2}')
+    @example(text="[" * 100_000)
+    @example(text='{"label_prior": 0.5, "vocab_size": 2, "topics": 5}')
+    @example(text='{"label_prior": 0.5, "vocab_size": 1, "topics": [{"id": 0, '
+                  '"rho0": 1, "rho1": 1, "intensity": [1' + "0" * 400 + ']}]}')
+    @example(text=dumps(VALID_MODEL))
+    def test_rejected_model_names_the_file(self, text):
+        fd, path = tempfile.mkstemp(suffix=".json")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                sampler = _load_sampler(path)
+            except ValidationError as exc:
+                assert str(exc).startswith(f"{path}: ")
+            else:
+                assert isinstance(sampler.model, TopicModel)
         finally:
             os.unlink(path)
 
@@ -294,6 +380,17 @@ class TestVerify:
 
     def test_unknown_suite_exits_1(self):
         assert cli_dispatch(["verify", "--suite", "nonsense"]) == 1
+
+
+def test_module_entry_point_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(droplab.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-m", "droplab", "verify",
+                          "--suite", "tails"], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["passed"] is True
 
 
 class TestDemoInfluence:

@@ -9,6 +9,7 @@ from droplab import (DiscreteSampler, EnumerationTooLargeError,
                      UndefinedPosteriorError, bayes_error, bayes_posterior,
                      build_synthetic_model, make_rng, sample_documents,
                      sample_documents_multinomial)
+from droplab import topics
 from droplab.topics import enumerate_counts
 from droplab.presets import equal_length_models, unequal_length_control
 from droplab.stats import chi_square_gof, chi_square_two_sample
@@ -256,6 +257,18 @@ class TestBayesError:
         model = single_topic_model([1.0] * 5)
         with pytest.raises(EnumerationTooLargeError):
             bayes_error(model, max_total_count=100, cell_budget=1_000)
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        # 1,771 cells in blocks of 64 rows, the last one partial, against
+        # one block; equal up to the order of the block sums
+        model = equal_length_models()[1]
+        whole = bayes_error(model, max_total_count=20)
+        monkeypatch.setattr(topics, "_BAYES_BLOCK_ROWS", 64)
+        blocked = bayes_error(model, max_total_count=20)
+        assert whole.n_cells == blocked.n_cells == 1771
+        assert blocked.value == pytest.approx(whole.value, rel=1e-13)
+        assert blocked.truncation_mass == pytest.approx(
+            whole.truncation_mass, rel=1e-9, abs=1e-15)
 
     def test_default_truncation_reports_small_mass(self):
         model = two_class_model([2.0], [3.0])
