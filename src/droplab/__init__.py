@@ -12,11 +12,11 @@ from .bounds import (BERRY_ESSEEN_CONSTANT, BerryEsseenReport, BoundReport,
                      altitude_error_bound, berry_esseen_check,
                      gaussian_error_estimate, gaussian_tail_check,
                      margin_condition, normal_cdf)
-from .classifiers import (DegenerateDataError, DimensionError, EmptyDataError,
-                          LinearClassifier, TrainConfig, erm_zero_one_small,
-                          error_by_topic, evaluate_error,
-                          recalibrate_intercept, train_logistic,
-                          train_logistic_dropout, train_naive_bayes)
+from .classifiers import (DegenerateDataError, EmptyDataError,
+                          LinearClassifier, TrainConfig, error_by_topic,
+                          evaluate_error, recalibrate_intercept,
+                          train_logistic, train_logistic_dropout,
+                          train_naive_bayes)
 from .corpus import (EmptyClassError, MalformedLineError, SplitSpec,
                      load_corpus, tokenize)
 from .diagnostics import (ModelDiagnostics, RiskDecomposition,
@@ -28,14 +28,14 @@ from .dropout import (DropoutConfig, dropout_posterior, thin_counts,
                       thinned_model)
 from .experiments import VERSION as __version__
 from .experiments import (BiasCheckReport, CurveRecord, CurveResult, CurveSpec,
-                          InfluenceDemoConfig, InfluenceDemoReport, SweepConfig,
-                          SweepResult, curve_csv, curve_summary,
-                          fit_classifier, run_altitude_sweep, run_bias_check,
-                          run_influence_demo, run_learning_curves)
+                          InfluenceDemoReport, SweepConfig, SweepResult,
+                          curve_csv, curve_summary, fit_classifier,
+                          influence_demo_model, run_altitude_sweep,
+                          run_bias_check, run_influence_demo,
+                          run_learning_curves)
 from .streams import make_rng, seed_fingerprint
 from .topics import (BayesErrorResult, DiscreteSampler, DocumentBatch,
                      EnumerationTooLargeError, GenerativeSampler,
                      ParametricSampler, Topic, TopicModel,
                      UndefinedPosteriorError, bayes_error, bayes_posterior,
-                     build_synthetic_model, sample_documents,
-                     sample_documents_multinomial)
+                     build_synthetic_model, sample_documents)

@@ -1,6 +1,5 @@
 """Linear classifiers: logistic regression (plain and dropout-trained),
-multinomial naive Bayes, intercept recalibration, and a tiny exhaustive
-zero-one oracle for low dimensions.
+multinomial naive Bayes and intercept recalibration.
 
 All trainers are deterministic functions of (data, config, seed).  The
 decision rule is 1{w.x + b > 0}; a score of exactly zero predicts class 0.
@@ -13,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dropout import DropoutConfig, Thinner
-from .serialize import read_field
+from .serialize import json_float, json_floats, read_field
 from .streams import make_rng
 from .topics import DocumentBatch
 
@@ -57,9 +56,8 @@ class LinearClassifier:
     @classmethod
     def from_dict(cls, doc: dict) -> "LinearClassifier":
         """Inverse of to_dict; raises ValueError naming a missing or bad key."""
-        return cls(weights=read_field(doc, "weights",
-                                      lambda v: np.asarray(v, dtype=float)),
-                   intercept=read_field(doc, "intercept", float))
+        return cls(weights=read_field(doc, "weights", json_floats),
+                   intercept=read_field(doc, "intercept", json_float))
 
 
 @dataclass(frozen=True)
@@ -251,51 +249,6 @@ def recalibrate_intercept(clf: LinearClassifier, data) -> LinearClassifier:
     # keep the first candidate
     best = np.lexsort((-thresholds, np.abs(thresholds), errors))[0]
     return LinearClassifier(weights=clf.weights, intercept=-thresholds[best])
-
-
-class DimensionError(ValueError):
-    """Exhaustive search is limited to d <= 3."""
-
-
-def erm_zero_one_small(data, resolution: int) -> LinearClassifier:
-    """Exhaustive zero-one empirical risk minimizer for d <= 3.
-
-    Scans unit directions on an angular grid of the given resolution, picks
-    the optimal intercept for each via recalibration, and returns the
-    direction with the lowest training error.
-    """
-    x, y, _ = as_arrays(data)
-    if len(y) == 0:
-        raise EmptyDataError("no training examples")
-    d = x.shape[1]
-    if d > 3:
-        raise DimensionError(f"exhaustive search supports d <= 3, got {d}")
-    if len(y) > 10_000:
-        raise ValueError("exhaustive search supports n <= 10000")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    if d == 1:
-        directions = np.array([[1.0], [-1.0]])
-    elif d == 2:
-        ang = 2.0 * np.pi * np.arange(resolution) / resolution
-        directions = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
-        az = 2.0 * np.pi * np.arange(resolution) / resolution
-        pol = np.pi * (np.arange(resolution) + 0.5) / resolution
-        azm, polm = np.meshgrid(az, pol, indexing="ij")
-        directions = np.stack([
-            (np.sin(polm) * np.cos(azm)).ravel(),
-            (np.sin(polm) * np.sin(azm)).ravel(),
-            np.cos(polm).ravel(),
-        ], axis=1)
-    best = None
-    best_err = np.inf
-    for w in directions:
-        cand = recalibrate_intercept(LinearClassifier(weights=w), data)
-        err = float(np.mean(cand.predict(x) != y))
-        if err < best_err - 1e-15:
-            best, best_err = cand, err
-    return best
 
 
 def evaluate_error(clf: LinearClassifier, data) -> float:

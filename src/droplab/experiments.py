@@ -340,45 +340,36 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
     return results
 
 
-@dataclass(frozen=True)
-class InfluenceDemoConfig:
-    """Two-word, three-cluster geometry for the influence demonstration.
+# the influence demo's two-word, three-cluster geometry: one blue cluster
+# (label 0) and a 99:1 red mixture (label 1) whose rare component sits close
+# to the blue cluster, all with one expected document length, so thinning
+# preserves the posterior field
+INFLUENCE_DOC_LENGTH = 400.0
+INFLUENCE_WORD1_PROBS = (0.5, 0.8, 0.58)   # blue, common red, rare red
+INFLUENCE_RARE_WEIGHT = 0.01
+# the influence effect only appears once the plain fit is near its optimum,
+# hence the large epoch budget; with d = 2 that stays cheap.  Each arm sets
+# its own delta.
+INFLUENCE_TRAIN_CFG = TrainConfig(epochs=15_000,
+                                  dropout=DropoutConfig(mc_replicates=1))
 
-    One blue cluster (label 0) and a 99:1 red mixture (label 1) whose rare
-    component sits close to the blue cluster.  All clusters share one
-    expected document length, so thinning preserves the posterior field.
-    The epoch budget is large because the influence effect only appears
-    once the plain fit is near its optimum; with d = 2 that stays cheap.
-    """
 
-    doc_length: float = 400.0
-    blue_word1_prob: float = 0.5
-    red_common_word1_prob: float = 0.8
-    red_rare_word1_prob: float = 0.58
-    rare_weight: float = 0.01
-    train_cfg: TrainConfig = field(default_factory=lambda: TrainConfig(
-        epochs=15_000, dropout=DropoutConfig(delta=0.75, mc_replicates=1)))
-
-    def model(self) -> TopicModel:
-        length = self.doc_length
-
-        def intensity(p):
-            return np.array([p * length, (1.0 - p) * length])
-
-        topics = (
-            Topic(id=0, rho0=1.0, rho1=0.0,
-                  intensity=intensity(self.blue_word1_prob)),
-            Topic(id=1, rho0=0.0, rho1=1.0 - self.rare_weight,
-                  intensity=intensity(self.red_common_word1_prob)),
-            Topic(id=2, rho0=0.0, rho1=self.rare_weight,
-                  intensity=intensity(self.red_rare_word1_prob)),
-        )
-        return TopicModel(label_prior=0.5, topics=topics, vocab_size=2)
+def influence_demo_model() -> TopicModel:
+    """The influence demo's three-cluster model (constants above)."""
+    length = INFLUENCE_DOC_LENGTH
+    blue, common, rare = (np.array([p * length, (1.0 - p) * length])
+                          for p in INFLUENCE_WORD1_PROBS)
+    topics = (
+        Topic(id=0, rho0=1.0, rho1=0.0, intensity=blue),
+        Topic(id=1, rho0=0.0, rho1=1.0 - INFLUENCE_RARE_WEIGHT,
+              intensity=common),
+        Topic(id=2, rho0=0.0, rho1=INFLUENCE_RARE_WEIGHT, intensity=rare),
+    )
+    return TopicModel(label_prior=0.5, topics=topics, vocab_size=2)
 
 
 @dataclass(frozen=True)
 class InfluenceDemoReport:
-    config: InfluenceDemoConfig
     delta: float
     clf_plain: LinearClassifier
     clf_dropout: LinearClassifier
@@ -396,7 +387,7 @@ def _angle_between(u: np.ndarray, v: np.ndarray) -> float:
 
 def run_influence_demo(delta: float = 0.75, n: int = 10_000,
                        master_seed: int = 0,
-                       config: InfluenceDemoConfig | None = None,
+                       train_cfg: TrainConfig = INFLUENCE_TRAIN_CFG,
                        eval_size: int = 100_000) -> InfluenceDemoReport:
     """Train plain and thinned classifiers on the three-cluster geometry.
 
@@ -408,23 +399,19 @@ def run_influence_demo(delta: float = 0.75, n: int = 10_000,
         raise ValueError("the influence demo needs delta in [0, 1): delta = 1 "
                          "deletes every word, and its endpoint is naive Bayes, "
                          "not a logistic fit")
-    config = config or InfluenceDemoConfig()
-    model = config.model()
-    sampler = DiscreteSampler(model)
+    sampler = DiscreteSampler(influence_demo_model())
     rng = make_rng(master_seed, "influence-train")
     train = sample_documents(sampler, n, rng)
     train_seed = int(rng.integers(0, 2 ** 31 - 1))
 
-    clf_plain = fit_classifier(train, _at_delta(config.train_cfg, 0.0,
-                                                train_seed))
+    clf_plain = fit_classifier(train, _at_delta(train_cfg, 0.0, train_seed))
     clf_drop = clf_plain if delta == 0.0 else fit_classifier(
-        train, _at_delta(config.train_cfg, delta, train_seed))
+        train, _at_delta(train_cfg, delta, train_seed))
 
     eval_rng = make_rng(master_seed, "influence-eval")
     eval_batch = sample_documents(sampler, eval_size, eval_rng)
     return InfluenceDemoReport(
-        config=config, delta=delta,
-        clf_plain=clf_plain, clf_dropout=clf_drop,
+        delta=delta, clf_plain=clf_plain, clf_dropout=clf_drop,
         angle_degrees=_angle_between(clf_plain.weights, clf_drop.weights),
         plain_error_by_cluster=error_by_topic(clf_plain, eval_batch),
         dropout_error_by_cluster=error_by_topic(clf_drop, eval_batch),

@@ -62,6 +62,27 @@ def dumps(obj, indent: int | None = None) -> str:
     return _encode(obj, indent, 0)
 
 
+def json_int(value) -> int:
+    """A JSON integer; bools, floats and strings are rejected."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_float(value) -> float:
+    """A JSON number as a float; bools and strings are rejected."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def json_floats(value) -> np.ndarray:
+    """A JSON array of numbers as a float vector."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array of numbers, got {value!r}")
+    return np.array([json_float(v) for v in value], dtype=float)
+
+
 def read_field(doc, key: str, convert):
     """convert(doc[key]) of a decoded JSON object; a missing key, or a value
     that convert rejects, raises ValueError naming the key."""

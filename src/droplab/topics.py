@@ -16,7 +16,7 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
 
-from .serialize import read_field
+from .serialize import json_float, json_floats, json_int, read_field
 
 PROB_ATOL = 1e-12
 _BAYES_BLOCK_ROWS = 65_536  # enumeration rows per bayes_error likelihood call
@@ -136,15 +136,15 @@ class TopicModel:
     def from_dict(cls, doc: dict) -> "TopicModel":
         """Inverse of to_dict; raises ValueError naming a missing or bad key."""
         def topic(t):
-            return Topic(id=read_field(t, "id", int),
-                         rho0=read_field(t, "rho0", float),
-                         rho1=read_field(t, "rho1", float),
-                         intensity=read_field(t, "intensity", np.asarray))
+            return Topic(id=read_field(t, "id", json_int),
+                         rho0=read_field(t, "rho0", json_float),
+                         rho1=read_field(t, "rho1", json_float),
+                         intensity=read_field(t, "intensity", json_floats))
 
-        return cls(label_prior=read_field(doc, "label_prior", float),
+        return cls(label_prior=read_field(doc, "label_prior", json_float),
                    topics=read_field(doc, "topics",
                                      lambda ts: tuple(map(topic, ts))),
-                   vocab_size=read_field(doc, "vocab_size", int))
+                   vocab_size=read_field(doc, "vocab_size", json_int))
 
 
 @dataclass(frozen=True)
@@ -234,20 +234,6 @@ def sample_documents(sampler: GenerativeSampler, n: int,
     """
     labels, topic_ids, intensities = sampler.draw_topics(n, rng)
     counts = rng.poisson(intensities)
-    return DocumentBatch(counts=counts, labels=labels, topics=topic_ids)
-
-
-def sample_documents_multinomial(sampler: GenerativeSampler, n: int,
-                                 rng: np.random.Generator) -> DocumentBatch:
-    """Draw documents length-first: Poisson total length, then multinomial words.
-
-    Distributionally identical to `sample_documents`.
-    """
-    labels, topic_ids, intensities = sampler.draw_topics(n, rng)
-    totals = intensities.sum(axis=1)
-    lengths = rng.poisson(totals)
-    probs = intensities / totals[:, None]
-    counts = rng.multinomial(lengths, probs)
     return DocumentBatch(counts=counts, labels=labels, topics=topic_ids)
 
 

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droplab import (DegenerateDataError, DimensionError, DiscreteSampler,
-                     DropoutConfig, EmptyDataError, LinearClassifier,
-                     TrainConfig, erm_zero_one_small, evaluate_error,
-                     make_rng, recalibrate_intercept, sample_documents,
-                     thin_counts, train_logistic, train_logistic_dropout,
-                     train_naive_bayes)
+from droplab import (DegenerateDataError, DiscreteSampler, DropoutConfig,
+                     EmptyDataError, LinearClassifier, TrainConfig,
+                     evaluate_error, make_rng, recalibrate_intercept,
+                     sample_documents, thin_counts, train_logistic,
+                     train_logistic_dropout, train_naive_bayes)
 import droplab
 from droplab import classifiers
 from droplab.presets import two_word_intensity
 from droplab.topics import DocumentBatch, Topic, TopicModel
+from oracles import DimensionError, erm_zero_one_small
 
 EXACT_THINNED_RATE = 0.043627118658197702   # P[thinned score <= 0], z = 2.5
 GAUSSIAN_THINNED_RATE = 0.038549935871770885

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -15,6 +16,18 @@ from droplab.cli import (ValidationError, _float_list, _int_list,
                          _load_sampler, _read_docs_jsonl, cli_dispatch)
 from droplab.serialize import dumps
 from droplab.topics import Topic, TopicModel
+
+VALID_MODEL = {"label_prior": 0.5, "vocab_size": 2, "topics": [
+    {"id": 0, "rho0": 1.0, "rho1": 0.0, "intensity": [6.0, 2.0]},
+    {"id": 1, "rho0": 0.0, "rho1": 1.0, "intensity": [2.0, 6.0]}]}
+
+
+def altered_model(key, value, topic=None) -> str:
+    """JSON text of VALID_MODEL with one key of the model, or of one of its
+    topics, set to value."""
+    doc = copy.deepcopy(VALID_MODEL)
+    (doc if topic is None else doc["topics"][topic])[key] = value
+    return json.dumps(doc)
 
 
 @pytest.fixture
@@ -89,6 +102,12 @@ class TestSample:
          '[{"id": 0, "rho0": 1, "rho1": 1}]}', "intensity"),
         ('{"label_prior": "half", "vocab_size": 2, "topics": []}',
          "label_prior"),
+        # values a lax reader once truncated or converted
+        (altered_model("vocab_size", 2.9), "vocab_size"),
+        (altered_model("id", 1.5, topic=1), "id"),
+        (altered_model("label_prior", "0.5"), "label_prior"),
+        (altered_model("rho0", True, topic=0), "rho0"),
+        (altered_model("intensity", ["6", "2"], topic=0), "intensity"),
     ])
     def test_malformed_model_exits_1(self, text, key, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -147,6 +166,10 @@ class TestTrainEval:
          "'meta.vocabulary'"),
         ({"weights": [1.0, -1.0], "intercept": 0.0, "meta": 5}, "corpus",
          "'meta.vocabulary'"),
+        # numeric strings a lax reader once converted
+        ({"weights": ["1.5", -1.0], "intercept": 0.0}, "docs", "'weights'"),
+        ({"weights": [1.0, -1.0], "intercept": "0.25"}, "docs",
+         "'intercept'"),
     ])
     def test_malformed_classifier_exits_1(self, doc, source, key, toy_corpus,
                                           tmp_path, capsys):
@@ -237,9 +260,6 @@ DOC_LIKE = st.fixed_dictionaries(
                   "topic": JSON_VALUES})
 
 
-VALID_MODEL = {"label_prior": 0.5, "vocab_size": 2, "topics": [
-    {"id": 0, "rho0": 1.0, "rho1": 0.0, "intensity": [6.0, 2.0]},
-    {"id": 1, "rho0": 0.0, "rho1": 1.0, "intensity": [2.0, 6.0]}]}
 # model documents near the valid shape: each key often present and valid
 TOPIC_LIKE = st.fixed_dictionaries(
     {}, optional={"id": st.integers(0, 3) | JSON_VALUES,
@@ -251,6 +271,21 @@ MODEL_LIKE = st.fixed_dictionaries(
     {}, optional={"label_prior": st.floats(0, 1) | JSON_VALUES,
                   "vocab_size": st.just(2) | JSON_VALUES,
                   "topics": st.lists(TOPIC_LIKE, max_size=2) | JSON_VALUES})
+
+
+def read_exactly(written, doc) -> bool:
+    """Whether a document written back from what was read holds the values
+    of the decoded document: integers as integers, numbers as JSON numbers
+    (not bools or strings) of the same value."""
+    if isinstance(written, dict):
+        return isinstance(doc, dict) and all(
+            k in doc and read_exactly(v, doc[k]) for k, v in written.items())
+    if isinstance(written, list):
+        return (isinstance(doc, list) and len(doc) == len(written)
+                and all(map(read_exactly, written, doc)))
+    if type(written) is int:
+        return type(doc) is int and doc == written
+    return type(doc) in (int, float) and float(doc) == written
 
 
 class TestDocsProperties:
@@ -286,13 +321,19 @@ class TestDocsProperties:
     @given(text=st.one_of(MODEL_LIKE.map(json.dumps),
                           JSON_VALUES.map(json.dumps), st.text(max_size=20)))
     # documents that once escaped as KeyError, TypeError and RecursionError,
-    # an int too large for a float, and a valid model
+    # an int too large for a float, a valid model, and values that were once
+    # truncated or converted instead of rejected
     @example(text='{"label_prior": 0.5, "vocab_size": 2}')
     @example(text="[" * 100_000)
     @example(text='{"label_prior": 0.5, "vocab_size": 2, "topics": 5}')
     @example(text='{"label_prior": 0.5, "vocab_size": 1, "topics": [{"id": 0, '
                   '"rho0": 1, "rho1": 1, "intensity": [1' + "0" * 400 + ']}]}')
     @example(text=dumps(VALID_MODEL))
+    @example(text=altered_model("vocab_size", 2.9))
+    @example(text=altered_model("id", 1.5, topic=1))
+    @example(text=altered_model("label_prior", "0.5"))
+    @example(text=altered_model("rho0", True, topic=0))
+    @example(text=altered_model("intensity", ["6", "2"], topic=0))
     def test_rejected_model_names_the_file(self, text):
         fd, path = tempfile.mkstemp(suffix=".json")
         try:
@@ -303,7 +344,7 @@ class TestDocsProperties:
             except ValidationError as exc:
                 assert str(exc).startswith(f"{path}: ")
             else:
-                assert isinstance(sampler.model, TopicModel)
+                assert read_exactly(sampler.model.to_dict(), json.loads(text))
         finally:
             os.unlink(path)
 
@@ -382,15 +423,29 @@ class TestVerify:
         assert cli_dispatch(["verify", "--suite", "nonsense"]) == 1
 
 
-def test_module_entry_point_runs_the_cli():
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this droplab."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(droplab.__file__).parents[1])]
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    out = subprocess.run([sys.executable, "-m", "droplab", "verify",
-                          "--suite", "tails"], env=env, capture_output=True,
-                         text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_the_cli():
+    out = run_python("-m", "droplab", "verify", "--suite", "tails")
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["passed"] is True
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # droplab's numerics need scipy.special only; importing scipy.stats
+    # would roughly double the modules and memory an import costs
+    out = run_python("-c", "import sys, droplab, droplab.cli, droplab.verify; "
+                     "print(sorted(m for m in sys.modules "
+                     "if m.startswith('scipy.stats')))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 class TestDemoInfluence:

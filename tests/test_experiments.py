@@ -9,7 +9,8 @@ from droplab import (CurveSpec, DiscreteSampler, DropoutConfig, TrainConfig,
                      sample_documents, train_logistic, train_logistic_dropout,
                      train_naive_bayes)
 from droplab import experiments
-from droplab.experiments import CurveResult, InfluenceDemoConfig, SweepConfig
+from droplab.experiments import (CurveResult, SweepConfig,
+                                 influence_demo_model)
 from droplab.presets import (default_sweep_configs, equal_length_models,
                              two_word_intensity, unequal_length_control)
 
@@ -222,9 +223,7 @@ class TestInfluenceDemo:
     def test_no_thinning_returns_identical_classifiers(self):
         rep = run_influence_demo(
             delta=0.0, n=300, master_seed=1,
-            config=InfluenceDemoConfig(
-                train_cfg=TrainConfig(epochs=60)),
-            eval_size=2_000)
+            train_cfg=TrainConfig(epochs=60), eval_size=2_000)
         assert rep.clf_plain is rep.clf_dropout
         assert rep.angle_degrees == 0.0
 
@@ -244,7 +243,6 @@ class TestInfluenceDemo:
             influence_report.plain_error_by_cluster[common]
 
     def test_demo_model_posterior_field_survives_thinning(self):
-        rep = run_bias_check(InfluenceDemoConfig().model(), (0.75,),
-                             v_budget=4)
+        rep = run_bias_check(influence_demo_model(), (0.75,), v_budget=4)
         assert rep.equal_length
         assert rep.max_gap[0.75] <= 1e-10
