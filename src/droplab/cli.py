@@ -262,6 +262,10 @@ def _float_list(text: str) -> list[float]:
 
 
 def _default_threads() -> int:
+    # the CPUs this process may run on, not the machine's; each sampling
+    # thread holds one test-set block (about 65 MB) while it works
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 
@@ -316,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[0.0, 0.5, 0.75, 0.9, 0.95, 1.0])
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--test-size", type=int, default=100_000)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=_default_threads(),
+                   help="test-set sampling threads (default: usable CPUs, "
+                        "at most 8); outputs do not depend on it")
     p.add_argument("--l2", type=float, default=1e-7)
     p.add_argument("--epochs", type=int, default=150)
     p.add_argument("--step", type=float, default=None)

@@ -2,14 +2,18 @@
 preservation checks, and the thinning-exponent sweep.
 
 Every cell of every grid owns a random stream derived from the master seed
-and the cell coordinates, so results are independent of scheduling and of
-which other cells run, and any cell can be reproduced in isolation.
+and the cell coordinates, and every fixed block of a learning-curve test set
+owns one derived from (seed, trial, block), so results are independent of
+scheduling, of the thread count and of which other cells run, and any cell
+can be reproduced in isolation.  The cells run serially; `threads` sizes the
+pool that samples the test sets (`rng.poisson` releases the GIL, thinning
+and the trainers do not).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,6 +35,7 @@ VERSION = "0.1.0"
 
 _CELL_TAG = "curve-cell"
 _TEST_TAG = "curve-test"
+_TEST_BLOCK_ROWS = 8_192    # test-set rows per sampling block and stream
 _SWEEP_CHUNK = 1_000_000    # sweep documents per Poisson draw
 
 
@@ -145,6 +150,25 @@ def _run_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int,
                        seed=fingerprint, note=note)
 
 
+def _sample_test_block(spec: CurveSpec, trial: int, block: int
+                       ) -> DocumentBatch:
+    """Rows [block * _TEST_BLOCK_ROWS, ...) of a trial's test set, with the
+    counts in the narrowest unsigned dtype that holds them."""
+    rows = min(_TEST_BLOCK_ROWS, spec.test_size - block * _TEST_BLOCK_ROWS)
+    rng = make_rng(spec.master_seed, _TEST_TAG, trial, block)
+    docs = sample_documents(spec.sampler, rows, rng)
+    return replace(docs, counts=docs.counts.astype(
+        np.min_scalar_type(docs.counts.max())))
+
+
+def _join_blocks(blocks: list[Future]) -> DocumentBatch:
+    # concatenate promotes to the widest block dtype, so no count overflows
+    docs = [b.result() for b in blocks]
+    return DocumentBatch(counts=np.concatenate([d.counts for d in docs]),
+                         labels=np.concatenate([d.labels for d in docs]),
+                         topics=np.concatenate([d.topics for d in docs]))
+
+
 def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
     """Run the full (n, delta, trial) grid.
 
@@ -152,26 +176,40 @@ def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
     comparisons are paired; each cell samples its own training set, trains
     (delta = 1 means naive Bayes), recalibrates the intercept on the training
     set, and records train/test error.  Cell failures are recorded, not fatal.
+
+    The cells run serially on the calling thread.  `threads` is the size of
+    the pool that samples each test set in fixed blocks of _TEST_BLOCK_ROWS
+    rows, one stream per block, so no output depends on it.  The pool
+    samples trial t + 1's blocks while trial t's cells run; cell wall times
+    (written with --timing) therefore overlap that sampling.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    n_blocks = -(-spec.test_size // _TEST_BLOCK_ROWS)
     records: dict[tuple[int, int, int], CurveRecord] = {}
-    for trial in range(spec.trials):
-        test_rng = make_rng(spec.master_seed, _TEST_TAG, trial)
-        test = sample_documents(spec.sampler, spec.test_size, test_rng)
-        cells = [(n, di, trial)
-                 for n in spec.n_grid
-                 for di in range(len(spec.delta_grid))]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = {cell: pool.submit(_run_cell, spec, cell[0],
-                                             cell[1], cell[2], test)
-                           for cell in cells}
-                for cell, fut in futures.items():
-                    records[cell] = fut.result()
-        else:
-            for cell in cells:
-                records[cell] = _run_cell(spec, cell[0], cell[1], cell[2], test)
-        # free this trial's test set before the next one is sampled
-        del test
+    pool = ThreadPoolExecutor(max_workers=threads)
+
+    def submit(trial: int) -> list[Future]:
+        if trial == spec.trials:
+            return []
+        return [pool.submit(_sample_test_block, spec, trial, k)
+                for k in range(n_blocks)]
+
+    try:
+        pending = submit(0)
+        for trial in range(spec.trials):
+            test = _join_blocks(pending)
+            # prefetch: the pool draws the next test set while these cells
+            # hold the GIL
+            pending = submit(trial + 1)
+            for n in spec.n_grid:
+                for di in range(len(spec.delta_grid)):
+                    records[(n, di, trial)] = _run_cell(spec, n, di, trial,
+                                                        test)
+            # free this trial's test set before the next one is joined
+            del test
+    finally:
+        pool.shutdown(cancel_futures=True)
     ordered = [records[(n, di, t)]
                for n in spec.n_grid
                for di in range(len(spec.delta_grid))

@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import droplab
-from droplab.cli import (ValidationError, _float_list, _int_list,
-                         _load_sampler, _read_docs_jsonl, cli_dispatch)
+from droplab.cli import (ValidationError, _default_threads, _float_list,
+                         _int_list, _load_sampler, _read_docs_jsonl,
+                         cli_dispatch)
 from droplab.serialize import dumps
 from droplab.topics import Topic, TopicModel
 
@@ -379,6 +380,39 @@ class TestCurves:
                                          "--out", str(out2)]) == 0
         assert (out1 / "curves.csv").read_bytes() == \
             (out2 / "curves.csv").read_bytes()
+
+    def test_blocked_test_set_does_not_depend_on_threads(self, tmp_path):
+        # 16,387 rows: three test-set blocks, the last one ragged (a
+        # repeated flag takes its last value)
+        args = self.ARGS + ["--trials", "1", "--test-size", "16387"]
+        outs = []
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"t{threads}"
+            assert cli_dispatch(args + ["--threads", threads,
+                                        "--out", str(out)]) == 0
+            outs.append([(out / name).read_bytes()
+                         for name in ("curves.csv", "summary.json")])
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_1(self, threads, tmp_path, capsys):
+        assert cli_dispatch(self.ARGS + ["--threads", threads,
+                                         "--out", str(tmp_path / "c")]) == 1
+        assert (f"threads must be >= 1, got {threads}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "c").exists()
+
+    def test_default_threads_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert _default_threads() == 2
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(32)))
+        assert _default_threads() == 8
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _default_threads() == 3
 
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "c"

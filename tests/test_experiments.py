@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from droplab import (CurveSpec, DiscreteSampler, DropoutConfig, TrainConfig,
-                     bayes_posterior, build_synthetic_model, curve_csv,
-                     curve_summary, dropout_posterior, fit_classifier,
+from droplab import (CurveSpec, DiscreteSampler, DropoutConfig, Topic,
+                     TopicModel, TrainConfig, bayes_posterior,
+                     build_synthetic_model, curve_csv, curve_summary,
+                     dropout_posterior, evaluate_error, fit_classifier,
                      make_rng, recalibrate_intercept, run_altitude_sweep,
                      run_bias_check, run_influence_demo, run_learning_curves,
                      sample_documents, train_logistic, train_logistic_dropout,
@@ -150,6 +153,20 @@ def tiny_spec(**overrides) -> CurveSpec:
     return CurveSpec(**base)
 
 
+def captured_test_sets(monkeypatch, spec: CurveSpec, threads: int) -> dict:
+    """Each trial's test set as run_learning_curves hands it to its cells."""
+    seen = {}
+    run_cell = experiments._run_cell
+
+    def spy(spec, n, delta_idx, trial, test):
+        seen[trial] = test
+        return run_cell(spec, n, delta_idx, trial, test)
+
+    monkeypatch.setattr(experiments, "_run_cell", spy)
+    run_learning_curves(spec, threads=threads)
+    return seen
+
+
 class TestCurveSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -172,6 +189,57 @@ class TestLearningCurves:
         for ra, rb in zip(a.records, b.records):
             assert ra.test_error == rb.test_error
             assert ra.train_error == rb.train_error
+
+    def test_threads_below_one_rejected(self):
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                run_learning_curves(tiny_spec(), threads=threads)
+
+    def test_blocked_test_set_does_not_depend_on_threads(self, monkeypatch):
+        # a ragged last block: two full blocks and 3 rows
+        spec = tiny_spec(n_grid=(40,), delta_grid=(1.0,), trials=1,
+                         test_size=2 * experiments._TEST_BLOCK_ROWS + 3)
+        sets = [captured_test_sets(monkeypatch, spec, threads)[0]
+                for threads in (1, 2, 4)]
+        assert len(sets[0]) == spec.test_size
+        assert sets[0].counts.dtype == np.uint8
+        for other in sets[1:]:
+            for field in ("counts", "labels", "topics"):
+                a, b = getattr(sets[0], field), getattr(other, field)
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+
+    def test_prefetched_trials_do_not_depend_on_threads(self):
+        spec = tiny_spec(trials=3,
+                         test_size=experiments._TEST_BLOCK_ROWS + 100)
+        a = run_learning_curves(spec, threads=1)
+        b = run_learning_curves(spec, threads=3)
+        assert ([replace(r, wall_time_ms=0.0) for r in a.records]
+                == [replace(r, wall_time_ms=0.0) for r in b.records])
+
+    def test_synthetic_test_counts_are_uint8(self, monkeypatch):
+        spec = tiny_spec(n_grid=(40,), delta_grid=(1.0,))
+        sets = captured_test_sets(monkeypatch, spec, 2)
+        assert [t.counts.dtype for t in sets.values()] == [np.uint8] * 2
+
+    def test_wide_counts_are_uint16_and_score_like_int64(self, monkeypatch):
+        # about 300 expected counts on one word: past uint8's 255
+        model = TopicModel(label_prior=0.5, vocab_size=3, topics=(
+            Topic(id=0, rho0=1.0, rho1=0.0,
+                  intensity=np.array([300.0, 20.0, 5.0])),
+            Topic(id=1, rho0=0.0, rho1=1.0,
+                  intensity=np.array([280.0, 30.0, 5.0]))))
+        spec = tiny_spec(sampler=DiscreteSampler(model), n_grid=(200,),
+                         delta_grid=(0.0,), trials=1, test_size=3_000)
+        test = captured_test_sets(monkeypatch, spec, 1)[0]
+        assert test.counts.dtype == np.uint16
+        wide = replace(test, counts=test.counts.astype(np.int64))
+        clf = fit_classifier(
+            sample_documents(spec.sampler, 200, make_rng(5, "wide")),
+            TrainConfig(epochs=40))
+        assert (clf.scores(test.counts).tobytes()
+                == clf.scores(wide.counts).tobytes())
+        assert evaluate_error(clf, test) == evaluate_error(clf, wide)
 
     def test_cells_are_independent_of_grid(self):
         full = run_learning_curves(tiny_spec())
