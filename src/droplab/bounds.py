@@ -77,12 +77,10 @@ def berry_esseen_check(weights: np.ndarray, intensity: np.ndarray,
     be = berry_esseen_statistic(w, lam)
     sigma = np.sqrt(var)
     scores = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
-        b = min(_CHUNK, n_samples - done)
+    for start in range(0, n_samples, _CHUNK):
+        b = min(_CHUNK, n_samples - start)
         counts = rng.poisson(lam, size=(b, len(lam)))
-        scores[done:done + b] = counts @ w
-        done += b
+        scores[start:start + b] = counts @ w
     dist = kolmogorov_distance(scores, lambda s: normal_cdf((s - mu) / sigma))
     return BerryEsseenReport(
         sup_distance=dist,
@@ -125,19 +123,17 @@ def altitude_error_bound(eps_thinned: float, be_stat: float,
     c = BERRY_ESSEEN_CONSTANT
     root = float(np.sqrt(be_stat))
     inflated = eps_thinned + c * root / np.sqrt(1.0 - delta)
-    validity = normal_cdf(-1.0)
-    if inflated > validity:
-        return BoundReport(delta=delta, eps_thinned=eps_thinned,
-                           be_stat=be_stat, constant=c, inflated=inflated,
-                           vacuous=True, value=float("inf"))
-    expo = 1.0 / (1.0 - delta)
-    ratio = delta / (1.0 - delta)
-    coeff = (2.0 ** expo) * np.sqrt(1.0 - delta) * (np.sqrt(4.0 * np.pi) ** ratio)
-    log_factor = np.sqrt(-np.log(inflated)) ** ratio
-    value = coeff * log_factor * inflated ** expo + c * root
+    vacuous = bool(inflated > normal_cdf(-1.0))
+    value = float("inf")
+    if not vacuous:
+        expo = 1.0 / (1.0 - delta)
+        ratio = delta / (1.0 - delta)
+        coeff = 2.0 ** expo * np.sqrt(1.0 - delta) * np.sqrt(4.0 * np.pi) ** ratio
+        log_factor = np.sqrt(-np.log(inflated)) ** ratio
+        value = float(coeff * log_factor * inflated ** expo + c * root)
     return BoundReport(delta=delta, eps_thinned=eps_thinned, be_stat=be_stat,
-                       constant=c, inflated=inflated, vacuous=False,
-                       value=float(value))
+                       constant=c, inflated=inflated, vacuous=vacuous,
+                       value=value)
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,7 @@ def _fit_logistic(x_counts: np.ndarray, y: np.ndarray,
     thinner = Thinner(x_counts, delta)
     step = cfg.step_size
     if step is None:
+        smooth = _smoothness_bound(x_float, cfg.l2_weight)
         if delta > 0.0:
             # size the step for the thinned objective: a pilot replicate
             # estimates the smoothness of the matrices actually seen, with
@@ -147,10 +148,8 @@ def _fit_logistic(x_counts: np.ndarray, y: np.ndarray,
             pilot_rng = make_rng(cfg.seed, "logistic-gd-pilot")
             pilot = thinner.draw(pilot_rng).astype(float)
             keep = 1.0 - delta
-            floor = keep * keep * _smoothness_bound(x_float, cfg.l2_weight)
-            smooth = 2.0 * max(_smoothness_bound(pilot, cfg.l2_weight), floor)
-        else:
-            smooth = _smoothness_bound(x_float, cfg.l2_weight)
+            smooth = 2.0 * max(_smoothness_bound(pilot, cfg.l2_weight),
+                               keep * keep * smooth)
         step = 1.0 / max(smooth, 1e-12)
     rng = make_rng(cfg.seed, "logistic-gd")
     w = np.zeros(d)

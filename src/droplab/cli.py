@@ -61,8 +61,6 @@ def _read_json(path: str, from_dict):
 def _write_output(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w", encoding="utf-8") as fh:
@@ -132,13 +130,7 @@ def _read_docs_jsonl(path: str) -> DocumentBatch:
                          topics=np.asarray(topics))
 
 
-def _check_delta(delta: float):
-    if not 0.0 <= delta <= 1.0:
-        raise ValidationError(f"delta must be in [0, 1], got {delta:g}")
-
-
 def _cmd_train(args) -> int:
-    _check_delta(args.delta)
     if (args.corpus is None) == (args.docs is None):
         raise ValidationError("provide exactly one of --corpus / --docs")
     vocabulary = None
@@ -206,8 +198,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_curves(args) -> int:
     sampler = _load_sampler(args.model)
-    for d in args.delta_grid:
-        _check_delta(d)
     cfg = TrainConfig(l2_weight=args.l2, step_size=args.step,
                       epochs=args.epochs,
                       dropout=DropoutConfig(delta=0.0,
@@ -233,7 +223,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo_influence(args) -> int:
-    _check_delta(args.delta)
     rep = run_influence_demo(delta=args.delta, n=args.n,
                              master_seed=args.seed)
     doc = {

@@ -139,6 +139,8 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
     sub-optimal rates times the per-topic confidence gaps, up to Monte Carlo
     noise (reported as identity_residual with a 3-standard-error tolerance).
     """
+    if mc_budget < 1:
+        raise ValueError(f"mc_budget must be >= 1, got {mc_budget}")
     diag = model_diagnostics(model)
     majority = diag.majority_labels
     sampler = DiscreteSampler(model)
@@ -151,9 +153,8 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
     sub_thin = np.zeros(model.n_topics, dtype=np.int64)
     clf_err = clf_err_thin = 0
 
-    done = 0
-    while done < mc_budget:
-        b = min(_CHUNK, mc_budget - done)
+    for start in range(0, mc_budget, _CHUNK):
+        b = min(_CHUNK, mc_budget - start)
         batch = sample_documents(sampler, b, rng)
         thinned = thin_counts(batch.counts, delta, rng)
         idx = id_order[np.searchsorted(sorted_ids, batch.topics)]
@@ -167,7 +168,6 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
                                 minlength=model.n_topics).astype(np.int64)
         clf_err += int(np.count_nonzero(pred_raw != batch.labels))
         clf_err_thin += int(np.count_nonzero(pred_thin != batch.labels))
-        done += b
 
     per_topic = []
     for i, topic in enumerate(model.topics):

@@ -24,7 +24,7 @@ class DropoutConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
+            raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         if self.mc_replicates < 1:
             raise ValueError("mc_replicates must be >= 1")
 

@@ -13,8 +13,9 @@ and the trainers do not).
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -161,9 +162,9 @@ def _sample_test_block(spec: CurveSpec, trial: int, block: int
         np.min_scalar_type(docs.counts.max())))
 
 
-def _join_blocks(blocks: list[Future]) -> DocumentBatch:
+def _join_blocks(blocks) -> DocumentBatch:
     # concatenate promotes to the widest block dtype, so no count overflows
-    docs = [b.result() for b in blocks]
+    docs = list(blocks)
     return DocumentBatch(counts=np.concatenate([d.counts for d in docs]),
                          labels=np.concatenate([d.labels for d in docs]),
                          topics=np.concatenate([d.topics for d in docs]))
@@ -185,23 +186,18 @@ def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    n_blocks = -(-spec.test_size // _TEST_BLOCK_ROWS)
+    blocks = range(-(-spec.test_size // _TEST_BLOCK_ROWS))
     records: dict[tuple[int, int, int], CurveRecord] = {}
     pool = ThreadPoolExecutor(max_workers=threads)
-
-    def submit(trial: int) -> list[Future]:
-        if trial == spec.trials:
-            return []
-        return [pool.submit(_sample_test_block, spec, trial, k)
-                for k in range(n_blocks)]
-
     try:
-        pending = submit(0)
+        # map submits every block at once, so the pool draws trial t + 1's
+        # test set while trial t's cells hold the GIL
+        pending = pool.map(partial(_sample_test_block, spec, 0), blocks)
         for trial in range(spec.trials):
             test = _join_blocks(pending)
-            # prefetch: the pool draws the next test set while these cells
-            # hold the GIL
-            pending = submit(trial + 1)
+            if trial + 1 < spec.trials:
+                pending = pool.map(partial(_sample_test_block, spec,
+                                           trial + 1), blocks)
             for n in spec.n_grid:
                 for di in range(len(spec.delta_grid)):
                     records[(n, di, trial)] = _run_cell(spec, n, di, trial,
@@ -278,9 +274,6 @@ class BiasCheckReport:
     max_gap: dict[float, float]
     worst_vector: dict[float, tuple[int, ...]]
 
-    def passed(self, tol: float = 1e-10) -> bool:
-        return self.equal_length and all(g <= tol for g in self.max_gap.values())
-
 
 def run_bias_check(model: TopicModel, delta_grid, v_budget: int
                    ) -> BiasCheckReport:
@@ -340,6 +333,8 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
     explicit error bound with its pass/fail (None when vacuous), and the
     empirical exponent log(eps) / log(eps_thinned) against 1 / (1 - delta).
     """
+    if mc_budget < 1:
+        raise ValueError(f"mc_budget must be >= 1, got {mc_budget}")
     results = []
     for k, cfg in enumerate(configs):
         w = np.asarray(cfg.weights, dtype=float)
@@ -349,14 +344,12 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
             raise ValueError("sweep configurations need a positive score mean")
         rng = make_rng(master_seed, "altitude-sweep", k)
         wrong = wrong_thin = 0
-        done = 0
-        while done < mc_budget:
-            b = min(_SWEEP_CHUNK, mc_budget - done)
+        for start in range(0, mc_budget, _SWEEP_CHUNK):
+            b = min(_SWEEP_CHUNK, mc_budget - start)
             counts = rng.poisson(lam, size=(b, len(lam)))
             thinned = thin_counts(counts, cfg.delta, rng)
             wrong += int(np.count_nonzero(counts @ w <= 0.0))
             wrong_thin += int(np.count_nonzero(thinned @ w <= 0.0))
-            done += b
         eps = wrong / mc_budget
         eps_thin = wrong_thin / mc_budget
         g_eps, g_eps_thin = gaussian_error_estimate(w, lam, cfg.delta)
@@ -373,8 +366,7 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
             se_eps_thinned=float(np.sqrt(eps_thin * (1 - eps_thin) / mc_budget)),
             gaussian_eps=g_eps, gaussian_eps_thinned=g_eps_thin,
             bound=bound, bound_holds=holds, exponent=exponent,
-            exponent_target=1.0 / (1.0 - cfg.delta) if cfg.delta < 1 else
-            float("inf")))
+            exponent_target=1.0 / (1.0 - cfg.delta)))
     return results
 
 

@@ -24,7 +24,7 @@ def kolmogorov_distance(samples: np.ndarray, cdf) -> float:
     return float(max(d_plus, d_minus))
 
 
-def dkw_slack(n: int, confidence: float = 0.999) -> float:
+def dkw_slack(n: int, confidence: float) -> float:
     """DKW band half-width: empirical CDF is within this of the truth w.p. >= confidence."""
     alpha = 1.0 - confidence
     return float(np.sqrt(np.log(2.0 / alpha) / (2.0 * n)))

@@ -28,6 +28,8 @@ def _normalize(part) -> int:
 
 def seed_sequence(master_seed: int, *path) -> np.random.SeedSequence:
     """SeedSequence for (master_seed, *path)."""
+    if master_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {master_seed}")
     entropy = (int(master_seed),) + tuple(_normalize(p) for p in path)
     return np.random.SeedSequence(entropy)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
@@ -55,11 +55,6 @@ class Topic:
     def doc_length(self) -> float:
         """Expected document length under this topic."""
         return float(self.intensity.sum())
-
-    @property
-    def word_probs(self) -> np.ndarray:
-        """Intensity normalized to a word-probability vector."""
-        return self.intensity / self.intensity.sum()
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,8 @@ class TopicModel:
     @property
     def word_prob_matrix(self) -> np.ndarray:
         """d x T matrix whose columns are the per-topic word probabilities."""
-        return np.stack([t.word_probs for t in self.topics], axis=1)
+        return np.stack([t.intensity / t.intensity.sum()
+                         for t in self.topics], axis=1)
 
     def topic_probs(self) -> np.ndarray:
         """Marginal topic probabilities."""
@@ -158,17 +154,9 @@ class DocumentBatch:
     def __len__(self) -> int:
         return self.counts.shape[0]
 
-    @property
-    def lengths(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
 
-
-@runtime_checkable
 class GenerativeSampler(Protocol):
     """Anything that can draw (label, topic, intensity) triples."""
-
-    vocab_size: int
-    label_prior: float
 
     def draw_topics(self, n: int, rng: np.random.Generator
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,14 +169,6 @@ class DiscreteSampler:
     """Sampler backed by an explicit TopicModel."""
 
     model: TopicModel
-
-    @property
-    def vocab_size(self) -> int:
-        return self.model.vocab_size
-
-    @property
-    def label_prior(self) -> float:
-        return self.model.label_prior
 
     def draw_topics(self, n, rng):
         labels = (rng.random(n) < self.model.label_prior).astype(np.int64)

@@ -17,6 +17,7 @@ from droplab.cli import (ValidationError, _default_threads, _float_list,
                          cli_dispatch)
 from droplab.serialize import dumps
 from droplab.topics import Topic, TopicModel
+from droplab.verify import VERIFY_SUITES, run_verification
 
 VALID_MODEL = {"label_prior": 0.5, "vocab_size": 2, "topics": [
     {"id": 0, "rho0": 1.0, "rho1": 0.0, "intensity": [6.0, 2.0]},
@@ -71,6 +72,21 @@ class TestDispatch:
                              "--delta", "1.5"])
         assert code == 1
         assert "delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("command", ["train", "curves", "demo-influence"])
+    def test_every_delta_flag_rejects_out_of_range(self, command, value,
+                                                   tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text('{"counts": [2, 0], "label": 0}\n'
+                        '{"counts": [0, 3], "label": 1}\n', encoding="utf-8")
+        argv = {"train": ["train", "--docs", str(docs), f"--delta={value}"],
+                "curves": ["curves", "--delta-grid", f"0,{value}",
+                           "--out", str(tmp_path / "curves")],
+                "demo-influence": ["demo-influence", f"--delta={value}"]}
+        assert cli_dispatch(argv[command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "delta" in err
 
 
 class TestSample:
@@ -455,6 +471,38 @@ class TestVerify:
 
     def test_unknown_suite_exits_1(self):
         assert cli_dispatch(["verify", "--suite", "nonsense"]) == 1
+
+    @pytest.mark.parametrize("mc", ["0", "-5"])
+    @pytest.mark.parametrize("suite", VERIFY_SUITES)
+    def test_mc_below_one_exits_1(self, suite, mc, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert cli_dispatch(["verify", "--suite", suite, "--mc", mc,
+                             "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: mc must be >= 1, got {mc}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["verify", "--suite", "tails"],
+                                      ["sample"],
+                                      ["curves", "--n-grid", "100",
+                                       "--trials", "1", "--test-size", "10"]])
+    def test_negative_seed_exits_1(self, argv, capsys):
+        assert cli_dispatch(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == \
+            "error: seed must be >= 0, got -1\n"
+
+    def test_mc_zero_reports_no_traceback(self):
+        out = run_python("-m", "droplab", "verify", "--suite", "altitude",
+                         "--mc", "0")
+        assert out.returncode == 1
+        assert "mc must be >= 1" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("mc, seed", [(0, 0), (-5, 0), (1, -1)])
+    def test_library_rejects_before_running(self, mc, seed):
+        name = "mc" if mc < 1 else "seed"
+        with pytest.raises(ValueError, match=f"{name} must be >= "):
+            run_verification("all", mc=mc, seed=seed)
 
 
 def run_python(*args) -> subprocess.CompletedProcess:

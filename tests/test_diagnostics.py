@@ -111,6 +111,14 @@ class TestModelDiagnostics:
 
 
 class TestExcessRiskDecomposition:
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_rejected(self, budget):
+        clf = LinearClassifier(weights=np.array([-1.0, 1.0]))
+        with pytest.raises(ValueError, match=f"mc_budget must be >= 1, "
+                                             f"got {budget}"):
+            excess_risk_decomposition(equal_length_models()[0], clf, 0.5,
+                                      budget, make_rng(0, "decomp-budget"))
+
     def test_pure_topic_error_decomposes_exactly(self):
         # with pure topics the error is the topic-weighted sub-optimal rate
         model = equal_length_models()[0]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,12 @@ class TestDropoutConfig:
         with pytest.raises(ValueError):
             DropoutConfig(delta=0.5, mc_replicates=0)
         assert DropoutConfig(delta=1.0).delta == 1.0
+
+    @pytest.mark.parametrize("delta", [1.5, -0.1, float("nan")])
+    def test_rejected_delta_is_named(self, delta):
+        with pytest.raises(ValueError, match=re.escape(
+                f"delta must lie in [0, 1], got {delta}")):
+            DropoutConfig(delta=delta)
 
 
 class TestThinnedModel:

@@ -25,7 +25,7 @@ class TestBiasCheck:
         for model in equal_length_models():
             rep = run_bias_check(model, (0.25, 0.5, 0.9), v_budget=6)
             assert rep.equal_length
-            assert rep.passed(tol=1e-10)
+            assert all(g <= 1e-10 for g in rep.max_gap.values())
 
     def test_zero_rate_gap_is_zero(self):
         rep = run_bias_check(equal_length_models()[0], (0.0,), v_budget=4)
@@ -33,7 +33,7 @@ class TestBiasCheck:
 
     def test_unequal_length_control_shows_gap(self):
         rep = run_bias_check(unequal_length_control(), (0.5,), v_budget=6)
-        assert not rep.passed()
+        assert not rep.equal_length
         assert rep.max_gap[0.5] >= 0.05
         # the gap at the empty document alone already exceeds the threshold
         assert rep.max_gap[0.5] >= UNEQUAL_CONTROL_GAP - 1e-12
@@ -55,6 +55,12 @@ class TestBiasCheck:
 
 
 class TestAltitudeSweep:
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"mc_budget must be >= 1, "
+                                             f"got {budget}"):
+            run_altitude_sweep(default_sweep_configs(), mc_budget=budget)
+
     def test_unthinned_control_has_unit_exponent(self):
         cfg = SweepConfig(weights=(1.0, -1.0),
                           intensity=two_word_intensity(2.5, 10.0), delta=0.0)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from droplab.streams import make_rng, seed_fingerprint, seed_sequence
 
@@ -26,3 +27,10 @@ def test_float_components_hash_bit_pattern():
 def test_fingerprint_is_stable():
     assert seed_fingerprint(1, "x", 2) == seed_fingerprint(1, "x", 2)
     assert seed_fingerprint(1, "x", 2) != seed_fingerprint(1, "x", 3)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2 ** 40)])
+def test_negative_seed_is_rejected_by_name(seed):
+    for derive in (seed_sequence, make_rng, seed_fingerprint):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+            derive(seed, "task")
