@@ -34,8 +34,7 @@ from .experiments import (BiasCheckReport, CurveRecord, CurveResult, CurveSpec,
                           run_bias_check, run_influence_demo,
                           run_learning_curves)
 from .streams import make_rng, seed_fingerprint
-from .topics import (BayesErrorResult, DiscreteSampler, DocumentBatch,
-                     EnumerationTooLargeError, GenerativeSampler,
-                     ParametricSampler, Topic, TopicModel,
-                     UndefinedPosteriorError, bayes_error, bayes_posterior,
-                     build_synthetic_model, sample_documents)
+from .topics import (BayesErrorResult, DocumentBatch,
+                     EnumerationTooLargeError, GenerativeSampler, Topic,
+                     TopicModel, UndefinedPosteriorError, bayes_error,
+                     bayes_posterior, build_synthetic_model, sample_documents)

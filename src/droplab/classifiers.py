@@ -206,10 +206,10 @@ def train_naive_bayes(data, smoothing: float = 1.0) -> LinearClassifier:
     the log prior ratio (class-conditional length terms are dropped, i.e.
     documents are treated as equal-length).
     """
+    if not (np.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
     x, y, _ = as_arrays(data)
     _check_classes(y)
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
     totals = []
     for c in (0, 1):
         t = x[y == c].sum(axis=0).astype(float) + smoothing

@@ -24,8 +24,8 @@ from .experiments import (VERSION, CurveSpec, curve_csv, curve_summary,
                           fit_classifier, run_influence_demo,
                           run_learning_curves)
 from .streams import make_rng
-from .topics import (DiscreteSampler, DocumentBatch, SYNTHETIC_PRESET,
-                     TopicModel, build_synthetic_model, sample_documents)
+from .topics import (DocumentBatch, SYNTHETIC_PRESET, TopicModel,
+                     build_synthetic_model, sample_documents)
 from .verify import VERIFY_SUITES, run_verification
 
 
@@ -44,7 +44,7 @@ def _load_sampler(spec: str):
         raise ValidationError(
             f"model {spec!r} is neither the preset {SYNTHETIC_PRESET!r} "
             f"nor an existing file")
-    return DiscreteSampler(_read_json(spec, TopicModel.from_dict)[1])
+    return _read_json(spec, TopicModel.from_dict)[1]
 
 
 def _read_json(path: str, from_dict):
@@ -131,8 +131,6 @@ def _read_docs_jsonl(path: str) -> DocumentBatch:
 
 
 def _cmd_train(args) -> int:
-    if (args.corpus is None) == (args.docs is None):
-        raise ValidationError("provide exactly one of --corpus / --docs")
     vocabulary = None
     if args.corpus is not None:
         split = SplitSpec(seed=args.seed, train_fraction=None,
@@ -167,8 +165,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if (args.corpus is None) == (args.docs is None):
-        raise ValidationError("provide exactly one of --corpus / --docs")
     doc, clf = _read_json(args.classifier, LinearClassifier.from_dict)
     if args.corpus is not None:
         meta = doc.get("meta")
@@ -273,6 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"preset name ({SYNTHETIC_PRESET}) or model "
                                 f"JSON path")
 
+    def source(p):
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--corpus", type=str, help="label<TAB>text corpus file")
+        g.add_argument("--docs", type=str, help="document JSONL (from sample)")
+
     p = sub.add_parser("sample", help="sample documents from a model")
     common(p, model=True)
     p.add_argument("--n", type=int, default=100)
@@ -280,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a classifier, write JSON")
     common(p)
-    p.add_argument("--corpus", type=str, help="label<TAB>text corpus file")
-    p.add_argument("--docs", type=str, help="document JSONL (from sample)")
+    source(p)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--mc", dest="mc_replicates", type=int, default=8,
                    help="thinned replicates per pass")
@@ -297,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="error of a saved classifier on data")
     common(p)
     p.add_argument("--classifier", type=str, required=True)
-    p.add_argument("--corpus", type=str)
-    p.add_argument("--docs", type=str)
+    source(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("curves", help="learning-curve grid to CSV + summary")

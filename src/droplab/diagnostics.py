@@ -16,7 +16,7 @@ import numpy as np
 from .classifiers import LinearClassifier
 from .dropout import thin_counts
 from .stats import binomial_se
-from .topics import DiscreteSampler, TopicModel, sample_documents
+from .topics import TopicModel, sample_documents
 
 _CHUNK = 200_000            # documents per sampling round
 
@@ -143,7 +143,6 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
         raise ValueError(f"mc_budget must be >= 1, got {mc_budget}")
     diag = model_diagnostics(model)
     majority = diag.majority_labels
-    sampler = DiscreteSampler(model)
     t_ids = np.array([t.id for t in model.topics], dtype=float)
     id_order = np.argsort(t_ids)
     sorted_ids = t_ids[id_order]
@@ -155,7 +154,7 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
 
     for start in range(0, mc_budget, _CHUNK):
         b = min(_CHUNK, mc_budget - start)
-        batch = sample_documents(sampler, b, rng)
+        batch = sample_documents(model, b, rng)
         thinned = thin_counts(batch.counts, delta, rng)
         idx = id_order[np.searchsorted(sorted_ids, batch.topics)]
         pred_raw = clf.predict(batch.counts)

@@ -28,9 +28,8 @@ from .classifiers import (LinearClassifier, TrainConfig, error_by_topic,
 from .diagnostics import berry_esseen_statistic, score_moments
 from .dropout import DropoutConfig, dropout_posterior, thin_counts
 from .streams import make_rng, seed_fingerprint
-from .topics import (DiscreteSampler, DocumentBatch, GenerativeSampler, Topic,
-                     TopicModel, bayes_posterior, enumerate_counts,
-                     sample_documents)
+from .topics import (DocumentBatch, GenerativeSampler, Topic, TopicModel,
+                     bayes_posterior, enumerate_counts, sample_documents)
 
 VERSION = "0.1.0"
 
@@ -312,8 +311,6 @@ class SweepResult:
     config: SweepConfig
     eps: float
     eps_thinned: float
-    se_eps: float
-    se_eps_thinned: float
     gaussian_eps: float
     gaussian_eps_thinned: float
     bound: BoundReport
@@ -362,8 +359,6 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
             exponent = float("nan")
         results.append(SweepResult(
             config=cfg, eps=eps, eps_thinned=eps_thin,
-            se_eps=float(np.sqrt(eps * (1 - eps) / mc_budget)),
-            se_eps_thinned=float(np.sqrt(eps_thin * (1 - eps_thin) / mc_budget)),
             gaussian_eps=g_eps, gaussian_eps_thinned=g_eps_thin,
             bound=bound, bound_holds=holds, exponent=exponent,
             exponent_target=1.0 / (1.0 - cfg.delta)))
@@ -429,9 +424,9 @@ def run_influence_demo(delta: float = 0.75, n: int = 10_000,
         raise ValueError("the influence demo needs delta in [0, 1): delta = 1 "
                          "deletes every word, and its endpoint is naive Bayes, "
                          "not a logistic fit")
-    sampler = DiscreteSampler(influence_demo_model())
+    model = influence_demo_model()
     rng = make_rng(master_seed, "influence-train")
-    train = sample_documents(sampler, n, rng)
+    train = sample_documents(model, n, rng)
     train_seed = int(rng.integers(0, 2 ** 31 - 1))
 
     clf_plain = fit_classifier(train, _at_delta(train_cfg, 0.0, train_seed))
@@ -439,7 +434,7 @@ def run_influence_demo(delta: float = 0.75, n: int = 10_000,
         train, _at_delta(train_cfg, delta, train_seed))
 
     eval_rng = make_rng(master_seed, "influence-eval")
-    eval_batch = sample_documents(sampler, eval_size, eval_rng)
+    eval_batch = sample_documents(model, eval_size, eval_rng)
     return InfluenceDemoReport(
         delta=delta, clf_plain=clf_plain, clf_dropout=clf_drop,
         angle_degrees=_angle_between(clf_plain.weights, clf_drop.weights),

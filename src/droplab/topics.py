@@ -1,17 +1,18 @@
 """Poisson topic models: generative sampling and exact posteriors.
 
 A model draws a binary label, a topic given the label, and then independent
-Poisson word counts from the topic's intensity vector.  Discrete models keep
-an explicit topic table and support exact Bayes posteriors; parametric models
-draw a fresh intensity vector per document (used by the synthetic benchmark,
-whose label-1 topics form a continuum).
+Poisson word counts from the topic's intensity vector.  Every model samples
+itself: `sample_documents` draws the labels from its `label_prior` and asks
+its `draw_topics` for the rest.  A `TopicModel` keeps an explicit topic table
+and supports exact Bayes posteriors; the synthetic benchmark draws a fresh
+intensity vector per document (its label-1 topics form a continuum).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, xlogy
@@ -111,6 +112,18 @@ class TopicModel:
         p1 = self.label_prior
         return (1.0 - p1) * self.rho[0] + p1 * self.rho[1]
 
+    def draw_topics(self, labels, rng):
+        """Topic ids (as floats) and intensity rows for the given labels."""
+        cum = np.cumsum(self.rho, axis=1)
+        u = rng.random(len(labels))
+        topic_idx = np.empty(len(labels), dtype=np.int64)
+        for c in (0, 1):
+            mask = labels == c
+            topic_idx[mask] = np.searchsorted(cum[c], u[mask], side="right")
+        topic_idx = np.minimum(topic_idx, self.n_topics - 1)
+        ids = np.array([t.id for t in self.topics])
+        return ids[topic_idx].astype(float), self.intensities[topic_idx]
+
     def label1_given_topic(self) -> np.ndarray:
         """P(label = 1 | topic) per topic; nan where the topic has mass 0."""
         pt = self.topic_probs()
@@ -156,63 +169,24 @@ class DocumentBatch:
 
 
 class GenerativeSampler(Protocol):
-    """Anything that can draw (label, topic, intensity) triples."""
-
-    def draw_topics(self, n: int, rng: np.random.Generator
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (labels, topic_ids, intensity_matrix) for n documents."""
-        ...
-
-
-@dataclass(frozen=True)
-class DiscreteSampler:
-    """Sampler backed by an explicit TopicModel."""
-
-    model: TopicModel
-
-    def draw_topics(self, n, rng):
-        labels = (rng.random(n) < self.model.label_prior).astype(np.int64)
-        cum = np.cumsum(self.model.rho, axis=1)
-        u = rng.random(n)
-        topic_idx = np.empty(n, dtype=np.int64)
-        for c in (0, 1):
-            mask = labels == c
-            topic_idx[mask] = np.searchsorted(cum[c], u[mask], side="right")
-        topic_idx = np.minimum(topic_idx, self.model.n_topics - 1)
-        intensities = self.model.intensities[topic_idx]
-        ids = np.array([self.model.topics[i].id for i in range(self.model.n_topics)])
-        return labels, ids[topic_idx].astype(float), intensities
-
-
-@dataclass(frozen=True)
-class ParametricSampler:
-    """Sampler whose label-1 topics come from a deterministic draw function.
-
-    `topic_fn(labels, rng)` must return (topic_ids, intensity_matrix) and be a
-    pure function of its arguments and the generator state.
-    """
+    """A label prior, and a topic draw given the labels."""
 
     label_prior: float
-    vocab_size: int
-    topic_fn: Callable[[np.ndarray, np.random.Generator],
-                       tuple[np.ndarray, np.ndarray]]
-    name: str = "parametric"
-    params: dict = field(default_factory=dict)
 
-    def draw_topics(self, n, rng):
-        labels = (rng.random(n) < self.label_prior).astype(np.int64)
-        topic_ids, intensities = self.topic_fn(labels, rng)
-        return labels, topic_ids, intensities
+    def draw_topics(self, labels: np.ndarray, rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Return (topic_ids, intensity_matrix), one row per label."""
+        ...
 
 
 def sample_documents(sampler: GenerativeSampler, n: int,
                      rng: np.random.Generator) -> DocumentBatch:
-    """Draw n documents: label, topic, then independent Poisson counts.
-
-    The labels and topics are those of `sampler.draw_topics(n, rng)`, which
-    consumes the stream first.
-    """
-    labels, topic_ids, intensities = sampler.draw_topics(n, rng)
+    """Draw n documents: label, topic given the label, then independent
+    Poisson counts, consuming the stream in that order."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    labels = (rng.random(n) < sampler.label_prior).astype(np.int64)
+    topic_ids, intensities = sampler.draw_topics(labels, rng)
     counts = rng.poisson(intensities)
     return DocumentBatch(counts=counts, labels=labels, topics=topic_ids)
 
@@ -333,8 +307,8 @@ SYNTHETIC_PARAMS = {"exp_rate": 3.0, "vocab_size": 500, "block_size": 7,
                     "doc_length": 1000.0, "label_prior": 0.5}
 
 
-def build_synthetic_model() -> ParametricSampler:
-    """Two-block synthetic benchmark sampler (constants in SYNTHETIC_PARAMS).
+class SyntheticModel:
+    """Two-block synthetic benchmark model (constants in SYNTHETIC_PARAMS).
 
     Label 0 always uses the fixed topic whose log-intensity profile is 1 on
     the first word block and 0 elsewhere.  Label 1 draws a topic strength
@@ -343,10 +317,14 @@ def build_synthetic_model() -> ParametricSampler:
     profile scaled to the expected document length, so every document has
     the same expected length regardless of topic.
     """
-    p = SYNTHETIC_PARAMS
-    vocab_size, block_size = p["vocab_size"], p["block_size"]
 
-    def topic_fn(labels, rng):
+    name = SYNTHETIC_PRESET
+    params = SYNTHETIC_PARAMS
+    label_prior = SYNTHETIC_PARAMS["label_prior"]
+
+    def draw_topics(self, labels, rng):
+        p = self.params
+        vocab_size, block_size = p["vocab_size"], p["block_size"]
         n = len(labels)
         tau = np.zeros(n)
         ones = labels == 1
@@ -363,6 +341,7 @@ def build_synthetic_model() -> ParametricSampler:
         np.divide(z, total, out=z)
         return tau, z
 
-    return ParametricSampler(
-        label_prior=p["label_prior"], vocab_size=vocab_size,
-        topic_fn=topic_fn, name=SYNTHETIC_PRESET, params=dict(p))
+
+def build_synthetic_model() -> SyntheticModel:
+    """The `synthetic-sec6` benchmark model."""
+    return SyntheticModel()

@@ -55,9 +55,11 @@ def sample_documents_multinomial(sampler: GenerativeSampler, n: int,
                                  rng: np.random.Generator) -> DocumentBatch:
     """Draw documents length-first: Poisson total length, then multinomial words.
 
-    Distributionally identical to `droplab.sample_documents`.
+    Distributionally identical to `droplab.sample_documents`, whose label
+    and topic draws it repeats.
     """
-    labels, topic_ids, intensities = sampler.draw_topics(n, rng)
+    labels = (rng.random(n) < sampler.label_prior).astype(np.int64)
+    topic_ids, intensities = sampler.draw_topics(labels, rng)
     totals = intensities.sum(axis=1)
     lengths = rng.poisson(totals)
     probs = intensities / totals[:, None]

@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from droplab import (DiscreteSampler, DropoutConfig, TrainConfig, make_rng,
-                     sample_documents)
+from droplab import DropoutConfig, TrainConfig, make_rng, sample_documents
 from droplab import experiments
 from droplab.presets import equal_length_models
 
@@ -32,8 +31,8 @@ def test_install_wraps_and_uninstall_restores():
     recorder.install()
     try:
         assert all(b.get() is not o for b, o in zip(bindings, originals))
-        train = sample_documents(DiscreteSampler(equal_length_models()[0]),
-                                 100, make_rng(1, "trace"))
+        train = sample_documents(equal_length_models()[0], 100,
+                                 make_rng(1, "trace"))
         cfg = TrainConfig(epochs=3, dropout=DropoutConfig(delta=0.5,
                                                           mc_replicates=1))
         experiments.fit_classifier(train, cfg)

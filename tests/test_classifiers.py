@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droplab import (DegenerateDataError, DiscreteSampler, DropoutConfig,
-                     EmptyDataError, LinearClassifier, TrainConfig,
-                     evaluate_error, make_rng, recalibrate_intercept,
-                     sample_documents, thin_counts, train_logistic,
-                     train_logistic_dropout, train_naive_bayes)
+from droplab import (DegenerateDataError, DropoutConfig, EmptyDataError,
+                     LinearClassifier, TrainConfig, evaluate_error, make_rng,
+                     recalibrate_intercept, sample_documents, thin_counts,
+                     train_logistic, train_logistic_dropout, train_naive_bayes)
 import droplab
 from droplab import classifiers
 from droplab.presets import two_word_intensity
@@ -33,10 +32,9 @@ def batch_from(counts, labels):
 def two_topic_sampler(lam0, lam1, prior=0.5):
     lam0 = np.asarray(lam0, dtype=float)
     lam1 = np.asarray(lam1, dtype=float)
-    model = TopicModel(label_prior=prior, vocab_size=len(lam0), topics=(
+    return TopicModel(label_prior=prior, vocab_size=len(lam0), topics=(
         Topic(id=0, rho0=1.0, rho1=0.0, intensity=lam0),
         Topic(id=1, rho0=0.0, rho1=1.0, intensity=lam1)))
-    return DiscreteSampler(model)
 
 
 class TestLinearClassifier:

@@ -109,6 +109,10 @@ class TestSample:
         doc = json.loads(out.read_text().strip().split("\n")[1])
         assert len(doc["counts"]) == 500
 
+    def test_negative_n_exits_1(self, capsys):
+        assert cli_dispatch(["sample", "--n", "-1"]) == 1
+        assert "n must be >= 0, got -1" in capsys.readouterr().err
+
     def test_missing_model_file_exits_1(self, capsys):
         assert cli_dispatch(["sample", "--model", "/nope.json"]) == 1
 
@@ -201,9 +205,22 @@ class TestTrainEval:
         assert err.startswith(f"error: {clf}: ") and f"key {key}" in err
 
     def test_train_requires_exactly_one_source(self, toy_corpus, capsys):
-        assert cli_dispatch(["train"]) == 1
-        assert cli_dispatch(["train", "--corpus", toy_corpus,
-                             "--docs", "x.jsonl"]) == 1
+        # train and eval alike, with neither source and with both
+        sources = ([], ["--corpus", toy_corpus, "--docs", "x.jsonl"])
+        for command in (["train"], ["eval", "--classifier", "clf.json"]):
+            for argv in sources:
+                assert cli_dispatch(command + argv) == 1
+                err = capsys.readouterr().err
+                assert "--corpus" in err and "--docs" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_smoothing_exits_1_by_name(self, value, toy_corpus, capsys):
+        assert cli_dispatch(["train", "--corpus", toy_corpus, "--delta", "1",
+                             f"--smoothing={value}"]) == 1
+        err = capsys.readouterr().err
+        assert "smoothing must be finite and >= 0" in err
+        assert "RuntimeWarning" not in err
 
     def test_divergent_step_exits_1_with_the_cause(self, toy_corpus, capsys):
         assert cli_dispatch(["train", "--corpus", toy_corpus, "--delta", "0.5",
@@ -357,11 +374,11 @@ class TestDocsProperties:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             try:
-                sampler = _load_sampler(path)
+                model = _load_sampler(path)
             except ValidationError as exc:
                 assert str(exc).startswith(f"{path}: ")
             else:
-                assert read_exactly(sampler.model.to_dict(), json.loads(text))
+                assert read_exactly(model.to_dict(), json.loads(text))
         finally:
             os.unlink(path)
 

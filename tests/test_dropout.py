@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.stats import chisquare
 
-from droplab import (DiscreteSampler, DropoutConfig, bayes_posterior,
-                     dropout_posterior, make_rng, sample_documents,
-                     thin_counts, thinned_model)
+from droplab import (DropoutConfig, bayes_posterior, dropout_posterior,
+                     make_rng, sample_documents, thin_counts, thinned_model)
 from droplab.dropout import Thinner, _bernoulli_positions
 from droplab.presets import (equal_length_models, two_word_intensity,
                              unequal_length_control)
@@ -193,7 +192,7 @@ class TestThinnedModel:
         model = unequal_length_control()
         delta = 0.5
         rng = make_rng(3, "thinned-posterior")
-        batch = sample_documents(DiscreteSampler(model), 1_000_000, rng)
+        batch = sample_documents(model, 1_000_000, rng)
         thinned = thin_counts(batch.counts, delta, rng)
         hit = thinned[:, 0] == 0
         mc = float(batch.labels[hit].mean())

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from droplab import (CurveSpec, DiscreteSampler, DropoutConfig, Topic,
-                     TopicModel, TrainConfig, bayes_posterior,
+from droplab import (CurveSpec, DropoutConfig, Topic, TopicModel,
+                     TrainConfig, bayes_posterior,
                      build_synthetic_model, curve_csv, curve_summary,
                      dropout_posterior, evaluate_error, fit_classifier,
                      make_rng, recalibrate_intercept, run_altitude_sweep,
@@ -102,8 +102,8 @@ class TestAltitudeSweep:
 class TestFitClassifier:
     @staticmethod
     def data():
-        return sample_documents(DiscreteSampler(equal_length_models()[0]),
-                                200, make_rng(3, "fit"))
+        return sample_documents(equal_length_models()[0], 200,
+                                make_rng(3, "fit"))
 
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
     def test_dispatches_by_delta_and_recalibrates(self, delta):
@@ -235,7 +235,7 @@ class TestLearningCurves:
                   intensity=np.array([300.0, 20.0, 5.0])),
             Topic(id=1, rho0=0.0, rho1=1.0,
                   intensity=np.array([280.0, 30.0, 5.0]))))
-        spec = tiny_spec(sampler=DiscreteSampler(model), n_grid=(200,),
+        spec = tiny_spec(sampler=model, n_grid=(200,),
                          delta_grid=(0.0,), trials=1, test_size=3_000)
         test = captured_test_sets(monkeypatch, spec, 1)[0]
         assert test.counts.dtype == np.uint16

@@ -5,8 +5,7 @@ import pytest
 from scipy import stats as sps
 from scipy.stats import chisquare
 
-from droplab import (DiscreteSampler, EnumerationTooLargeError,
-                     ParametricSampler, Topic, TopicModel,
+from droplab import (EnumerationTooLargeError, Topic, TopicModel,
                      UndefinedPosteriorError, bayes_error, bayes_posterior,
                      build_synthetic_model, make_rng, sample_documents)
 from droplab import topics
@@ -56,49 +55,85 @@ class TestModelValidation:
             assert np.array_equal(a.intensity, b.intensity)
 
 
+def draw_head(sampler, n, rng):
+    """The head of sample_documents: labels, then draw_topics."""
+    labels = (rng.random(n) < sampler.label_prior).astype(np.int64)
+    return (labels, *sampler.draw_topics(labels, rng))
+
+
+class FixedIntensitySampler:
+    """The smallest GenerativeSampler: one intensity row for every label."""
+
+    label_prior = 0.5
+
+    def __init__(self, intensity):
+        self.intensity = np.asarray(intensity, dtype=float)
+        self.seen = []
+
+    def draw_topics(self, labels, rng):
+        self.seen.append((labels.copy(), rng.bit_generator.state))
+        return (np.zeros(len(labels)),
+                np.tile(self.intensity, (len(labels), 1)))
+
+
 class TestSampling:
     def test_zero_intensity_coordinates_stay_zero(self):
         # Poisson(0) is identically zero
-        sampler = ParametricSampler(
-            label_prior=0.5, vocab_size=3,
-            topic_fn=lambda labels, rng: (
-                np.zeros(len(labels)),
-                np.tile([0.0, 0.0, 1.0], (len(labels), 1))))
+        sampler = FixedIntensitySampler([0.0, 0.0, 1.0])
         batch = sample_documents(sampler, 500, make_rng(0, "zeros"))
         assert np.all(batch.counts[:, :2] == 0)
 
+    def test_labels_are_drawn_before_topics(self):
+        # one uniform per document decides its label, then draw_topics sees
+        # the labels and the stream just past those uniforms
+        sampler = FixedIntensitySampler([1.0, 2.0])
+        batch = sample_documents(sampler, 300, make_rng(17, "order"))
+        rng = make_rng(17, "order")
+        labels = (rng.random(300) < sampler.label_prior).astype(np.int64)
+        (seen_labels, seen_state), = sampler.seen
+        assert np.array_equal(seen_labels, labels)
+        assert np.array_equal(batch.labels, labels)
+        assert seen_state == rng.bit_generator.state
+        assert np.array_equal(batch.counts,
+                              rng.poisson(np.tile([1.0, 2.0], (300, 1))))
+
+    def test_negative_n_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            sample_documents(single_topic_model([1.0]), -1, make_rng(0, "n"))
+        for sampler in (single_topic_model([1.0, 2.0]),
+                        build_synthetic_model()):
+            assert len(sample_documents(sampler, 0, make_rng(0, "n"))) == 0
+
     def test_poisson_mean_concentrates(self):
-        sampler = DiscreteSampler(single_topic_model([10.0]))
+        sampler = single_topic_model([10.0])
         batch = sample_documents(sampler, 100_000, make_rng(1, "mean"))
         tol = 3.0 * np.sqrt(10.0 / 100_000)
         assert abs(batch.counts[:, 0].mean() - 10.0) < tol
 
     def test_degenerate_mixture_ties_topic_to_label(self):
         model = two_class_model([3.0], [4.0])
-        batch = sample_documents(DiscreteSampler(model), 2_000,
-                                 make_rng(2, "degenerate"))
+        batch = sample_documents(model, 2_000, make_rng(2, "degenerate"))
         assert np.array_equal(batch.topics.astype(int), batch.labels)
 
     def test_single_document_has_consistent_length(self):
-        batch = sample_documents(
-            DiscreteSampler(single_topic_model([2.0, 3.0])), 1,
-            make_rng(3, "one"))
+        batch = sample_documents(single_topic_model([2.0, 3.0]), 1,
+                                 make_rng(3, "one"))
         assert batch.counts.shape == (1, 2)
 
     def test_multinomial_zero_probability_word(self):
-        sampler = DiscreteSampler(single_topic_model([0.0, 5.0]))
+        sampler = single_topic_model([0.0, 5.0])
         batch = sample_documents_multinomial(sampler, 1_000,
                                              make_rng(4, "multi"))
         assert np.all(batch.counts[:, 0] == 0)
 
     def test_multinomial_single_document(self):
-        sampler = DiscreteSampler(single_topic_model([2.0, 3.0]))
+        sampler = single_topic_model([2.0, 3.0])
         batch = sample_documents_multinomial(sampler, 1,
                                              make_rng(4, "multi-one"))
         assert batch.counts.shape == (1, 2)
 
     def test_multinomial_document_lengths_are_poisson(self):
-        sampler = DiscreteSampler(single_topic_model([1.0, 1.0, 1.0]))
+        sampler = single_topic_model([1.0, 1.0, 1.0])
         batch = sample_documents_multinomial(sampler, 100_000,
                                              make_rng(5, "lengths"))
         top = 15
@@ -119,7 +154,7 @@ class TestSampling:
         return np.bincount(flat, minlength=(top + 1) ** 2 + 1).astype(float)
 
     def test_two_samplers_agree_single_topic(self):
-        sampler = DiscreteSampler(single_topic_model([2.0, 3.0]))
+        sampler = single_topic_model([2.0, 3.0])
         a = sample_documents(sampler, 100_000, make_rng(6, "independent"))
         b = sample_documents_multinomial(sampler, 100_000,
                                          make_rng(6, "lengthfirst"))
@@ -128,7 +163,7 @@ class TestSampling:
         assert p > 0.001
 
     def test_two_samplers_agree_mixture_model(self):
-        sampler = DiscreteSampler(two_class_model([2.0, 1.0], [1.0, 2.0]))
+        sampler = two_class_model([2.0, 1.0], [1.0, 2.0])
         a = sample_documents(sampler, 100_000, make_rng(7, "independent"))
         b = sample_documents_multinomial(sampler, 100_000,
                                          make_rng(7, "lengthfirst"))
@@ -243,8 +278,7 @@ class TestBayesError:
         model = unequal_length_control()  # intensities 1 and 2 on one word
         exact = bayes_error(model, max_total_count=30)
         assert exact.truncation_mass < 1e-9
-        batch = sample_documents(DiscreteSampler(model), 1_000_000,
-                                 make_rng(9, "bayes-mc"))
+        batch = sample_documents(model, 1_000_000, make_rng(9, "bayes-mc"))
         top = int(batch.counts.max())
         rule = np.array([bayes_posterior(model, np.array([v])) > 0.5
                          for v in range(top + 1)])
@@ -277,19 +311,19 @@ class TestBayesError:
 
 
 class TestSyntheticBenchmark:
-    # labels, topics and intensities come from draw_topics, which
-    # sample_documents calls first on the same stream
+    # labels, topics and intensities come from the head of sample_documents:
+    # the label draw, then draw_topics, on the same stream
     def test_intensities_sum_to_document_length(self):
         sampler = build_synthetic_model()
-        _, _, intensities = sampler.draw_topics(1_000, make_rng(10, "sums"))
+        _, _, intensities = draw_head(sampler, 1_000, make_rng(10, "sums"))
         sums = intensities.sum(axis=1)
         assert np.all(np.abs(sums - 1000.0) < 1e-9)
 
     def test_intensities_match_softmax_reference(self):
         # the sampler computes its softmax in place; same values bit for bit
         sampler = build_synthetic_model()
-        labels, topics, intensities = sampler.draw_topics(
-            1_000, make_rng(15, "softmax"))
+        labels, topics, intensities = draw_head(sampler, 1_000,
+                                                make_rng(15, "softmax"))
         theta = np.zeros((1_000, 500))
         ones = labels == 1
         theta[~ones, :7] = 1.0
@@ -300,7 +334,7 @@ class TestSyntheticBenchmark:
 
     def test_draw_topics_is_the_head_of_sample_documents(self):
         sampler = build_synthetic_model()
-        labels, topics, _ = sampler.draw_topics(500, make_rng(16, "head"))
+        labels, topics, _ = draw_head(sampler, 500, make_rng(16, "head"))
         batch = sample_documents(sampler, 500, make_rng(16, "head"))
         assert np.array_equal(batch.labels, labels)
         assert np.array_equal(batch.topics, topics)
@@ -313,8 +347,8 @@ class TestSyntheticBenchmark:
 
     def test_label0_block_structure(self):
         sampler = build_synthetic_model()
-        labels, _, intensities = sampler.draw_topics(
-            2_000, make_rng(11, "blocks"))
+        labels, _, intensities = draw_head(sampler, 2_000,
+                                           make_rng(11, "blocks"))
         rows = intensities[labels == 0]
         block = rows[:, :7]
         background = rows[:, 14:]
@@ -325,19 +359,19 @@ class TestSyntheticBenchmark:
 
     def test_background_words_identical_for_label1(self):
         sampler = build_synthetic_model()
-        labels, _, intensities = sampler.draw_topics(2_000, make_rng(12, "bg"))
+        labels, _, intensities = draw_head(sampler, 2_000, make_rng(12, "bg"))
         rows = intensities[labels == 1]
         assert np.all(np.ptp(rows[:, 14:], axis=1) == 0.0)
 
     def test_label_frequency(self):
         sampler = build_synthetic_model()
-        labels, _, _ = sampler.draw_topics(100_000, make_rng(13, "labels"))
+        labels, _, _ = draw_head(sampler, 100_000, make_rng(13, "labels"))
         tol = 3.0 * np.sqrt(0.25 / 100_000)
         assert abs(labels.mean() - 0.5) < tol
 
     def test_topic_strength_distribution_is_exponential(self):
         sampler = build_synthetic_model()
-        labels, topics, _ = sampler.draw_topics(200_000, make_rng(14, "tau"))
+        labels, topics, _ = draw_head(sampler, 200_000, make_rng(14, "tau"))
         tau = topics[labels == 1]
         assert abs(tau.mean() - 1.0 / 3.0) < 3.0 * (1.0 / 3.0) / np.sqrt(len(tau))
 

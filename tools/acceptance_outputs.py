@@ -23,6 +23,7 @@ COMMANDS = {
               "--test-size 3000 --epochs 50 --out curves",
     "verify": "verify --suite all --mc 20000 --out verify.json",
     "sample": "sample --model model.json --n 200 --seed 3 --out docs.jsonl",
+    "sample-synthetic": "sample --n 50 --seed 5 --out synthetic.jsonl",
     **{f"train-{d}": f"train --docs docs.jsonl --delta {d} --out clf-{d}.json"
        for d in DELTAS},
     **{f"eval-{d}": f"eval --classifier clf-{d}.json --docs docs.jsonl "
