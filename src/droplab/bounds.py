@@ -21,7 +21,7 @@ from .topics import TopicModel
 
 BERRY_ESSEEN_CONSTANT = 4.0
 _DKW_CONFIDENCE = 0.999      # of the sampling slack in berry_esseen_check
-_CHUNK = 1_000_000           # simulated scores per Poisson draw
+_CHUNK = 65_536              # simulated scores per Poisson draw
 _RANK_TOL = 1e-12            # relative eigenvalue floor of the Gram matrix
 
 
@@ -76,11 +76,12 @@ def berry_esseen_check(weights: np.ndarray, intensity: np.ndarray,
     mu, var = score_moments(w, lam)
     be = berry_esseen_statistic(w, lam)
     sigma = np.sqrt(var)
+    # row chunks of one generator draw the same counts as a single call
     scores = np.empty(n_samples)
     for start in range(0, n_samples, _CHUNK):
         b = min(_CHUNK, n_samples - start)
-        counts = rng.poisson(lam, size=(b, len(lam)))
-        scores[start:start + b] = counts @ w
+        np.matmul(rng.poisson(lam, size=(b, len(lam))), w,
+                  out=scores[start:start + b])
     dist = kolmogorov_distance(scores, lambda s: normal_cdf((s - mu) / sigma))
     return BerryEsseenReport(
         sup_distance=dist,

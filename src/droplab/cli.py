@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .corpus import SplitSpec, corpus_from_text, load_corpus
 from .dropout import DropoutConfig
 from .experiments import (VERSION, CurveSpec, curve_csv, curve_summary,
                           fit_classifier, run_influence_demo,
-                          run_learning_curves)
+                          run_learning_curves, usable_cpus)
 from .streams import make_rng
 from .topics import (DocumentBatch, SYNTHETIC_PRESET, TopicModel,
                      build_synthetic_model, sample_documents)
@@ -76,8 +75,10 @@ def _cmd_sample(args) -> int:
     sampler = _load_sampler(args.model)
     rng = make_rng(args.seed, "cli-sample")
     batch = sample_documents(sampler, args.n, rng)
+    model = (sampler.to_dict() if isinstance(sampler, TopicModel)
+             else args.model)
     lines = ["# " + serialize.dumps(_meta(args, command="sample",
-                                          model=args.model, n=args.n))]
+                                          model=model, n=args.n))]
     for i in range(len(batch)):
         lines.append(serialize.dumps({
             "counts": batch.counts[i].tolist(),
@@ -133,10 +134,12 @@ def _read_docs_jsonl(path: str) -> DocumentBatch:
 def _cmd_train(args) -> int:
     vocabulary = None
     if args.corpus is not None:
-        split = SplitSpec(seed=args.seed, train_fraction=None,
-                          train_size=args.train_size) \
-            if args.train_size else SplitSpec(seed=args.seed,
-                                              train_fraction=args.train_frac)
+        sized = args.train_size is not None
+        if sized and args.train_size < 1:
+            raise ValidationError(
+                f"--train-size must be >= 1, got {args.train_size}")
+        split = SplitSpec(seed=args.seed, train_size=args.train_size,
+                          train_fraction=None if sized else args.train_frac)
         train, heldout, vocabulary = load_corpus(args.corpus, split)
     else:
         train = _read_docs_jsonl(args.docs)
@@ -247,11 +250,9 @@ def _float_list(text: str) -> list[float]:
 
 
 def _default_threads() -> int:
-    # the CPUs this process may run on, not the machine's; each sampling
-    # thread holds one test-set block (about 65 MB) while it works
-    if hasattr(os, "sched_getaffinity"):
-        return min(8, len(os.sched_getaffinity(0)))
-    return min(8, os.cpu_count() or 1)
+    # each sampling thread holds one test-set block (about 65 MB) while it
+    # works, hence the cap
+    return min(8, usable_cpus())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -167,6 +167,8 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
                                 minlength=model.n_topics).astype(np.int64)
         clf_err += int(np.count_nonzero(pred_raw != batch.labels))
         clf_err_thin += int(np.count_nonzero(pred_thin != batch.labels))
+        # free this chunk before the next one is sampled
+        del batch, thinned, idx, pred_raw, pred_thin, cvec
 
     per_topic = []
     for i, topic in enumerate(model.topics):

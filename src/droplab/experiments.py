@@ -12,6 +12,7 @@ and the trainers do not).
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -26,7 +27,8 @@ from .classifiers import (LinearClassifier, TrainConfig, error_by_topic,
                           train_logistic, train_logistic_dropout,
                           train_naive_bayes)
 from .diagnostics import berry_esseen_statistic, score_moments
-from .dropout import DropoutConfig, dropout_posterior, thin_counts
+from .dropout import DropoutConfig, Thinner, dropout_posterior
+from .dropout import thin_counts  # noqa: F401  (bench/spans.py times this name)
 from .streams import make_rng, seed_fingerprint
 from .topics import (DocumentBatch, GenerativeSampler, Topic, TopicModel,
                      bayes_posterior, enumerate_counts, sample_documents)
@@ -37,6 +39,7 @@ _CELL_TAG = "curve-cell"
 _TEST_TAG = "curve-test"
 _TEST_BLOCK_ROWS = 8_192    # test-set rows per sampling block and stream
 _SWEEP_CHUNK = 1_000_000    # sweep documents per Poisson draw
+_SWEEP_ROWS = 65_536        # sweep documents thinned and scored at a time
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,17 @@ class CurveSpec:
             raise ValueError("delta values must lie in [0, 1]")
 
     def describe(self) -> dict:
-        name = self.sampler_name or getattr(self.sampler, "name", "custom")
+        # a model from a file is written out whole, so the header alone
+        # reproduces the run; a preset is its name and parameters
+        if isinstance(self.sampler, TopicModel):
+            model = {"model": self.sampler.to_dict()}
+        else:
+            model = {"model": self.sampler_name
+                     or getattr(self.sampler, "name", "custom"),
+                     "model_params": dict(getattr(self.sampler, "params",
+                                                  {}))}
         return {
-            "model": name,
-            "model_params": dict(getattr(self.sampler, "params", {})),
+            **model,
             "n_grid": list(self.n_grid),
             "delta_grid": list(self.delta_grid),
             "trials": self.trials,
@@ -167,6 +177,14 @@ def _join_blocks(blocks) -> DocumentBatch:
     return DocumentBatch(counts=np.concatenate([d.counts for d in docs]),
                          labels=np.concatenate([d.labels for d in docs]),
                          topics=np.concatenate([d.topics for d in docs]))
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask), not the
+    machine's; the CPU count where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
@@ -344,9 +362,13 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
         for start in range(0, mc_budget, _SWEEP_CHUNK):
             b = min(_SWEEP_CHUNK, mc_budget - start)
             counts = rng.poisson(lam, size=(b, len(lam)))
-            thinned = thin_counts(counts, cfg.delta, rng)
-            wrong += int(np.count_nonzero(counts @ w <= 0.0))
-            wrong_thin += int(np.count_nonzero(thinned @ w <= 0.0))
+            # the kernel is chosen from the whole chunk, as one draw would
+            thinned = Thinner(counts, cfg.delta).draw_rows(rng, _SWEEP_ROWS)
+            for row, thin in zip(range(0, b, _SWEEP_ROWS), thinned):
+                raw = counts[row:row + _SWEEP_ROWS]
+                wrong += int(np.count_nonzero(raw @ w <= 0.0))
+                wrong_thin += int(np.count_nonzero(thin @ w <= 0.0))
+            del counts, thinned, raw, thin  # before the next chunk is drawn
         eps = wrong / mc_budget
         eps_thin = wrong_thin / mc_budget
         g_eps, g_eps_thin = gaussian_error_estimate(w, lam, cfg.delta)

@@ -1,6 +1,9 @@
 """Small statistical helpers used by the verification suites: the
 one-sample Kolmogorov statistic, the DKW confidence slack and the standard
 error of a Monte Carlo proportion.
+
+The Kolmogorov statistic calls the reference CDF once per distinct sample
+value: a few hundred calls for 10^6 Poisson scores with integer weights.
 """
 
 from __future__ import annotations
@@ -11,16 +14,20 @@ import numpy as np
 def kolmogorov_distance(samples: np.ndarray, cdf) -> float:
     """sup_x |F_n(x) - F(x)| for a continuous reference CDF.
 
-    Uses both one-sided gaps at the sorted sample points.
+    Uses both one-sided gaps at the distinct sorted sample values: within a
+    run of tied values the gap above F peaks at the run's last index and the
+    gap below F at its first, so the result equals the per-sample formula
+    bit for bit.
     """
-    s = np.sort(np.asarray(samples, dtype=float))
-    n = len(s)
+    s = np.asarray(samples, dtype=float)
+    n = s.size
     if n == 0:
         raise ValueError("empty sample")
-    f = cdf(s)
-    i = np.arange(1, n + 1, dtype=float)
-    d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1.0) / n)
+    values, ties = np.unique(s, return_counts=True)
+    f = cdf(values)
+    above = np.cumsum(ties)          # samples <= each distinct value
+    d_plus = np.max(above / n - f)
+    d_minus = np.max(f - (above - ties) / n)
     return float(max(d_plus, d_minus))
 
 

@@ -1,15 +1,26 @@
 """Verification suites: each one checks an analytical claim against Monte
 Carlo measurement or exact evaluation and emits check records for the CLI's
-JSON report."""
+JSON report.
+
+Each suite draws only from its own `make_rng(seed, tag, k)` streams, so the
+suites run concurrently: the calling thread runs the longest one and a pool
+of one thread per further usable CPU runs the rest, longest first
+(`rng.poisson` and `rng.binomial` release the GIL).  The report lists the
+checks in `VERIFY_SUITES` order, so its bytes do not depend on the number of
+CPUs.
+"""
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .bounds import berry_esseen_check, gaussian_tail_check, margin_condition
 from .classifiers import LinearClassifier
 from .diagnostics import excess_risk_decomposition
-from .experiments import VERSION, run_altitude_sweep, run_bias_check
+from .experiments import (VERSION, run_altitude_sweep, run_bias_check,
+                          usable_cpus)
 from .presets import (berry_esseen_suite, default_sweep_configs,
                       equal_length_models, orthogonal_topic_model,
                       unequal_length_control)
@@ -150,6 +161,9 @@ _SUITE_RUNNERS = {
     "margin": run_margin_suite,
 }
 VERIFY_SUITES = tuple(_SUITE_RUNNERS)
+# longest first, by run time at --mc 1000000 on a 2-vCPU host: margin 2.1 s,
+# altitude 1.2 s, berry-esseen 0.6 s, bias 0.01 s, tails less
+_LONGEST_FIRST = ("margin", "altitude", "berry-esseen", "bias", "tails")
 
 
 def run_verification(suite: str = "all", mc: int = 1_000_000,
@@ -166,9 +180,26 @@ def run_verification(suite: str = "all", mc: int = 1_000_000,
     else:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {', '.join(VERIFY_SUITES)} or all")
-    checks = []
-    for name in names:
-        checks.extend(_SUITE_RUNNERS[name](seed=seed, mc=mc))
+
+    def run(name):
+        return _SUITE_RUNNERS[name](seed=seed, mc=mc)
+
+    order = sorted(names, key=_LONGEST_FIRST.index)
+    workers = min(len(names), usable_cpus()) - 1
+    if workers < 1:
+        found = {name: run(name) for name in order}
+    else:
+        # the calling thread runs the longest suite itself: memory a pool
+        # thread frees stays in that thread's malloc arena, out of reach of
+        # whatever the calling thread allocates next
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            later = {name: pool.submit(run, name) for name in order[1:]}
+            found = {order[0]: run(order[0])}
+            found.update((name, f.result()) for name, f in later.items())
+        finally:
+            pool.shutdown(cancel_futures=True)
+    checks = [c for name in names for c in found[name]]
     return {
         "meta": {"version": VERSION,
                  "config": {"suite": suite, "mc": mc, "seed": seed}},

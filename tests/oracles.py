@@ -1,11 +1,14 @@
 """Reference implementations and statistical tests that only the test suite
 uses: bin pooling for chi-square tests (goodness of fit runs
 `scipy.stats.chisquare(*pool_bins(...))`), a pooled two-sample chi-square
-test, the length-first multinomial document sampler and an exhaustive
-zero-one empirical risk minimizer for d <= 3.
+test, the per-sample Kolmogorov statistic, the length-first multinomial
+document sampler, an exhaustive zero-one empirical risk minimizer for
+d <= 3, and the tracemalloc peak of a call.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 from scipy.stats import chi2_contingency
@@ -49,6 +52,28 @@ def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
     a_p, ab_p = pool_bins(a, a + np.asarray(counts_b, dtype=float), 10.0)
     res = chi2_contingency(np.stack([a_p, ab_p - a_p]), correction=False)
     return float(res.statistic), float(res.pvalue)
+
+
+def kolmogorov_distance_sorted(samples, cdf) -> float:
+    """sup_x |F_n(x) - F(x)| from both one-sided gaps at every sorted sample,
+    ties included: the formula `droplab.stats.kolmogorov_distance` must
+    match bit for bit."""
+    s = np.sort(np.asarray(samples, dtype=float))
+    n = len(s)
+    f = cdf(s)
+    i = np.arange(1, n + 1, dtype=float)
+    return float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak traced allocation, in MiB, while fn() runs (numpy reports its
+    array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def sample_documents_multinomial(sampler: GenerativeSampler, n: int,

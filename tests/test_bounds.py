@@ -7,7 +7,9 @@ from droplab import (BERRY_ESSEEN_CONSTANT, RankDeficientError,
                      altitude_error_bound, berry_esseen_check,
                      gaussian_error_estimate, gaussian_tail_check, make_rng,
                      margin_condition, normal_cdf)
-from droplab.presets import orthogonal_topic_model, two_word_intensity
+from droplab.presets import (berry_esseen_suite, orthogonal_topic_model,
+                             two_word_intensity)
+from oracles import kolmogorov_distance_sorted, traced_peak_mib
 
 # frozen with 30-digit arithmetic
 PHI_M1 = 0.15865525393145705
@@ -83,6 +85,24 @@ class TestBerryEsseenCheck:
         rep = berry_esseen_check([1.0, -1.0], two_word_intensity(2.5, 10.0),
                                  100_000, make_rng(1, "be2"))
         assert rep.passed
+
+    def test_chunked_scores_equal_one_draw(self):
+        # 150,000 rows span three Poisson chunks, the last one ragged; the
+        # distance must be that of one draw of every row on the same stream
+        w, lam = berry_esseen_suite()[3]
+        rep = berry_esseen_check(w, lam, 150_000, make_rng(5, "be-chunks"))
+        scores = make_rng(5, "be-chunks").poisson(lam, (150_000, 3)) @ w
+        mu, sd = lam @ w, np.sqrt(lam @ (w * w))
+        assert rep.sup_distance == kolmogorov_distance_sorted(
+            scores, lambda s: normal_cdf((s - mu) / sd))
+
+    def test_peak_memory_at_a_million_samples(self):
+        # 8 MB of scores plus one chunk of counts; drawing every row at
+        # once takes 68.7 MiB
+        w, lam = berry_esseen_suite()[3]
+        peak = traced_peak_mib(lambda: berry_esseen_check(
+            w, lam, 1_000_000, make_rng(1, "be-memory")))
+        assert peak <= 25.0
 
     def test_zero_variance_rejected(self):
         from droplab import ZeroVarianceError

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import droplab
+from droplab import verify
 from droplab.cli import (ValidationError, _default_threads, _float_list,
                          _int_list, _load_sampler, _read_docs_jsonl,
                          cli_dispatch)
+from droplab.experiments import usable_cpus
 from droplab.serialize import dumps
 from droplab.topics import Topic, TopicModel
 from droplab.verify import VERIFY_SUITES, run_verification
@@ -100,6 +103,15 @@ class TestSample:
         docs = [json.loads(l) for l in lines[1:]]
         assert len(docs) == 20
         assert all(d["length"] == sum(d["counts"]) for d in docs)
+
+    def test_header_carries_the_model_file(self, model_json, tmp_path):
+        out = tmp_path / "docs.jsonl"
+        assert cli_dispatch(["sample", "--model", model_json, "--n", "3",
+                             "--out", str(out)]) == 0
+        header = json.loads(out.read_text().split("\n")[0][2:])
+        doc = header["config"]["model"]
+        assert TopicModel.from_dict(doc).to_dict() == doc
+        assert doc == json.loads(Path(model_json).read_text())
 
     def test_preset_model(self, tmp_path):
         out = tmp_path / "docs.jsonl"
@@ -212,6 +224,17 @@ class TestTrainEval:
                 assert cli_dispatch(command + argv) == 1
                 err = capsys.readouterr().err
                 assert "--corpus" in err and "--docs" in err
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_train_size_below_one_exits_1(self, size, toy_corpus, tmp_path,
+                                          capsys):
+        # 0 must not fall back to --train-frac
+        out = tmp_path / "clf.json"
+        assert cli_dispatch(["train", "--corpus", toy_corpus,
+                             "--train-size", size, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: --train-size must be >= 1, got {size}\n"
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -443,9 +466,26 @@ class TestCurves:
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(32)))
         assert _default_threads() == 8
+        assert usable_cpus() == 32
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert _default_threads() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _default_threads() == usable_cpus() == 1
+
+    def test_header_carries_the_model_file(self, model_json, tmp_path):
+        out = tmp_path / "c"
+        assert cli_dispatch(["curves", "--model", model_json, "--n-grid", "20",
+                             "--delta-grid", "1", "--trials", "1",
+                             "--test-size", "50", "--out", str(out)]) == 0
+        line = (out / "curves.csv").read_text().split("\n")[1]
+        config = json.loads(line[len("# config: "):])
+        assert "model_params" not in config
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["meta"]["config"] == config
+        doc = config["model"]
+        assert TopicModel.from_dict(doc).to_dict() == doc
+        assert doc == json.loads(Path(model_json).read_text())
 
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "c"
@@ -522,13 +562,87 @@ class TestVerify:
             run_verification("all", mc=mc, seed=seed)
 
 
-def run_python(*args) -> subprocess.CompletedProcess:
+def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this droplab."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(droplab.__file__).parents[1])]
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          **kwargs)
+
+
+class TestVerifyConcurrency:
+    def test_report_does_not_depend_on_cpu_count(self, monkeypatch):
+        reports = []
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            reports.append(dumps(run_verification("all", mc=20_000, seed=3),
+                                 indent=2))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("cpus, pooled", [
+        (1, set()),
+        (2, {"altitude", "berry-esseen", "bias", "tails"}),
+        (4, {"altitude", "berry-esseen", "bias", "tails"}),
+    ])
+    def test_calling_thread_runs_the_longest_suite(self, cpus, pooled,
+                                                   monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        threads = {}
+
+        def recorder(name):
+            def run(seed, mc):
+                threads[name] = threading.get_ident()
+                return [{"suite": name, "passed": True}]
+            return run
+
+        for name in VERIFY_SUITES:
+            monkeypatch.setitem(verify._SUITE_RUNNERS, name, recorder(name))
+        report = run_verification("all", mc=1, seed=0)
+        assert [c["suite"] for c in report["checks"]] == list(VERIFY_SUITES)
+        main = threading.get_ident()
+        assert threads["margin"] == main
+        assert {n for n, t in threads.items() if t != main} == pooled
+
+    def test_pool_suite_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        raised_on = []
+
+        def broken(seed, mc):
+            raised_on.append(threading.get_ident())
+            raise RuntimeError("altitude broke")
+
+        monkeypatch.setitem(verify._SUITE_RUNNERS, "altitude", broken)
+        outcome = []
+
+        def call():
+            try:
+                run_verification("all", mc=2_000, seed=1)
+            except RuntimeError as exc:
+                outcome.append(str(exc))
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "run_verification hung"
+        assert outcome == ["altitude broke"]
+        assert raised_on and raised_on[0] != caller.ident
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs and sched_setaffinity")
+    def test_cli_report_same_on_one_cpu(self):
+        one = min(os.sched_getaffinity(0))
+        args = ("-m", "droplab", "verify", "--suite", "all", "--mc", "20000")
+        pinned = run_python(*args, preexec_fn=lambda: os.sched_setaffinity(
+            0, {one}))
+        free = run_python(*args)
+        assert pinned.returncode == free.returncode == 0, pinned.stderr
+        assert pinned.stdout == free.stdout
 
 
 def test_module_entry_point_runs_the_cli():

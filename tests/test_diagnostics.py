@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from droplab import (LinearClassifier, ZeroVarianceError, balance_coefficient,
                      berry_esseen_statistic, excess_risk_decomposition,
-                     make_rng, model_diagnostics, score_moments)
+                     make_rng, margin_condition, model_diagnostics,
+                     score_moments)
 from droplab.presets import (equal_length_models, orthogonal_topic_model,
                              two_word_intensity, unequal_length_control)
 from droplab.topics import Topic, TopicModel
+from oracles import traced_peak_mib
 
 
 class TestScoreMoments:
@@ -118,6 +120,16 @@ class TestExcessRiskDecomposition:
                                              f"got {budget}"):
             excess_risk_decomposition(equal_length_models()[0], clf, 0.5,
                                       budget, make_rng(0, "decomp-budget"))
+
+    def test_peak_memory_at_a_million_documents(self):
+        # one 200,000-document chunk alive at a time; keeping the previous
+        # chunk while sampling the next takes 48.9 MiB
+        # the margin suite's longest model and separator
+        model = orthogonal_topic_model(1600.0)
+        clf = LinearClassifier(weights=margin_condition(model, 0.5).separator)
+        peak = traced_peak_mib(lambda: excess_risk_decomposition(
+            model, clf, 0.5, 1_000_000, make_rng(2, "decomp-memory")))
+        assert peak <= 35.0
 
     def test_pure_topic_error_decomposes_exactly(self):
         # with pure topics the error is the topic-weighted sub-optimal rate

@@ -9,13 +9,14 @@ from droplab import (CurveSpec, DropoutConfig, Topic, TopicModel,
                      dropout_posterior, evaluate_error, fit_classifier,
                      make_rng, recalibrate_intercept, run_altitude_sweep,
                      run_bias_check, run_influence_demo, run_learning_curves,
-                     sample_documents, train_logistic, train_logistic_dropout,
-                     train_naive_bayes)
+                     sample_documents, thin_counts, train_logistic,
+                     train_logistic_dropout, train_naive_bayes)
 from droplab import experiments
 from droplab.experiments import (CurveResult, SweepConfig,
                                  influence_demo_model)
 from droplab.presets import (default_sweep_configs, equal_length_models,
                              two_word_intensity, unequal_length_control)
+from oracles import traced_peak_mib
 
 UNEQUAL_CONTROL_GAP = 0.10859924742815032  # posterior shift at count 0
 
@@ -91,6 +92,27 @@ class TestAltitudeSweep:
         assert scaled.bound.be_stat < base.bound.be_stat
         assert scaled.eps < base.eps
         assert scaled.bound_holds and base.bound_holds
+
+    @pytest.mark.parametrize("intensity", [two_word_intensity(2.5, 10.0),
+                                           (0.8, 0.2)])
+    def test_row_blocks_equal_one_draw(self, intensity):
+        # 150,000 documents: three thinning blocks, the last one ragged.  At
+        # (0.8, 0.2) the whole chunk picks the occurrence kernel.
+        cfg = SweepConfig(weights=(1.0, -1.0), intensity=intensity, delta=0.5)
+        res = run_altitude_sweep([cfg], mc_budget=150_000, master_seed=6)[0]
+        rng = make_rng(6, "altitude-sweep", 0)
+        counts = rng.poisson(intensity, size=(150_000, 2))
+        thinned = thin_counts(counts, 0.5, rng)
+        w = np.array(cfg.weights)
+        assert res.eps == np.count_nonzero(counts @ w <= 0) / 150_000
+        assert res.eps_thinned == np.count_nonzero(thinned @ w <= 0) / 150_000
+
+    def test_peak_memory_at_a_million_documents(self):
+        # the 16 MB chunk of counts plus one block at a time; thinning and
+        # scoring the whole chunk at once takes 53.4 MiB
+        peak = traced_peak_mib(lambda: run_altitude_sweep(
+            default_sweep_configs()[:1], mc_budget=1_000_000, master_seed=3))
+        assert peak <= 25.0
 
     def test_positive_mean_required(self):
         cfg = SweepConfig(weights=(1.0, -1.0), intensity=(1.0, 5.0),

@@ -4,7 +4,7 @@ from scipy import stats as sps
 from scipy.stats import chisquare
 
 from droplab.stats import binomial_se, dkw_slack, kolmogorov_distance
-from oracles import chi_square_two_sample, pool_bins
+from oracles import chi_square_two_sample, kolmogorov_distance_sorted, pool_bins
 
 
 def _poisson_histogram(lam, draws, rng, top):
@@ -61,6 +61,32 @@ def test_kolmogorov_distance_matches_scipy():
     ours = kolmogorov_distance(x, sps.norm.cdf)
     theirs = sps.kstest(x, "norm").statistic
     assert ours == pytest.approx(theirs, abs=1e-12)
+
+
+@pytest.mark.parametrize("weights, lam", [
+    ([1.0], [4.0]),                          # 1e5 draws on a few dozen values
+    ([3.0, 1.0, -2.0], [50.0, 100.0, 30.0]),  # the 3-word Berry-Esseen score
+    ([1.0, -1.0], [0.3, 0.1]),               # mostly zeros
+])
+def test_kolmogorov_distance_on_lattice_ties_is_bit_exact(weights, lam):
+    # every distinct value is hit many times; the distinct-value formula must
+    # equal the per-sample one bit for bit, not just approximately
+    rng = np.random.default_rng(17)
+    x = rng.poisson(lam, size=(100_000, len(lam))) @ np.array(weights)
+    assert len(np.unique(x)) < len(x) // 50
+    mu, sd = float(np.mean(x)), float(np.std(x))
+
+    def cdf(s):
+        return sps.norm.cdf((s - mu) / sd)
+
+    assert kolmogorov_distance(x, cdf) == kolmogorov_distance_sorted(x, cdf)
+
+
+def test_kolmogorov_distance_single_value():
+    # one run of ties: d+ = 1 - F(v), d- = F(v)
+    x = np.full(1_000, 2.0)
+    assert kolmogorov_distance(x, lambda s: np.full(len(s), 0.25)) == 0.75
+    assert kolmogorov_distance(x, lambda s: np.full(len(s), 0.9)) == 0.9
 
 
 def test_kolmogorov_distance_empty_rejected():
