@@ -8,10 +8,9 @@ posterior preservation under thinning, and topic-margin separability.
 """
 
 from .bounds import (BERRY_ESSEEN_CONSTANT, BerryEsseenReport, BoundReport,
-                     MarginReport, RankDeficientError, TailCheckReport,
-                     altitude_error_bound, berry_esseen_check,
-                     gaussian_error_estimate, gaussian_tail_check,
-                     margin_condition, normal_cdf)
+                     MarginReport, RankDeficientError, altitude_error_bound,
+                     berry_esseen_check, gaussian_error_estimate,
+                     gaussian_tail_check, margin_condition, normal_cdf)
 from .classifiers import (DegenerateDataError, EmptyDataError,
                           LinearClassifier, TrainConfig, error_by_topic,
                           evaluate_error, recalibrate_intercept,
@@ -19,11 +18,9 @@ from .classifiers import (DegenerateDataError, EmptyDataError,
                           train_naive_bayes)
 from .corpus import (EmptyClassError, MalformedLineError, SplitSpec,
                      load_corpus, tokenize)
-from .diagnostics import (ModelDiagnostics, RiskDecomposition,
-                          TopicDiagnostics, ZeroVarianceError,
-                          balance_coefficient, berry_esseen_statistic,
-                          excess_risk_decomposition, model_diagnostics,
-                          score_moments)
+from .diagnostics import (RiskDecomposition, TopicDiagnostics,
+                          ZeroVarianceError, berry_esseen_statistic,
+                          excess_risk_decomposition, score_moments)
 from .dropout import (DropoutConfig, dropout_posterior, thin_counts,
                       thinned_model)
 from .experiments import VERSION as __version__

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .diagnostics import berry_esseen_statistic, model_diagnostics, score_moments
+from .diagnostics import berry_esseen_statistic, score_moments
 from .stats import dkw_slack, kolmogorov_distance
 from .topics import TopicModel
 
@@ -102,7 +102,6 @@ class BoundReport:
     delta: float
     eps_thinned: float
     be_stat: float
-    constant: float
     inflated: float
     vacuous: bool
     value: float
@@ -133,8 +132,7 @@ def altitude_error_bound(eps_thinned: float, be_stat: float,
         log_factor = np.sqrt(-np.log(inflated)) ** ratio
         value = float(coeff * log_factor * inflated ** expo + c * root)
     return BoundReport(delta=delta, eps_thinned=eps_thinned, be_stat=be_stat,
-                       constant=c, inflated=inflated, vacuous=vacuous,
-                       value=value)
+                       inflated=inflated, vacuous=vacuous, value=value)
 
 
 @dataclass(frozen=True)
@@ -149,16 +147,7 @@ class TailBound:
         return self.lower < self.middle < self.upper
 
 
-@dataclass(frozen=True)
-class TailCheckReport:
-    entries: tuple[TailBound, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(e.strict for e in self.entries)
-
-
-def gaussian_tail_check(t_grid) -> TailCheckReport:
+def gaussian_tail_check(t_grid) -> tuple[TailBound, ...]:
     """Verify t/(t^2+1) < sqrt(2 pi) e^{t^2/2} Phi(-t) < 1/t on a grid of t > 0."""
     entries = []
     for t in np.asarray(t_grid, dtype=float):
@@ -167,7 +156,7 @@ def gaussian_tail_check(t_grid) -> TailCheckReport:
         middle = float(np.sqrt(2.0 * np.pi) * np.exp(t * t / 2.0) * normal_cdf(-t))
         entries.append(TailBound(t=float(t), lower=float(t / (t * t + 1.0)),
                                  middle=middle, upper=float(1.0 / t)))
-    return TailCheckReport(entries=tuple(entries))
+    return tuple(entries)
 
 
 class RankDeficientError(ValueError):
@@ -181,11 +170,9 @@ class MarginReport:
     holds: bool
     threshold: float
     min_singular_value: float
-    signs: np.ndarray
     separator: np.ndarray
     separator_norm: float
     norm_bound: float
-    margins: np.ndarray
     max_margin_error: float
 
 
@@ -195,26 +182,26 @@ def margin_condition(model: TopicModel, delta: float) -> MarginReport:
     The condition compares the smallest singular value of the d x T
     word-probability matrix against sqrt(T / ((1-delta) * min_length)) times
     (1 + sqrt(log+ (min_length / 2 pi))).  The separator is the minimum-norm
-    vector giving every signed topic center a unit margin; it is returned
-    normalized, with the achieved margins and norm bound reported.
+    vector giving every topic center a unit margin, signed by the topic's
+    majority label; it is returned normalized, with the largest deviation
+    from unit margin and the norm bound reported.
     """
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
-    diag = model_diagnostics(model)
-    pi = diag.word_prob_matrix
+    pi = model.word_prob_matrix
     n_topics = pi.shape[1]
-    lam = diag.min_length
+    lam = float(model.doc_lengths.min())
     log_plus = max(np.log(lam / (2.0 * np.pi)), 0.0)
     threshold = float(np.sqrt(n_topics / ((1.0 - delta) * lam))
                       * (1.0 + np.sqrt(log_plus)))
-    holds = diag.min_singular_value >= threshold
 
     gram = pi.T @ pi
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= _RANK_TOL * max(eigs[-1], 1.0):
         raise RankDeficientError(
             "word-probability matrix does not have full column rank")
-    signs = np.where(diag.majority_labels == 1, 1.0, -1.0)
+    min_sv = float(np.sqrt(eigs[0]))  # positive past the rank check
+    signs = np.where(model.label1_given_topic() > 0.5, 1.0, -1.0)
     z = np.linalg.solve(gram, signs)
     w_star = pi @ z
     margins = signs * (pi.T @ w_star)
@@ -222,8 +209,7 @@ def margin_condition(model: TopicModel, delta: float) -> MarginReport:
     ones = np.ones(n_topics)
     norm_bound = float(np.sqrt(ones @ np.linalg.solve(gram, ones)))
     return MarginReport(
-        holds=bool(holds), threshold=threshold,
-        min_singular_value=diag.min_singular_value,
-        signs=signs, separator=w_star / norm, separator_norm=norm,
-        norm_bound=norm_bound, margins=margins,
+        holds=min_sv >= threshold, threshold=threshold,
+        min_singular_value=min_sv, separator=w_star / norm,
+        separator_norm=norm, norm_bound=norm_bound,
         max_margin_error=float(np.max(np.abs(margins - 1.0))))

@@ -154,7 +154,8 @@ def _cmd_train(args) -> int:
 
     meta = _meta(args, command="train", delta=args.delta,
                  corpus=args.corpus, docs=args.docs,
-                 l2=args.l2, epochs=args.epochs,
+                 train_frac=args.train_frac, train_size=args.train_size,
+                 l2=args.l2, step=args.step, epochs=args.epochs,
                  mc_replicates=args.mc_replicates,
                  smoothing=args.smoothing)
     meta["train_error"] = evaluate_error(clf, train)

@@ -287,7 +287,6 @@ class BiasCheckReport:
     """Worst posterior gap between the thinned and raw models."""
 
     equal_length: bool
-    v_budget: int
     max_gap: dict[float, float]
     worst_vector: dict[float, tuple[int, ...]]
 
@@ -311,8 +310,8 @@ def run_bias_check(model: TopicModel, delta_grid, v_budget: int
         i = int(np.argmax(gaps))  # the first vector reaching the maximum
         max_gap[float(delta)] = float(gaps[i])
         worst[float(delta)] = tuple(int(c) for c in grid[i])
-    return BiasCheckReport(equal_length=equal, v_budget=v_budget,
-                           max_gap=max_gap, worst_vector=worst)
+    return BiasCheckReport(equal_length=equal, max_gap=max_gap,
+                           worst_vector=worst)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .serialize import json_float, json_floats, json_int, read_field
 
 PROB_ATOL = 1e-12
 _BAYES_BLOCK_ROWS = 65_536  # enumeration rows per bayes_error likelihood call
+_CELL_BUDGET = 5_000_000    # most count vectors enumerate_counts will build
 
 
 class UndefinedPosteriorError(ValueError):
@@ -28,7 +29,7 @@ class UndefinedPosteriorError(ValueError):
 
 
 class EnumerationTooLargeError(ValueError):
-    """Exact enumeration would exceed the configured cell budget."""
+    """Exact enumeration would exceed the fixed cell budget."""
 
 
 @dataclass(frozen=True)
@@ -233,8 +234,7 @@ def bayes_posterior(model: TopicModel, counts: np.ndarray
     return float(post[0]) if v.ndim == 1 else post
 
 
-def enumerate_counts(d: int, max_total: int, cell_budget: int = 5_000_000
-                     ) -> np.ndarray:
+def enumerate_counts(d: int, max_total: int) -> np.ndarray:
     """All non-negative integer vectors of length d with sum <= max_total,
     in lexicographic order (first coordinate slowest).
 
@@ -243,9 +243,9 @@ def enumerate_counts(d: int, max_total: int, cell_budget: int = 5_000_000
     max_total - f.  The result is the only allocation of its size.
     """
     n_cells = comb(max_total + d, d)
-    if n_cells > cell_budget:
+    if n_cells > _CELL_BUDGET:
         raise EnumerationTooLargeError(
-            f"{n_cells} cells exceed the budget of {cell_budget}")
+            f"{n_cells} cells exceed the budget of {_CELL_BUDGET}")
     tails = np.zeros((1, 0), dtype=np.int64)
     sums = np.zeros(1, dtype=np.int64)
     for k in range(d):
@@ -274,8 +274,8 @@ class BayesErrorResult:
     n_cells: int
 
 
-def bayes_error(model: TopicModel, max_total_count: int | None = None,
-                cell_budget: int = 5_000_000) -> BayesErrorResult:
+def bayes_error(model: TopicModel, max_total_count: int | None = None
+                ) -> BayesErrorResult:
     """Exact Bayes risk summed over all count vectors with a bounded total.
 
     The default truncation covers the mean document length plus ten standard
@@ -285,7 +285,7 @@ def bayes_error(model: TopicModel, max_total_count: int | None = None,
     if max_total_count is None:
         mean_len = float(np.max(model.doc_lengths))
         max_total_count = int(np.ceil(mean_len + 10.0 * np.sqrt(mean_len)))
-    grid = enumerate_counts(model.vocab_size, max_total_count, cell_budget)
+    grid = enumerate_counts(model.vocab_size, max_total_count)
     prior = np.array([1.0 - model.label_prior, model.label_prior])
     covered = risk = 0.0
     # fixed row blocks bound the float temporaries whatever the grid size

@@ -37,11 +37,10 @@ MARGIN_ATOL = 1e-9
 
 
 def run_tails_suite(seed: int, mc: int) -> list[dict]:
-    report = gaussian_tail_check(TAIL_GRID)
     return [
         {"suite": "tails", "name": f"t={e.t:g}", "passed": e.strict,
          "lower": e.lower, "middle": e.middle, "upper": e.upper}
-        for e in report.entries
+        for e in gaussian_tail_check(TAIL_GRID)
     ]
 
 
@@ -140,15 +139,29 @@ def run_margin_suite(seed: int, mc: int) -> list[dict]:
         target = 1.0 / np.sqrt(length)
         worst = 0.0
         ok = True
-        for td in decomp.per_topic:
+        unsampled = []
+        for topic, td in zip(model.topics, decomp.per_topic):
+            if td.n_samples == 0:
+                unsampled.append(f"{topic.id:g}")
+                continue
             tol = target + 3.0 * binomial_se(td.suboptimal_rate_thinned,
                                              td.n_samples)
             worst = max(worst, td.suboptimal_rate_thinned)
             ok = ok and (td.suboptimal_rate_thinned <= tol)
-        checks.append({
+        check = {
             "suite": "margin", "name": f"{base} per-topic thinned error",
-            "passed": bool(ok),
+            "passed": bool(ok and not unsampled),
             "worst_rate": worst, "target": target, "samples": mc,
+        }
+        if unsampled:
+            check["note"] = (f"topic(s) {', '.join(unsampled)} drew no "
+                             f"documents; thinned error unmeasured")
+        checks.append(check)
+        checks.append({
+            "suite": "margin", "name": f"{base} counting identity",
+            "passed": decomp.identity_residual <= decomp.identity_tolerance,
+            "residual": decomp.identity_residual,
+            "tolerance": decomp.identity_tolerance, "samples": mc,
         })
     return checks
 

@@ -232,10 +232,9 @@ def test_criterion_7b_naive_bayes_plateau():
 
 def test_criterion_8_gaussian_tails():
     """Strict two-sided tail inequality on t in {0.1, 0.5, 1, 2, 4, 8}."""
-    rep = gaussian_tail_check([0.1, 0.5, 1.0, 2.0, 4.0, 8.0])
-    margins = [min(e.middle - e.lower, e.upper - e.middle)
-               for e in rep.entries]
-    ok = rep.passed and min(margins) > 1e-12
+    entries = gaussian_tail_check([0.1, 0.5, 1.0, 2.0, 4.0, 8.0])
+    margins = [min(e.middle - e.lower, e.upper - e.middle) for e in entries]
+    ok = all(e.strict for e in entries) and min(margins) > 1e-12
     report("criterion 8 (Gaussian tails)", ok,
            f"strict everywhere, smallest margin {min(margins):.2e}")
     assert ok

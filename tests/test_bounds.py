@@ -135,26 +135,27 @@ class TestAltitudeErrorBound:
         assert rep.value == pytest.approx(2.0 * 0.05, rel=1e-12)
 
     def test_constant_is_fixed(self):
-        rep = altitude_error_bound(0.01, 0.0, 0.5)
-        assert rep.constant == 4.0
+        assert BERRY_ESSEEN_CONSTANT == 4.0
+        rep = altitude_error_bound(0.01, 0.25, 0.5)
+        assert rep.inflated == pytest.approx(0.01 + 4.0 * 0.5 / np.sqrt(0.5),
+                                             rel=1e-15)
 
 
 class TestGaussianTailCheck:
     def test_unit_point_frozen(self):
-        rep = gaussian_tail_check([1.0])
-        e = rep.entries[0]
+        e, = gaussian_tail_check([1.0])
         assert e.lower == 0.5 and e.upper == 1.0
         assert e.middle == pytest.approx(TAIL_MIDDLE_T1, rel=1e-12)
         assert e.strict
 
     def test_bounds_tighten_at_large_t(self):
-        e = gaussian_tail_check([10.0]).entries[0]
+        e, = gaussian_tail_check([10.0])
         assert e.strict
         assert (e.upper - e.lower) / e.upper < 0.01
 
     def test_full_grid_strict(self):
-        rep = gaussian_tail_check([0.1, 0.5, 1.0, 2.0, 4.0, 8.0])
-        assert rep.passed
+        entries = gaussian_tail_check([0.1, 0.5, 1.0, 2.0, 4.0, 8.0])
+        assert all(e.strict for e in entries)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -181,9 +182,25 @@ class TestMarginCondition:
                                                                   abs=1e-12)
 
     def test_signs_follow_majority_labels(self):
+        # topics 0 and 2 belong to label 0, topic 1 to label 1
         model = orthogonal_topic_model(doc_length=100.0)
         rep = margin_condition(model, 0.5)
-        assert np.array_equal(rep.signs, [-1.0, 1.0, -1.0])
+        centers = model.word_prob_matrix.T @ rep.separator
+        assert np.array_equal(np.sign(centers), [-1.0, 1.0, -1.0])
+
+    def test_min_singular_value_matches_svd(self):
+        from droplab.topics import Topic, TopicModel
+        rng = make_rng(12, "svd")
+        for n_topics in (2, 5, 9):
+            topics = tuple(
+                Topic(id=t, rho0=1.0 / n_topics, rho1=1.0 / n_topics,
+                      intensity=rng.uniform(0.1, 5.0, size=12))
+                for t in range(n_topics))
+            model = TopicModel(label_prior=0.5, topics=topics, vocab_size=12)
+            rep = margin_condition(model, 0.5)
+            ref = np.linalg.svd(model.word_prob_matrix,
+                                compute_uv=False).min()
+            assert rep.min_singular_value == pytest.approx(ref, rel=1e-9)
 
     def test_rank_deficient_rejected(self):
         from droplab.topics import Topic, TopicModel
@@ -201,7 +218,7 @@ class TestMarginCondition:
         assert rep.min_singular_value == pytest.approx(np.sqrt(0.5),
                                                        abs=1e-12)
         assert rep.max_margin_error <= 1e-9
-        assert rep.signs.shape == (80,)
+        assert rep.separator.shape == (160,)
 
     def test_condition_fails_for_short_documents(self):
         model = orthogonal_topic_model(doc_length=5.0)

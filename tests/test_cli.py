@@ -225,6 +225,25 @@ class TestTrainEval:
                 err = capsys.readouterr().err
                 assert "--corpus" in err and "--docs" in err
 
+    def test_header_records_the_split_and_step(self, toy_corpus, tmp_path):
+        # two runs that differ only in --train-frac write different headers
+        configs = []
+        for frac in ("0.5", "0.8"):
+            out = tmp_path / f"clf-{frac}.json"
+            assert cli_dispatch(["train", "--corpus", toy_corpus,
+                                 "--epochs", "50", "--train-frac", frac,
+                                 "--out", str(out)]) == 0
+            configs.append(json.loads(out.read_text())["meta"]["config"])
+        assert [c["train_frac"] for c in configs] == [0.5, 0.8]
+        assert all(c["train_size"] is None and c["step"] is None
+                   for c in configs)
+        out = tmp_path / "clf-sized.json"
+        assert cli_dispatch(["train", "--corpus", toy_corpus, "--epochs", "50",
+                             "--train-size", "40", "--step", "0.5",
+                             "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["meta"]["config"]
+        assert (config["train_size"], config["step"]) == (40, 0.5)
+
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_train_size_below_one_exits_1(self, size, toy_corpus, tmp_path,
                                           capsys):
@@ -525,6 +544,33 @@ class TestVerify:
         assert cli_dispatch(args + ["--out", str(out1)]) == 0
         assert cli_dispatch(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_margin_suite_checks_the_counting_identity(self):
+        checks = run_verification("margin", mc=20_000, seed=0)["checks"]
+        names = [c["name"] for c in checks]
+        for length in verify.MARGIN_LENGTHS:
+            base = f"length={length:g}"
+            i = names.index(f"{base} counting identity")
+            assert names[i - 1] == f"{base} per-topic thinned error"
+            assert checks[i]["passed"]
+            assert checks[i]["residual"] <= checks[i]["tolerance"]
+
+    @pytest.mark.parametrize("mc, seed", [(1, 0), (8, 0)])
+    def test_unsampled_topic_fails_without_traceback(self, mc, seed,
+                                                     tmp_path):
+        # at tiny budgets some topic draws no documents: its per-topic check
+        # fails naming it, and the report is still written
+        out = tmp_path / "margin.json"
+        run = run_python("-m", "droplab", "verify", "--suite", "margin",
+                         "--mc", str(mc), "--seed", str(seed),
+                         "--out", str(out))
+        assert run.returncode == 2, run.stderr
+        assert "Traceback" not in run.stderr
+        per_topic = [c for c in json.loads(out.read_text())["checks"]
+                     if c["name"].endswith("per-topic thinned error")]
+        failed = [c for c in per_topic if not c["passed"]]
+        assert failed and all("drew no documents" in c["note"]
+                              for c in failed)
 
     def test_unknown_suite_exits_1(self):
         assert cli_dispatch(["verify", "--suite", "nonsense"]) == 1

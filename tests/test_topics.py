@@ -255,10 +255,12 @@ class TestEnumerateCounts:
         assert out.shape == (135_751, 4)
         assert peak < 4 * out.nbytes
 
-    def test_budget_counts_the_real_cells(self):
-        assert len(enumerate_counts(3, 8, cell_budget=165)) == 165
+    def test_budget_counts_the_real_cells(self, monkeypatch):
+        monkeypatch.setattr(topics, "_CELL_BUDGET", 165)
+        assert len(enumerate_counts(3, 8)) == 165
+        monkeypatch.setattr(topics, "_CELL_BUDGET", 164)
         with pytest.raises(EnumerationTooLargeError):
-            enumerate_counts(3, 8, cell_budget=164)
+            enumerate_counts(3, 8)
 
 
 class TestBayesError:
@@ -290,7 +292,8 @@ class TestBayesError:
     def test_budget_guard(self):
         model = single_topic_model([1.0] * 5)
         with pytest.raises(EnumerationTooLargeError):
-            bayes_error(model, max_total_count=100, cell_budget=1_000)
+            # comb(105, 5) = 96,560,646 cells, rejected before any allocation
+            bayes_error(model, max_total_count=100)
 
     def test_row_blocks_match_one_block(self, monkeypatch):
         # 1,771 cells in blocks of 64 rows, the last one partial, against

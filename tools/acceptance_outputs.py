@@ -3,7 +3,9 @@
 Commands run as `python -m droplab` subprocesses in OUT_DIR, on the package
 PYTHONPATH resolves, at OPENBLAS_NUM_THREADS=1 (trained weights depend on
 the BLAS thread count).  counts.json (src lines; defaulted parameters plus
-defaulted dataclass fields) is the one file meant to differ by version.
+defaulted dataclass fields; names droplab/__init__.py imports) is the one
+file meant to differ by version.  A command without --out is run for its
+exit code alone.
 """
 
 import ast
@@ -22,6 +24,8 @@ COMMANDS = {
     "curves": "curves --n-grid 100,300 --delta-grid 0,0.5,0.9,1 --trials 2 "
               "--test-size 3000 --epochs 50 --out curves",
     "verify": "verify --suite all --mc 20000 --out verify.json",
+    # some topic draws no documents at this budget: exit 2, no traceback
+    "verify-margin-mc8": "verify --suite margin --mc 8 --seed 0",
     "sample": "sample --model model.json --n 200 --seed 3 --out docs.jsonl",
     "sample-synthetic": "sample --n 50 --seed 5 --out synthetic.jsonl",
     **{f"train-{d}": f"train --docs docs.jsonl --delta {d} --out clf-{d}.json"
@@ -43,8 +47,11 @@ def counts(src: Path) -> dict:
                 "dataclass" in ast.unparse(d) for d in node.decorator_list):
             defaulted += sum(isinstance(s, ast.AnnAssign) and s.value is not None
                              for s in node.body)
+    init = ast.parse((src / "__init__.py").read_text())
     return {"src_lines": sum(f.read_bytes().count(b"\n") for f in files),
-            "defaulted_params_and_fields": defaulted}
+            "defaulted_params_and_fields": defaulted,
+            "public_names": sum(len(n.names) for n in init.body
+                                if isinstance(n, ast.ImportFrom))}
 
 
 if __name__ == "__main__":
@@ -54,7 +61,8 @@ if __name__ == "__main__":
     out.mkdir(parents=True, exist_ok=True)
     (out / "model.json").write_text(json.dumps(MODEL))
     codes = {name: subprocess.run([sys.executable, "-m", "droplab", *cmd.split()],
-                                  cwd=out, env=env).returncode
+                                  cwd=out, env=env,
+                                  stdout=subprocess.DEVNULL).returncode
              for name, cmd in COMMANDS.items()}
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
     (out / "counts.json").write_text(json.dumps(counts(src), indent=2) + "\n")
