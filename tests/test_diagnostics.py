@@ -7,7 +7,7 @@ from droplab import (LinearClassifier, ZeroVarianceError,
                      berry_esseen_statistic, excess_risk_decomposition,
                      make_rng, margin_condition, score_moments)
 from droplab.presets import (equal_length_models, orthogonal_topic_model,
-                             two_word_intensity)
+                             two_word_intensity, unequal_length_control)
 from droplab.topics import Topic, TopicModel
 from oracles import traced_peak_mib
 
@@ -57,6 +57,37 @@ class TestConcentrationStatistics:
         lam = np.array([1.0, 3.0, 2.0])
         assert berry_esseen_statistic(c * w, lam) == pytest.approx(
             berry_esseen_statistic(w, lam), rel=1e-9)
+
+
+class TestModelDiagnostics:
+    # model-level quantities the margin and risk diagnostics read from the
+    # model directly
+    def test_pure_topics(self):
+        model = equal_length_models()[0]  # one topic per label
+        p1t = model.label1_given_topic()
+        assert np.min(np.abs(p1t - 0.5)) == pytest.approx(0.5)
+        oracle = np.sum(model.topic_probs() * np.minimum(p1t, 1 - p1t))
+        assert oracle == pytest.approx(0.0)
+        assert np.array_equal((p1t > 0.5).astype(int), [0, 1])
+
+    def test_orthonormal_word_probability_columns(self):
+        model = orthogonal_topic_model(doc_length=50.0, n_topics=2,
+                                       words_per_topic=1)
+        pi = model.word_prob_matrix
+        assert np.allclose(pi.T @ pi, np.eye(2), atol=1e-12)
+        rep = margin_condition(model, 0.5)
+        assert rep.min_singular_value == pytest.approx(1.0, abs=1e-12)
+
+    def test_more_than_64_topics(self):
+        model = orthogonal_topic_model(doc_length=400.0, n_topics=80)
+        pi = model.word_prob_matrix
+        assert np.allclose(pi.T @ pi, 0.5 * np.eye(80), atol=1e-12)
+        rep = margin_condition(model, 0.5)
+        assert rep.min_singular_value == pytest.approx(np.sqrt(0.5),
+                                                       abs=1e-12)
+
+    def test_min_length(self):
+        assert float(unequal_length_control().doc_lengths.min()) == 1.0
 
 
 class TestExcessRiskDecomposition:
