@@ -26,7 +26,7 @@ def main():
         clf = LinearClassifier(weights=rep.separator)
         decomp = excess_risk_decomposition(
             model, clf, delta, mc, make_rng(0, "demo-margin", k))
-        worst = max(td.suboptimal_rate_thinned for td in decomp.per_topic)
+        worst = np.nanmax(decomp.rates)
         print(f"{length:>8.0f} {rep.min_singular_value:>10.4f} "
               f"{rep.threshold:>10.4f} {str(rep.holds):>6} "
               f"{rep.max_margin_error:>11.2e} {worst:>16.2e} "

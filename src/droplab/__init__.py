@@ -18,9 +18,9 @@ from .classifiers import (DegenerateDataError, EmptyDataError,
                           train_naive_bayes)
 from .corpus import (EmptyClassError, MalformedLineError, SplitSpec,
                      load_corpus, tokenize)
-from .diagnostics import (RiskDecomposition, TopicDiagnostics,
-                          ZeroVarianceError, berry_esseen_statistic,
-                          excess_risk_decomposition, score_moments)
+from .diagnostics import (RiskDecomposition, ZeroVarianceError,
+                          berry_esseen_statistic, excess_risk_decomposition,
+                          score_moments)
 from .dropout import (DropoutConfig, dropout_posterior, thin_counts,
                       thinned_model)
 from .experiments import VERSION as __version__

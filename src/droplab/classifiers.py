@@ -122,13 +122,6 @@ def _check_classes(y: np.ndarray):
         raise DegenerateDataError("training data must contain both classes")
 
 
-def _reject_full_thinning(cfg: TrainConfig):
-    if cfg.dropout.delta >= 1.0:
-        raise ValueError("delta = 1 deletes every word, so logistic training "
-                         "would return zero weights; the delta = 1 endpoint "
-                         "is naive Bayes (train_naive_bayes)")
-
-
 def _fit_logistic(x_counts: np.ndarray, y: np.ndarray,
                   cfg: TrainConfig) -> LinearClassifier:
     """Shared descent loop; thins fresh copies per pass when delta > 0."""
@@ -173,13 +166,10 @@ def _fit_logistic(x_counts: np.ndarray, y: np.ndarray,
 
 def train_logistic(data, cfg: TrainConfig) -> LinearClassifier:
     """L2-regularized logistic regression on the raw counts (no thinning)."""
-    _reject_full_thinning(cfg)
-    if cfg.dropout.delta != 0.0:
+    if 0.0 < cfg.dropout.delta < 1.0:
         raise ValueError("train_logistic requires delta = 0; "
                          "use train_logistic_dropout")
-    x, y, _ = as_arrays(data)
-    _check_classes(y)
-    return _fit_logistic(x, y, cfg)
+    return train_logistic_dropout(data, cfg)
 
 
 def train_logistic_dropout(data, cfg: TrainConfig) -> LinearClassifier:
@@ -187,13 +177,13 @@ def train_logistic_dropout(data, cfg: TrainConfig) -> LinearClassifier:
 
     Each pass re-thins every example mc_replicates times with fresh noise and
     averages the gradient over the replicates, giving an unbiased stochastic
-    gradient of the expected thinned loss.  delta = 0 falls back to the plain
-    trainer and produces bit-identical output; delta = 1 is rejected (its
-    endpoint is naive Bayes).
+    gradient of the expected thinned loss.  delta = 0 thins nothing and is
+    the plain trainer; delta = 1 is rejected (its endpoint is naive Bayes).
     """
-    _reject_full_thinning(cfg)
-    if cfg.dropout.delta == 0.0:
-        return train_logistic(data, cfg)
+    if cfg.dropout.delta >= 1.0:
+        raise ValueError("delta = 1 deletes every word, so logistic training "
+                         "would return zero weights; the delta = 1 endpoint "
+                         "is naive Bayes (train_naive_bayes)")
     x, y, _ = as_arrays(data)
     _check_classes(y)
     return _fit_logistic(x, y, cfg)

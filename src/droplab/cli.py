@@ -206,6 +206,8 @@ def _cmd_curves(args) -> int:
                      delta_grid=tuple(args.delta_grid), trials=args.trials,
                      test_size=args.test_size, train_cfg=cfg,
                      master_seed=args.seed, sampler_name=args.model)
+    if args.out is None:
+        raise ValidationError("curves writes a directory; give --out")
     result = run_learning_curves(spec, threads=args.threads)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

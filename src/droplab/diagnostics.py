@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import LinearClassifier
-from .dropout import thin_counts
+from .dropout import thinned_model
 from .stats import binomial_se
 from .topics import TopicModel, sample_documents
 
@@ -51,19 +51,16 @@ def berry_esseen_statistic(weights: np.ndarray, intensity: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class TopicDiagnostics:
-    """Thinned sub-optimal prediction rate of one topic (nan if unsampled)."""
-
-    suboptimal_rate_thinned: float
-    n_samples: int
-
-
-@dataclass(frozen=True)
 class RiskDecomposition:
-    """Monte Carlo thinned error rate with per-topic sub-optimal rates."""
+    """Monte Carlo thinned error rate with per-topic sub-optimal rates.
+
+    rates[t] is topic t's thinned sub-optimal rate (nan if it drew no
+    documents) and n_samples[t] its document count, in model.topics order.
+    """
 
     error_thinned: float
-    per_topic: tuple[TopicDiagnostics, ...]
+    rates: np.ndarray
+    n_samples: np.ndarray
     identity_residual: float
     identity_tolerance: float
 
@@ -74,13 +71,16 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
     """Estimate the thinned error rate and per-topic thinned sub-optimal
     prediction rates (predicting other than the topic's majority label).
 
-    Also checks the counting identity: the thinned excess error over the
-    topic-oracle error equals the topic-probability-weighted sum of thinned
-    sub-optimal rates times the per-topic confidence gaps, up to Monte Carlo
-    noise (reported as identity_residual with a 3-standard-error tolerance).
+    By thinning closure the thinned documents are drawn directly from the
+    thinned model, one Poisson draw per chunk.  Also checks the counting
+    identity: the thinned excess error over the topic-oracle error equals
+    the topic-probability-weighted sum of thinned sub-optimal rates times
+    the per-topic confidence gaps, up to Monte Carlo noise (reported as
+    identity_residual with a 3-standard-error tolerance).
     """
     if mc_budget < 1:
         raise ValueError(f"mc_budget must be >= 1, got {mc_budget}")
+    thinned = thinned_model(model, delta)
     pt = model.topic_probs()
     p1t = model.label1_given_topic()
     majority = (p1t > 0.5).astype(np.int64)
@@ -93,8 +93,8 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
     errors = 0
     for start in range(0, mc_budget, _CHUNK):
         b = min(_CHUNK, mc_budget - start)
-        batch = sample_documents(model, b, rng)
-        pred = clf.predict(thin_counts(batch.counts, delta, rng))
+        batch = sample_documents(thinned, b, rng)
+        pred = clf.predict(batch.counts)
         idx = id_order[np.searchsorted(sorted_ids, batch.topics)]
         n_topic += np.bincount(idx, minlength=model.n_topics)
         sub_thin += np.bincount(idx, weights=(pred != majority[idx]),
@@ -103,27 +103,20 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
         # free this chunk before the next one is sampled
         del batch, pred, idx
 
-    per_topic = tuple(
-        TopicDiagnostics(suboptimal_rate_thinned=s / n if n else float("nan"),
-                         n_samples=int(n))
-        for s, n in zip(sub_thin, n_topic))
+    rates = np.where(n_topic > 0, sub_thin / np.maximum(n_topic, 1), np.nan)
     err_thin = errors / mc_budget
 
-    # counting identity for the thinned excess over the topic oracle
+    # counting identity for the thinned excess over the topic oracle; the
+    # nan terms of unsampled topics drop out of the sums
     active = pt > 0
     oracle = float(np.sum(pt[active] * np.minimum(p1t[active], 1 - p1t[active])))
     gaps = np.abs(2.0 * p1t - 1.0)
-    weighted = 0.0
-    tol = 3.0 * binomial_se(err_thin, mc_budget)
-    for td, gap in zip(per_topic, gaps):
-        if td.n_samples == 0:
-            continue
-        p_hat = td.n_samples / mc_budget
-        weighted += p_hat * td.suboptimal_rate_thinned * gap
-        tol += 3.0 * p_hat * gap * binomial_se(td.suboptimal_rate_thinned,
-                                               td.n_samples)
+    p_hat = n_topic / mc_budget
+    weighted = np.nansum(p_hat * rates * gaps)
+    tol = 3.0 * binomial_se(err_thin, mc_budget) + np.nansum(
+        3.0 * p_hat * gaps * binomial_se(rates, n_topic))
     residual = abs((err_thin - oracle) - weighted)
 
     return RiskDecomposition(
-        error_thinned=err_thin, per_topic=per_topic,
+        error_thinned=err_thin, rates=rates, n_samples=n_topic,
         identity_residual=float(residual), identity_tolerance=float(tol))

@@ -64,6 +64,13 @@ class CurveSpec:
             raise ValueError("sizes must be positive")
         if any(not 0.0 <= d <= 1.0 for d in self.delta_grid):
             raise ValueError("delta values must lie in [0, 1]")
+        for name, grid in (("n_grid", self.n_grid),
+                           ("delta_grid", self.delta_grid)):
+            for v in grid:
+                if grid.count(v) > 1:  # by equality: 0 and -0 are one cell
+                    raise ValueError(f"{name} repeats the value {v:g}")
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.master_seed}")
 
     def describe(self) -> dict:
         # a model from a file is written out whole, so the header alone

@@ -37,6 +37,6 @@ def dkw_slack(n: int, confidence: float) -> float:
     return float(np.sqrt(np.log(2.0 / alpha) / (2.0 * n)))
 
 
-def binomial_se(p_hat: float, n: int) -> float:
-    """Standard error of a Monte Carlo proportion."""
-    return float(np.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n))
+def binomial_se(p_hat, n):
+    """Standard error of a Monte Carlo proportion, elementwise for arrays."""
+    return np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / n)

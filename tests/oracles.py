@@ -3,16 +3,22 @@ uses: bin pooling for chi-square tests (goodness of fit runs
 `scipy.stats.chisquare(*pool_bins(...))`), a pooled two-sample chi-square
 test, the per-sample Kolmogorov statistic, the length-first multinomial
 document sampler, an exhaustive zero-one empirical risk minimizer for
-d <= 3, and the tracemalloc peak of a call.
+d <= 3, the tracemalloc peak of a call, and a subprocess running a fresh
+interpreter that imports this droplab.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import chi2_contingency
 
+import droplab
 from droplab import (DocumentBatch, EmptyDataError, GenerativeSampler,
                      LinearClassifier, recalibrate_intercept)
 
@@ -136,3 +142,13 @@ def erm_zero_one_small(data: DocumentBatch, resolution: int
         if err < best_err - 1e-15:
             best, best_err = cand, err
     return best
+
+
+def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this droplab."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(droplab.__file__).parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          **kwargs)

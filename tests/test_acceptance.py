@@ -169,14 +169,11 @@ def test_criterion_6_margin_construction():
         decomp = excess_risk_decomposition(
             model, clf, 0.5, mc, make_rng(2024, "acceptance-margin", k))
         target = 1.0 / np.sqrt(length)
-        topic_ok = all(
-            td.suboptimal_rate_thinned
-            <= target + 3 * binomial_se(td.suboptimal_rate_thinned,
-                                        td.n_samples)
-            for td in decomp.per_topic)
+        topic_ok = bool(np.all(
+            decomp.rates
+            <= target + 3 * binomial_se(decomp.rates, decomp.n_samples)))
         ok = ok and rep.holds and rep.max_margin_error <= 1e-9 and topic_ok
-        worst_rate = max(td.suboptimal_rate_thinned
-                         for td in decomp.per_topic)
+        worst_rate = np.max(decomp.rates)
         details.append(f"len={length:g}: holds={rep.holds} "
                        f"margin_err={rep.max_margin_error:.1e} "
                        f"worst_rate={worst_rate:.2e} target={target:.3f}")

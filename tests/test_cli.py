@@ -1,8 +1,6 @@
 import copy
 import json
 import os
-import subprocess
-import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -12,8 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import droplab
-from droplab import verify
+from droplab import cli, verify
 from droplab.cli import (ValidationError, _default_threads, _float_list,
                          _int_list, _load_sampler, _read_docs_jsonl,
                          cli_dispatch)
@@ -21,6 +18,7 @@ from droplab.experiments import usable_cpus
 from droplab.serialize import dumps
 from droplab.topics import Topic, TopicModel
 from droplab.verify import VERIFY_SUITES, run_verification
+from oracles import run_python
 
 VALID_MODEL = {"label_prior": 0.5, "vocab_size": 2, "topics": [
     {"id": 0, "rho0": 1.0, "rho1": 0.0, "intensity": [6.0, 2.0]},
@@ -477,6 +475,24 @@ class TestCurves:
                 in capsys.readouterr().err)
         assert not (tmp_path / "c").exists()
 
+    def test_repeated_grid_value_exits_1(self, tmp_path, capsys):
+        # a repeated value would re-run identical cells and count their rows
+        # as extra trials in summary.json
+        argv = ["curves", "--n-grid", "100,100", "--delta-grid", "0.5,1",
+                "--trials", "1", "--out", str(tmp_path / "c")]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err == \
+            "error: n_grid repeats the value 100\n"
+        assert not (tmp_path / "c").exists()
+
+    def test_missing_out_exits_1_before_sampling(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the grid ran without --out")
+
+        monkeypatch.setattr(cli, "run_learning_curves", never)
+        assert cli_dispatch(self.ARGS) == 1
+        assert "give --out" in capsys.readouterr().err
+
     def test_default_threads_counts_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
@@ -606,16 +622,6 @@ class TestVerify:
         name = "mc" if mc < 1 else "seed"
         with pytest.raises(ValueError, match=f"{name} must be >= "):
             run_verification("all", mc=mc, seed=seed)
-
-
-def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
-    """A fresh interpreter that imports this droplab."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(droplab.__file__).parents[1])]
-        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          **kwargs)
 
 
 class TestVerifyConcurrency:

@@ -99,6 +99,35 @@ class TestExcessRiskDecomposition:
             excess_risk_decomposition(equal_length_models()[0], clf, 0.5,
                                       budget, make_rng(0, "decomp-budget"))
 
+    def test_one_poisson_draw_per_chunk_and_no_thinning(self):
+        # thinning closure: thinned documents come straight from the
+        # thinned model, so no binomial or geometric thinning draw is made
+        class Recording:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, []
+
+            def __getattr__(self, name):
+                self.calls.append(name)
+                return getattr(self.rng, name)
+
+        model = equal_length_models()[1]
+        clf = LinearClassifier(weights=np.array([-1.0, 0.0, 1.0]))
+        rng = Recording(make_rng(6, "decomp-draws"))
+        excess_risk_decomposition(model, clf, 0.5, 250_000, rng)
+        assert rng.calls.count("poisson") == 2  # 200,000 + 50,000 rows
+        assert not {"binomial", "geometric"} & set(rng.calls)
+
+    def test_unsampled_topic_rate_is_nan(self):
+        model = orthogonal_topic_model(100.0)  # three topics
+        clf = LinearClassifier(weights=margin_condition(model, 0.5).separator)
+        decomp = excess_risk_decomposition(model, clf, 0.5, 1,
+                                           make_rng(0, "decomp-one"))
+        drawn = decomp.n_samples > 0
+        assert decomp.n_samples.sum() == 1
+        assert np.isnan(decomp.rates[~drawn]).all()
+        assert decomp.rates[drawn] == [0.0]
+        assert decomp.identity_residual <= decomp.identity_tolerance
+
     def test_peak_memory_at_a_million_documents(self):
         # one 200,000-document chunk alive at a time; keeping the previous
         # chunk while sampling the next takes 48.9 MiB
@@ -116,8 +145,7 @@ class TestExcessRiskDecomposition:
         rng = make_rng(2, "decomp-pure")
         n = 100_000
         decomp = excess_risk_decomposition(model, clf, 0.5, n, rng)
-        recombined = sum(td.n_samples / n * td.suboptimal_rate_thinned
-                         for td in decomp.per_topic)
+        recombined = sum(decomp.n_samples / n * decomp.rates)
         assert decomp.error_thinned == pytest.approx(recombined, abs=1e-15)
         assert decomp.identity_residual <= 1e-15
 
@@ -130,7 +158,7 @@ class TestExcessRiskDecomposition:
         clf = LinearClassifier(weights=np.array([0.0]), intercept=1.0)
         decomp = excess_risk_decomposition(model, clf, 0.5, 100_000,
                                            make_rng(5, "decomp-ambiguous"))
-        assert decomp.per_topic[0].suboptimal_rate_thinned == 0.0
+        assert decomp.rates[0] == 0.0
         assert decomp.identity_residual == pytest.approx(
             abs(decomp.error_thinned - 0.3), abs=1e-15)
         assert decomp.identity_residual <= decomp.identity_tolerance
@@ -153,7 +181,7 @@ class TestExcessRiskDecomposition:
         rng = make_rng(4, "decomp-z25")
         n = 1_000_000
         decomp = excess_risk_decomposition(model, clf, 0.5, n, rng)
-        rate = decomp.per_topic[0].suboptimal_rate_thinned
+        rate = decomp.rates[0]
         be_slack = 4.0 * np.sqrt(berry_esseen_statistic(clf.weights, lam))
         se = np.sqrt(rate * (1 - rate) / n)
         assert abs(rate - 0.038549935871770885) <= 3 * se + be_slack

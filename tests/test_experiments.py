@@ -204,6 +204,20 @@ class TestCurveSpec:
         with pytest.raises(ValueError):
             tiny_spec(delta_grid=(0.0, 1.5))
 
+    @pytest.mark.parametrize("grids, message", [
+        ({"n_grid": (40, 80, 40)}, "n_grid repeats the value 40"),
+        ({"delta_grid": (0.5, 1.0, 0.5)}, "delta_grid repeats the value 0.5"),
+        # equal, though not the same float
+        ({"delta_grid": (0.0, -0.0)}, "delta_grid repeats the value 0"),
+    ])
+    def test_repeated_grid_value_rejected(self, grids, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tiny_spec(**grids)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -2$"):
+            tiny_spec(master_seed=-2)
+
 
 class TestLearningCurves:
     def test_rerun_is_identical(self):

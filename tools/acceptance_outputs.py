@@ -26,6 +26,11 @@ COMMANDS = {
     "verify": "verify --suite all --mc 20000 --out verify.json",
     # some topic draws no documents at this budget: exit 2, no traceback
     "verify-margin-mc8": "verify --suite margin --mc 8 --seed 0",
+    # more than one 200,000-document chunk per length
+    "verify-margin": "verify --suite margin --mc 500000 --out verify-margin.json",
+    # a repeated grid value is rejected: exit 1, nothing written
+    "curves-repeated-grid": "curves --n-grid 100,100 --delta-grid 0.5,1 "
+                            "--trials 1 --test-size 300 --out curves-repeated",
     "sample": "sample --model model.json --n 200 --seed 3 --out docs.jsonl",
     "sample-synthetic": "sample --n 50 --seed 5 --out synthetic.jsonl",
     **{f"train-{d}": f"train --docs docs.jsonl --delta {d} --out clf-{d}.json"
