@@ -55,7 +55,6 @@ class BerryEsseenReport:
     sup_distance: float
     bound: float
     slack: float
-    n_samples: int
     be_stat: float
 
     @property
@@ -86,8 +85,7 @@ def berry_esseen_check(weights: np.ndarray, intensity: np.ndarray,
     return BerryEsseenReport(
         sup_distance=dist,
         bound=BERRY_ESSEEN_CONSTANT * float(np.sqrt(be)),
-        slack=dkw_slack(n_samples, _DKW_CONFIDENCE),
-        n_samples=n_samples, be_stat=be)
+        slack=dkw_slack(n_samples, _DKW_CONFIDENCE), be_stat=be)
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,6 @@ class BoundReport:
     at one standard deviation.
     """
 
-    delta: float
-    eps_thinned: float
     be_stat: float
     inflated: float
     vacuous: bool
@@ -131,8 +127,8 @@ def altitude_error_bound(eps_thinned: float, be_stat: float,
         coeff = 2.0 ** expo * np.sqrt(1.0 - delta) * np.sqrt(4.0 * np.pi) ** ratio
         log_factor = np.sqrt(-np.log(inflated)) ** ratio
         value = float(coeff * log_factor * inflated ** expo + c * root)
-    return BoundReport(delta=delta, eps_thinned=eps_thinned, be_stat=be_stat,
-                       inflated=inflated, vacuous=vacuous, value=value)
+    return BoundReport(be_stat=be_stat, inflated=inflated, vacuous=vacuous,
+                       value=value)
 
 
 @dataclass(frozen=True)

@@ -115,11 +115,17 @@ def _smoothness_bound(x: np.ndarray, l2_weight: float) -> float:
     return 1.1 * 0.25 * sigma_sq / n + l2_weight
 
 
-def _check_classes(y: np.ndarray):
+def _training_arrays(data) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) of a DocumentBatch with examples, count columns and both
+    classes; every trainer validates its data here."""
+    x, y, _ = as_arrays(data)
     if len(y) == 0:
         raise EmptyDataError("no training examples")
+    if x.shape[1] == 0:
+        raise EmptyDataError("training data has no count columns")
     if not (np.any(y == 0) and np.any(y == 1)):
         raise DegenerateDataError("training data must contain both classes")
+    return x, y
 
 
 def _fit_logistic(x_counts: np.ndarray, y: np.ndarray,
@@ -184,8 +190,7 @@ def train_logistic_dropout(data, cfg: TrainConfig) -> LinearClassifier:
         raise ValueError("delta = 1 deletes every word, so logistic training "
                          "would return zero weights; the delta = 1 endpoint "
                          "is naive Bayes (train_naive_bayes)")
-    x, y, _ = as_arrays(data)
-    _check_classes(y)
+    x, y = _training_arrays(data)
     return _fit_logistic(x, y, cfg)
 
 
@@ -198,8 +203,7 @@ def train_naive_bayes(data, smoothing: float = 1.0) -> LinearClassifier:
     """
     if not (np.isfinite(smoothing) and smoothing >= 0):
         raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
-    x, y, _ = as_arrays(data)
-    _check_classes(y)
+    x, y = _training_arrays(data)
     totals = []
     for c in (0, 1):
         t = x[y == c].sum(axis=0).astype(float) + smoothing

@@ -99,35 +99,19 @@ class Thinner:
         return (gaps <= _MAX_GAPS_PER_ENTRY * x.size
                 and 4 * total <= _MAX_INDEX_TO_DENSE * 8 * x.size)
 
-    def _draw_dense(self, x: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
-        if self.delta == 0.0:
-            return x.copy()
-        if self.delta == 1.0:
-            return np.zeros_like(x)
-        return rng.binomial(x, self.keep)
-
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         x = self.counts
         if self.occurrences is None:
-            return self._draw_dense(x, rng)
+            if self.delta == 0.0:
+                return x.copy()
+            if self.delta == 1.0:
+                return np.zeros_like(x)
+            return rng.binomial(x, self.keep)
         p = min(self.keep, self.delta)
         hits = self.occurrences[_bernoulli_positions(len(self.occurrences),
                                                      p, rng)]
         picked = np.bincount(hits, minlength=x.size).reshape(x.shape)
         return picked if self.keep <= 0.5 else x - picked
-
-    def draw_rows(self, rng: np.random.Generator, rows: int):
-        """The draw of `draw`, yielded in consecutive blocks of `rows` rows.
-
-        rng.binomial on ordered row blocks consumes the stream exactly as one
-        call on the whole array, so the dense kernels draw block by block and
-        hold one block at a time; the occurrence kernel draws once.
-        """
-        whole = None if self.occurrences is None else self.draw(rng)
-        for start in range(0, len(self.counts), rows):
-            yield (self._draw_dense(self.counts[start:start + rows], rng)
-                   if whole is None else whole[start:start + rows])
 
 
 def thin_counts(counts: np.ndarray, delta: float,

@@ -27,8 +27,7 @@ from .classifiers import (LinearClassifier, TrainConfig, error_by_topic,
                           train_logistic, train_logistic_dropout,
                           train_naive_bayes)
 from .diagnostics import berry_esseen_statistic, score_moments
-from .dropout import DropoutConfig, Thinner, dropout_posterior
-from .dropout import thin_counts  # noqa: F401  (bench/spans.py times this name)
+from .dropout import DropoutConfig, dropout_posterior, thin_counts
 from .streams import make_rng, seed_fingerprint
 from .topics import (DocumentBatch, GenerativeSampler, Topic, TopicModel,
                      bayes_posterior, enumerate_counts, sample_documents)
@@ -368,13 +367,12 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
         for start in range(0, mc_budget, _SWEEP_CHUNK):
             b = min(_SWEEP_CHUNK, mc_budget - start)
             counts = rng.poisson(lam, size=(b, len(lam)))
-            # the kernel is chosen from the whole chunk, as one draw would
-            thinned = Thinner(counts, cfg.delta).draw_rows(rng, _SWEEP_ROWS)
-            for row, thin in zip(range(0, b, _SWEEP_ROWS), thinned):
+            for row in range(0, b, _SWEEP_ROWS):
                 raw = counts[row:row + _SWEEP_ROWS]
+                thin = thin_counts(raw, cfg.delta, rng)
                 wrong += int(np.count_nonzero(raw @ w <= 0.0))
                 wrong_thin += int(np.count_nonzero(thin @ w <= 0.0))
-            del counts, thinned, raw, thin  # before the next chunk is drawn
+            del counts, raw, thin  # before the next chunk is drawn
         eps = wrong / mc_budget
         eps_thin = wrong_thin / mc_budget
         g_eps, g_eps_thin = gaussian_error_estimate(w, lam, cfg.delta)
@@ -423,7 +421,6 @@ def influence_demo_model() -> TopicModel:
 
 @dataclass(frozen=True)
 class InfluenceDemoReport:
-    delta: float
     clf_plain: LinearClassifier
     clf_dropout: LinearClassifier
     angle_degrees: float
@@ -464,7 +461,7 @@ def run_influence_demo(delta: float = 0.75, n: int = 10_000,
     eval_rng = make_rng(master_seed, "influence-eval")
     eval_batch = sample_documents(model, eval_size, eval_rng)
     return InfluenceDemoReport(
-        delta=delta, clf_plain=clf_plain, clf_dropout=clf_drop,
+        clf_plain=clf_plain, clf_dropout=clf_drop,
         angle_degrees=_angle_between(clf_plain.weights, clf_drop.weights),
         plain_error_by_cluster=error_by_topic(clf_plain, eval_batch),
         dropout_error_by_cluster=error_by_topic(clf_drop, eval_batch),

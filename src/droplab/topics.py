@@ -73,7 +73,11 @@ class TopicModel:
             raise ValueError("label_prior must lie in [0, 1]")
         if len(self.topics) < 1:
             raise ValueError("model needs at least one topic")
+        seen = set()
         for t in self.topics:
+            if t.id in seen:
+                raise ValueError(f"topic id {t.id} is repeated")
+            seen.add(t.id)
             if len(t.intensity) != self.vocab_size:
                 raise ValueError(
                     f"topic {t.id}: intensity length {len(t.intensity)} != "
@@ -270,7 +274,6 @@ class BayesErrorResult:
 
     value: float
     truncation_mass: float
-    max_total_count: int
     n_cells: int
 
 
@@ -295,7 +298,6 @@ def bayes_error(model: TopicModel, max_total_count: int | None = None
         covered += float(joint.sum())
         risk += float(np.minimum(joint[:, 0], joint[:, 1]).sum())
     return BayesErrorResult(value=risk, truncation_mass=max(0.0, 1.0 - covered),
-                            max_total_count=max_total_count,
                             n_cells=grid.shape[0])
 
 

@@ -45,3 +45,18 @@ def test_install_wraps_and_uninstall_restores():
             "experiments.bias_check", "topics.enumerate",
             "topics.posterior"} <= seen
     assert np.isfinite([s.end - s.start for s in recorder.spans]).all()
+
+
+def test_altitude_sweep_records_thinning_spans():
+    # 70,000 documents: two thinning blocks, each thinned through the
+    # experiments.thin_counts binding that times dropout.thin
+    cfg = experiments.SweepConfig(weights=(1.0, -1.0),
+                                  intensity=(10.0, 2.5), delta=0.5)
+    recorder = spans.Recorder()
+    recorder.install()
+    try:
+        experiments.run_altitude_sweep([cfg], mc_budget=70_000)
+    finally:
+        recorder.uninstall()
+    thin = [s for s in recorder.spans if s.name == "dropout.thin"]
+    assert len(thin) == 2 and all(s.end > s.start for s in thin)

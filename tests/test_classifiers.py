@@ -173,6 +173,18 @@ class TestTrainLogistic:
         with pytest.raises(DegenerateDataError):
             train_logistic(data, TrainConfig())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+    def test_no_count_columns_rejected(self, delta):
+        # every trainer once returned empty weights here, and the logistic
+        # ones warned "divide by zero" while sizing the step
+        data = batch_from(np.zeros((4, 0)), [0, 1, 0, 1])
+        cfg = TrainConfig(dropout=DropoutConfig(delta=delta))
+        train = {0.0: train_logistic, 0.5: train_logistic_dropout,
+                 1.0: lambda d, _: train_naive_bayes(d)}[delta]
+        with pytest.raises(EmptyDataError, match="no count columns"):
+            train(data, cfg)
+
     def test_delta_must_be_zero(self):
         data = batch_from([[1], [2]], [0, 1])
         with pytest.raises(ValueError):

@@ -147,6 +147,14 @@ class TestSample:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and f"key '{key}'" in err
 
+    def test_repeated_topic_id_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "twins.json"
+        path.write_text(altered_model("id", 0, topic=1), encoding="utf-8")
+        assert cli_dispatch(["sample", "--model", str(path), "--n", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "topic id 0 is repeated" in err
+
 
 class TestTrainEval:
     def test_corpus_round_trip(self, toy_corpus, tmp_path, capsys):
@@ -273,6 +281,23 @@ class TestTrainEval:
         assert cli_dispatch(["train", "--corpus", toy_corpus,
                              "--l2", "nan"]) == 1
         assert "l2_weight must be finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta", ["0", "0.5", "1"])
+    def test_no_count_columns_exits_1(self, delta, tmp_path, capsys):
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text('{"counts": [], "label": 0}\n'
+                        '{"counts": [], "label": 1}\n', encoding="utf-8")
+        corpus = tmp_path / "blank.tsv"
+        corpus.write_text("0\t\n1\t!!\n0\t\n1\t\n", encoding="utf-8")
+        out = tmp_path / "clf.json"
+        for source in (["--docs", str(docs)],
+                       ["--corpus", str(corpus), "--train-size", "2"]):
+            assert cli_dispatch(["train", *source, f"--delta={delta}",
+                                 "--epochs", "5", "--out", str(out)]) == 1
+            assert capsys.readouterr().err == \
+                "error: training data has no count columns\n"
+            assert not out.exists()
 
     def test_naive_bayes_validates_logistic_flags(self, toy_corpus, capsys):
         assert cli_dispatch(["train", "--corpus", toy_corpus, "--delta", "1",

@@ -161,24 +161,6 @@ class TestOccurrenceKernel:
         assert Thinner(np.full((10, 10), 8), 0.9).occurrences is None
 
 
-class TestDrawRows:
-    @pytest.mark.parametrize("mean, delta", [
-        (40.0, 0.5),   # rng.binomial
-        (0.5, 0.5),    # occurrence kernel
-        (3.0, 0.0),
-        (3.0, 1.0),
-    ])
-    def test_blocks_equal_one_draw(self, mean, delta):
-        x = np.random.default_rng(1).poisson(mean, size=(1_003, 4))
-        thinner = Thinner(x, delta)
-        rng_blocks, rng_whole = make_rng(2, "rows"), make_rng(2, "rows")
-        blocks = list(thinner.draw_rows(rng_blocks, 100))
-        assert [len(b) for b in blocks] == [100] * 10 + [3]
-        assert np.array_equal(np.concatenate(blocks),
-                              thinner.draw(rng_whole))
-        assert rng_blocks.random() == rng_whole.random()
-
-
 class TestDropoutConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

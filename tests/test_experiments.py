@@ -93,16 +93,20 @@ class TestAltitudeSweep:
         assert scaled.eps < base.eps
         assert scaled.bound_holds and base.bound_holds
 
-    @pytest.mark.parametrize("intensity", [two_word_intensity(2.5, 10.0),
-                                           (0.8, 0.2)])
-    def test_row_blocks_equal_one_draw(self, intensity):
-        # 150,000 documents: three thinning blocks, the last one ragged.  At
-        # (0.8, 0.2) the whole chunk picks the occurrence kernel.
+    @pytest.mark.parametrize("intensity, block", [
+        pytest.param(two_word_intensity(2.5, 10.0), 150_000, id="intensity0"),
+        pytest.param((0.8, 0.2), 65_536, id="intensity1")])
+    def test_row_blocks_equal_one_draw(self, intensity, block):
+        # 150,000 documents: three thinning blocks, the last one ragged.  The
+        # sweep thins each 65,536-row block with its own thin_counts call;
+        # rng.binomial blocks draw what one call on the whole chunk draws,
+        # while at (0.8, 0.2) each block picks the occurrence kernel.
         cfg = SweepConfig(weights=(1.0, -1.0), intensity=intensity, delta=0.5)
         res = run_altitude_sweep([cfg], mc_budget=150_000, master_seed=6)[0]
         rng = make_rng(6, "altitude-sweep", 0)
         counts = rng.poisson(intensity, size=(150_000, 2))
-        thinned = thin_counts(counts, 0.5, rng)
+        thinned = np.concatenate([thin_counts(counts[row:row + block], 0.5, rng)
+                                  for row in range(0, 150_000, block)])
         w = np.array(cfg.weights)
         assert res.eps == np.count_nonzero(counts @ w <= 0) / 150_000
         assert res.eps_thinned == np.count_nonzero(thinned @ w <= 0) / 150_000

@@ -45,6 +45,14 @@ class TestModelValidation:
             TopicModel(label_prior=0.5, vocab_size=3, topics=(
                 Topic(id=0, rho0=1.0, rho1=1.0, intensity=np.array([1.0])),))
 
+    def test_repeated_topic_id_is_named(self):
+        # two topics with id 0 once gave excess_risk_decomposition a NaN rate
+        # and a counting-identity residual far past its tolerance
+        with pytest.raises(ValueError, match="topic id 0 is repeated"):
+            TopicModel(label_prior=0.5, vocab_size=2, topics=(
+                Topic(id=0, rho0=1.0, rho1=0.0, intensity=np.array([6.0, 2.0])),
+                Topic(id=0, rho0=0.0, rho1=1.0, intensity=np.array([2.0, 6.0]))))
+
     def test_json_round_trip(self):
         model = two_class_model([2.0, 1.0], [1.0, 2.0], prior=0.3)
         again = TopicModel.from_dict(model.to_dict())

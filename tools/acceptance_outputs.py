@@ -19,6 +19,9 @@ from pathlib import Path
 MODEL = {"label_prior": 0.4, "vocab_size": 3, "topics": [
     {"id": 0, "rho0": 0.7, "rho1": 0.2, "intensity": [6.0, 2.0, 1.0]},
     {"id": 1, "rho0": 0.3, "rho1": 0.8, "intensity": [1.0, 3.0, 5.0]}]}
+# inputs droplab rejects: two topics with one id, documents without counts
+TWIN_MODEL = {**MODEL, "topics": [{**t, "id": 0} for t in MODEL["topics"]]}
+BLANK_DOCS = '{"counts": [], "label": 0}\n{"counts": [], "label": 1}\n'
 DELTAS = ("0", "0.5", "1")
 COMMANDS = {
     "curves": "curves --n-grid 100,300 --delta-grid 0,0.5,0.9,1 --trials 2 "
@@ -28,6 +31,9 @@ COMMANDS = {
     "verify-margin-mc8": "verify --suite margin --mc 8 --seed 0",
     # more than one 200,000-document chunk per length
     "verify-margin": "verify --suite margin --mc 500000 --out verify-margin.json",
+    # two 1,000,000-document sweep chunks, the last thinning block ragged
+    "verify-altitude": "verify --suite altitude --mc 1100000 --seed 3 "
+                       "--out verify-altitude.json",
     # a repeated grid value is rejected: exit 1, nothing written
     "curves-repeated-grid": "curves --n-grid 100,100 --delta-grid 0.5,1 "
                             "--trials 1 --test-size 300 --out curves-repeated",
@@ -38,6 +44,9 @@ COMMANDS = {
     **{f"eval-{d}": f"eval --classifier clf-{d}.json --docs docs.jsonl "
                     f"--out eval-{d}.json" for d in DELTAS},
     "demo-influence": "demo-influence --n 300 --out demo.json",
+    "sample-twin-ids": "sample --model twin-model.json --n 10",
+    **{f"train-blank-{d}": f"train --docs blank.jsonl --delta {d} --epochs 5"
+       for d in DELTAS},
 }
 
 
@@ -65,6 +74,8 @@ if __name__ == "__main__":
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src.parent))
     out.mkdir(parents=True, exist_ok=True)
     (out / "model.json").write_text(json.dumps(MODEL))
+    (out / "twin-model.json").write_text(json.dumps(TWIN_MODEL))
+    (out / "blank.jsonl").write_text(BLANK_DOCS)
     codes = {name: subprocess.run([sys.executable, "-m", "droplab", *cmd.split()],
                                   cwd=out, env=env,
                                   stdout=subprocess.DEVNULL).returncode
