@@ -34,8 +34,8 @@ class LinearClassifier:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if self.weights.ndim != 1:
-            raise ValueError("weights must be a vector")
+        if self.weights.ndim != 1 or self.weights.size == 0:
+            raise ValueError("weights must be a non-empty vector")
         if not np.all(np.isfinite(self.weights)) or not np.isfinite(self.intercept):
             raise ValueError("classifier parameters must be finite")
 
@@ -56,7 +56,8 @@ class LinearClassifier:
     @classmethod
     def from_dict(cls, doc: dict) -> "LinearClassifier":
         """Inverse of to_dict; raises ValueError naming a missing or bad key."""
-        return cls(weights=read_field(doc, "weights", json_floats),
+        return cls(weights=read_field(doc, "weights",
+                                      lambda w: cls(json_floats(w)).weights),
                    intercept=read_field(doc, "intercept", json_float))
 
 
@@ -103,9 +104,9 @@ def _smoothness_bound(x: np.ndarray, l2_weight: float) -> float:
     v = np.full(d, 1.0 / np.sqrt(d))
     sigma_sq = 0.0
     for _ in range(32):
-        u = x @ v
-        v = x.T @ u
-        norm = np.linalg.norm(v)
+        u = np.einsum("ij,j->i", x, v)
+        v = np.einsum("ij,i->j", x, u)
+        norm = np.sqrt(np.einsum("j,j->", v, v))
         if norm == 0.0:
             sigma_sq = 0.0
             break
@@ -126,48 +127,6 @@ def _training_arrays(data) -> tuple[np.ndarray, np.ndarray]:
     if not (np.any(y == 0) and np.any(y == 1)):
         raise DegenerateDataError("training data must contain both classes")
     return x, y
-
-
-def _fit_logistic(x_counts: np.ndarray, y: np.ndarray,
-                  cfg: TrainConfig) -> LinearClassifier:
-    """Shared descent loop; thins fresh copies per pass when delta > 0."""
-    n, d = x_counts.shape
-    delta = cfg.dropout.delta
-    m = cfg.dropout.mc_replicates if delta > 0.0 else 1
-    x_float = x_counts.astype(float)
-    thinner = Thinner(x_counts, delta)
-    step = cfg.step_size
-    if step is None:
-        smooth = _smoothness_bound(x_float, cfg.l2_weight)
-        if delta > 0.0:
-            # size the step for the thinned objective: a pilot replicate
-            # estimates the smoothness of the matrices actually seen, with
-            # headroom for replicate-to-replicate fluctuation and a floor
-            # at the expected thinned curvature
-            pilot_rng = make_rng(cfg.seed, "logistic-gd-pilot")
-            pilot = thinner.draw(pilot_rng).astype(float)
-            keep = 1.0 - delta
-            smooth = 2.0 * max(_smoothness_bound(pilot, cfg.l2_weight),
-                               keep * keep * smooth)
-        step = 1.0 / max(smooth, 1e-12)
-    rng = make_rng(cfg.seed, "logistic-gd")
-    w = np.zeros(d)
-    yf = y.astype(float)
-
-    # an overflow can only end in non-finite weights, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.epochs):
-            gw = np.zeros(d)
-            for _ in range(m):
-                xb = thinner.draw(rng).astype(float) if delta > 0.0 else x_float
-                err = _sigmoid(xb @ w) - yf
-                gw += xb.T @ err
-            w -= step * (gw * (1.0 / (n * m)) + cfg.l2_weight * w)
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"gradient descent diverged at step size {step:g}; "
-                         "use a smaller step size, or none to size it from "
-                         "the data")
-    return LinearClassifier(weights=w)
 
 
 def train_logistic(data, cfg: TrainConfig) -> LinearClassifier:
@@ -191,7 +150,44 @@ def train_logistic_dropout(data, cfg: TrainConfig) -> LinearClassifier:
                          "would return zero weights; the delta = 1 endpoint "
                          "is naive Bayes (train_naive_bayes)")
     x, y = _training_arrays(data)
-    return _fit_logistic(x, y, cfg)
+    n, d = x.shape
+    delta = cfg.dropout.delta
+    m = cfg.dropout.mc_replicates if delta > 0.0 else 1
+    x_float = x.astype(float)
+    thinner = Thinner(x, delta)
+    step = cfg.step_size
+    if step is None:
+        smooth = _smoothness_bound(x_float, cfg.l2_weight)
+        if delta > 0.0:
+            # size the step for the thinned objective: a pilot replicate
+            # estimates the smoothness of the matrices actually seen, with
+            # headroom for replicate-to-replicate fluctuation and a floor
+            # at the expected thinned curvature
+            pilot_rng = make_rng(cfg.seed, "logistic-gd-pilot")
+            pilot = thinner.draw(pilot_rng).astype(float)
+            keep = 1.0 - delta
+            smooth = 2.0 * max(_smoothness_bound(pilot, cfg.l2_weight),
+                               keep * keep * smooth)
+        step = 1.0 / max(smooth, 1e-12)
+    rng = make_rng(cfg.seed, "logistic-gd")
+    w = np.zeros(d)
+    yf = y.astype(float)
+
+    # np.einsum calls no BLAS, so w does not depend on the BLAS thread count;
+    # an overflow can only end in non-finite weights, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            gw = np.zeros(d)
+            for _ in range(m):
+                xb = thinner.draw(rng).astype(float) if delta > 0.0 else x_float
+                err = _sigmoid(np.einsum("ij,j->i", xb, w)) - yf
+                gw += np.einsum("ij,i->j", xb, err)
+            w -= step * (gw * (1.0 / (n * m)) + cfg.l2_weight * w)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"gradient descent diverged at step size {step:g}; "
+                         "use a smaller step size, or none to size it from "
+                         "the data")
+    return LinearClassifier(weights=w)
 
 
 def train_naive_bayes(data, smoothing: float = 1.0) -> LinearClassifier:

@@ -42,6 +42,8 @@ class Topic:
     intensity: np.ndarray
 
     def __post_init__(self):
+        if abs(self.id) > 2 ** 53:  # DocumentBatch.topics is float64
+            raise ValueError(f"topic id {self.id} is not exact in float64")
         object.__setattr__(self, "intensity",
                            np.asarray(self.intensity, dtype=float))
         if self.intensity.ndim != 1:

@@ -77,11 +77,17 @@ class TestLinearClassifier:
         # size, so a row's last bit could depend on the row count and the
         # thread count: a whole 4,997-row product differed from 1,048-row
         # blocks at 2 threads, and 4 MB row blocks of the first 2,001 rows
-        # differed between 1 and 2 threads.  Each subprocess writes, per row
-        # count, the whole and the blocked scores; all must be equal.
+        # differed between 1 and 2 threads.  Trained weights differed
+        # between 1 and 2 threads too while the descent loop multiplied in
+        # BLAS.  Each subprocess writes, per row count, the whole and the
+        # blocked scores, all of which must be equal, then the weights
+        # fit_classifier trains at each delta, which must not depend on the
+        # thread count.
         code = """
 import numpy as np
-from droplab import LinearClassifier
+from droplab import (DropoutConfig, LinearClassifier, TrainConfig,
+                     build_synthetic_model, fit_classifier, make_rng,
+                     sample_documents)
 rng = np.random.default_rng(31)
 clf = LinearClassifier(weights=rng.normal(size=500), intercept=0.25)
 x = rng.poisson(2.0, size=(4997, 500))
@@ -89,6 +95,10 @@ for n in (4997, 2001):
     blocks = np.concatenate([clf.scores(x[i:min(i + 1048, n)])
                              for i in range(0, n, 1048)])
     print(clf.scores(x[:n]).tobytes().hex(), blocks.tobytes().hex())
+train = sample_documents(build_synthetic_model(), 3000, make_rng(0, "train"))
+for delta in (0.0, 0.5):
+    cfg = TrainConfig(epochs=30, dropout=DropoutConfig(delta, 2))
+    print(fit_classifier(train, cfg).weights.tobytes().hex())
 """
         runs = []
         for threads in ("1", "2"):
@@ -104,6 +114,8 @@ for n in (4997, 2001):
             runs.append([line.split() for line in out.stdout.splitlines()])
         for n, one, two in zip((4997, 2001), *runs):
             assert len(set(one + two)) == 1, f"{n} rows"
+        for delta, one, two in zip((0.0, 0.5), *(run[2:] for run in runs)):
+            assert one == two, f"weights at delta {delta}"
 
     def test_weights_must_be_a_vector(self):
         with pytest.raises(ValueError, match="vector"):
@@ -116,6 +128,7 @@ for n in (4997, 2001):
         ({"weights": [1.0], "intercept": [2]}, "intercept"),
         ({"weights": [[1.0], [2.0, 3.0]], "intercept": 0.0}, "weights"),
         ([1.0], "weights"),
+        ({"weights": [], "intercept": 0.5}, "weights"),
     ])
     def test_from_dict_names_the_bad_key(self, doc, key):
         with pytest.raises(ValueError, match=key):
@@ -165,7 +178,7 @@ class TestTrainLogistic:
                             np.concatenate([labels, labels]))
         w1 = train_logistic(single, TrainConfig(epochs=120)).weights
         w2 = train_logistic(double, TrainConfig(epochs=120)).weights
-        # equal up to BLAS summation-order noise in the step-size estimate
+        # equal up to summation-order noise in the step-size estimate
         assert np.allclose(w1, w2, atol=1e-12)
 
     def test_missing_class_rejected(self):

@@ -148,12 +148,18 @@ class TestSample:
         assert err.startswith(f"error: {path}: ") and f"key '{key}'" in err
 
     def test_repeated_topic_id_exits_1(self, tmp_path, capsys):
+        # float64 topic ids merge 2**53 + 1 into 2**53, so it is rejected
         path = tmp_path / "twins.json"
-        path.write_text(altered_model("id", 0, topic=1), encoding="utf-8")
-        assert cli_dispatch(["sample", "--model", str(path), "--n", "3"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ")
-        assert "topic id 0 is repeated" in err
+        for value, message in ((0, "topic id 0 is repeated"),
+                               (2 ** 53 + 1,
+                                f"key 'topics': topic id {2 ** 53 + 1} ")):
+            path.write_text(altered_model("id", value, topic=1),
+                            encoding="utf-8")
+            assert cli_dispatch(["sample", "--model", str(path),
+                                 "--n", "3"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ")
+            assert message in err
 
 
 class TestTrainEval:
@@ -209,6 +215,8 @@ class TestTrainEval:
         ({"weights": ["1.5", -1.0], "intercept": 0.0}, "docs", "'weights'"),
         ({"weights": [1.0, -1.0], "intercept": "0.25"}, "docs",
          "'intercept'"),
+        # once scored every document by its intercept alone
+        ({"weights": [], "intercept": 0.5}, "docs", "'weights'"),
     ])
     def test_malformed_classifier_exits_1(self, doc, source, key, toy_corpus,
                                           tmp_path, capsys):

@@ -47,11 +47,17 @@ class TestModelValidation:
 
     def test_repeated_topic_id_is_named(self):
         # two topics with id 0 once gave excess_risk_decomposition a NaN rate
-        # and a counting-identity residual far past its tolerance
-        with pytest.raises(ValueError, match="topic id 0 is repeated"):
-            TopicModel(label_prior=0.5, vocab_size=2, topics=(
-                Topic(id=0, rho0=1.0, rho1=0.0, intensity=np.array([6.0, 2.0])),
-                Topic(id=0, rho0=0.0, rho1=1.0, intensity=np.array([2.0, 6.0]))))
+        # and a counting-identity residual far past its tolerance; so did
+        # ids 2**53 and 2**53 + 1, which float64 topic ids merged
+        for ids, message in (((0, 0), "topic id 0 is repeated"),
+                             ((2 ** 53, 2 ** 53 + 1),
+                              f"topic id {2 ** 53 + 1} ")):
+            with pytest.raises(ValueError, match=message):
+                TopicModel(label_prior=0.5, vocab_size=2, topics=(
+                    Topic(id=ids[0], rho0=1.0, rho1=0.0,
+                          intensity=np.array([6.0, 2.0])),
+                    Topic(id=ids[1], rho0=0.0, rho1=1.0,
+                          intensity=np.array([2.0, 6.0]))))
 
     def test_json_round_trip(self):
         model = two_class_model([2.0, 1.0], [1.0, 2.0], prior=0.3)

@@ -1,8 +1,7 @@
 """Write droplab's fixed acceptance outputs into OUT_DIR, for `diff -r`:
     PYTHONPATH=src python tools/acceptance_outputs.py OUT_DIR
 Commands run as `python -m droplab` subprocesses in OUT_DIR, on the package
-PYTHONPATH resolves, at OPENBLAS_NUM_THREADS=1 (trained weights depend on
-the BLAS thread count).  counts.json (src lines; defaulted parameters plus
+PYTHONPATH resolves.  counts.json (src lines; defaulted parameters plus
 defaulted dataclass fields; names droplab/__init__.py imports) is the one
 file meant to differ by version.  A command without --out is run for its
 exit code alone.
@@ -19,9 +18,13 @@ from pathlib import Path
 MODEL = {"label_prior": 0.4, "vocab_size": 3, "topics": [
     {"id": 0, "rho0": 0.7, "rho1": 0.2, "intensity": [6.0, 2.0, 1.0]},
     {"id": 1, "rho0": 0.3, "rho1": 0.8, "intensity": [1.0, 3.0, 5.0]}]}
-# inputs droplab rejects: two topics with one id, documents without counts
+# inputs droplab rejects: two topics with one id, ids float64 merges,
+# documents without counts, a classifier without weights
 TWIN_MODEL = {**MODEL, "topics": [{**t, "id": 0} for t in MODEL["topics"]]}
+HUGE_ID_MODEL = {**MODEL, "topics": [{**t, "id": 2 ** 53 + i}
+                                     for i, t in enumerate(MODEL["topics"])]}
 BLANK_DOCS = '{"counts": [], "label": 0}\n{"counts": [], "label": 1}\n'
+NO_WEIGHTS = {"weights": [], "intercept": 0.5}
 DELTAS = ("0", "0.5", "1")
 COMMANDS = {
     "curves": "curves --n-grid 100,300 --delta-grid 0,0.5,0.9,1 --trials 2 "
@@ -43,8 +46,14 @@ COMMANDS = {
        for d in DELTAS},
     **{f"eval-{d}": f"eval --classifier clf-{d}.json --docs docs.jsonl "
                     f"--out eval-{d}.json" for d in DELTAS},
+    # large enough that a BLAS product would split rows between threads
+    "sample-3000": "sample --n 3000 --seed 4 --out synthetic-3000.jsonl",
+    "train-3000": "train --docs synthetic-3000.jsonl --delta 0.5 --epochs 30 "
+                  "--mc 2 --out clf-3000.json",
     "demo-influence": "demo-influence --n 300 --out demo.json",
     "sample-twin-ids": "sample --model twin-model.json --n 10",
+    "sample-huge-ids": "sample --model huge-id-model.json --n 10",
+    "eval-no-weights": "eval --classifier no-weights.json --docs blank.jsonl",
     **{f"train-blank-{d}": f"train --docs blank.jsonl --delta {d} --epochs 5"
        for d in DELTAS},
 }
@@ -71,10 +80,12 @@ def counts(src: Path) -> dict:
 if __name__ == "__main__":
     out = Path(sys.argv[1])
     src = Path(importlib.util.find_spec("droplab").origin).parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src.parent))
+    env = dict(os.environ, PYTHONPATH=str(src.parent))
     out.mkdir(parents=True, exist_ok=True)
     (out / "model.json").write_text(json.dumps(MODEL))
     (out / "twin-model.json").write_text(json.dumps(TWIN_MODEL))
+    (out / "huge-id-model.json").write_text(json.dumps(HUGE_ID_MODEL))
+    (out / "no-weights.json").write_text(json.dumps(NO_WEIGHTS))
     (out / "blank.jsonl").write_text(BLANK_DOCS)
     codes = {name: subprocess.run([sys.executable, "-m", "droplab", *cmd.split()],
                                   cwd=out, env=env,
