@@ -6,7 +6,7 @@ and prints the mean test error per cell.  This is a reduced grid that runs
 in a few minutes; use `droplab curves` for the full default grid.
 """
 
-from droplab import (CurveSpec, DropoutConfig, TrainConfig,
+from droplab import (CurveSpec, TrainConfig,
                      build_synthetic_model, run_learning_curves)
 
 
@@ -17,9 +17,7 @@ def main():
         delta_grid=(0.0, 0.5, 0.95, 1.0),
         trials=3,
         test_size=20_000,
-        train_cfg=TrainConfig(epochs=300,
-                              dropout=DropoutConfig(delta=0.0,
-                                                    mc_replicates=4)),
+        train_cfg=TrainConfig(epochs=300),
         master_seed=0,
         sampler_name="synthetic-sec6",
     )

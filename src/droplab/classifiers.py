@@ -1,8 +1,9 @@
 """Linear classifiers: logistic regression (plain and dropout-trained),
 multinomial naive Bayes and intercept recalibration.
 
-All trainers are deterministic functions of (data, config, seed).  The
-decision rule is 1{w.x + b > 0}; a score of exactly zero predicts class 0.
+All trainers are deterministic functions of (data, config) and draw no
+random numbers.  The decision rule is 1{w.x + b > 0}; a score of exactly
+zero predicts class 0.
 """
 
 from __future__ import annotations
@@ -10,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
-from .dropout import DropoutConfig, Thinner
+from .dropout import DropoutConfig
 from .serialize import json_float, json_floats, read_field
-from .streams import make_rng
 from .topics import DocumentBatch
 
 
@@ -65,16 +66,17 @@ class LinearClassifier:
 class TrainConfig:
     """Gradient-descent settings for the logistic trainers.
 
-    Each epoch is one full-batch descent step.  step_size=None picks 1/L
-    from a power-iteration estimate of the smoothness constant.  The
-    intercept stays frozen at zero; downstream protocols recalibrate it.
+    Each epoch is one full-batch descent step, and the result is the
+    iterate after `epochs` steps, not a converged optimum.  step_size=None
+    sizes the step from a bound on the smoothness constant
+    (_smoothness_bound).  The intercept stays frozen at zero; downstream
+    protocols recalibrate it.
     """
 
     l2_weight: float = 1e-7
     step_size: float | None = None
     epochs: int = 400
     dropout: DropoutConfig = field(default_factory=DropoutConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.l2_weight < np.inf:
@@ -92,14 +94,32 @@ def as_arrays(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return data.counts, data.labels, data.topics
 
 
+# E[f(z)], z standard normal, as sum_k f(_GH_NODES[k]) _GH_WEIGHTS[k]: the
+# probabilists' Gauss-Hermite rule with K = 8 nodes.  More nodes move a
+# curves iterate by under 4e-5 of its norm, where two seeds of a Monte Carlo
+# gradient moved it by over 1e-2 (CHANGES.md).
+_GH_NODES, _GH_WEIGHTS = hermegauss(8)
+_GH_WEIGHTS /= _GH_WEIGHTS.sum()
+# The thinned step is 1 / (_STEP_HEADROOM * L), L from _smoothness_bound.
+# The curves measure a fixed-budget iterate, so the step is part of the
+# estimator: 2.0 reproduces the step of the Monte Carlo trainer, which sized
+# it from a pilot thinning draw at 1.95-2.23 times L (CHANGES.md).
+_STEP_HEADROOM = 2.0
+
+
 def _sigmoid(s: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(s))
     return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _smoothness_bound(x: np.ndarray, l2_weight: float) -> float:
-    """Upper estimate of the logistic-loss smoothness constant via 32 steps
-    of power iteration."""
+def _smoothness_bound(x: np.ndarray, delta: float, l2_weight: float) -> float:
+    """Upper estimate of the smoothness constant of the expected thinned
+    logistic loss.
+
+    E[x~ x~^T] = keep^2 x x^T + delta keep diag(x) for a thinned row x~, so
+    L <= (0.25 / n)(keep^2 sigma_max(X)^2 + delta keep max_j sum_i x_ij)
+    + l2; sigma_max(X)^2 comes from 32 steps of power iteration.
+    """
     n, d = x.shape
     v = np.full(d, 1.0 / np.sqrt(d))
     sigma_sq = 0.0
@@ -112,8 +132,11 @@ def _smoothness_bound(x: np.ndarray, l2_weight: float) -> float:
             break
         sigma_sq = norm  # ||X^T X v|| -> sigma_max^2 at convergence
         v /= norm
+    keep = 1.0 - delta
     # 1.1 safety factor: power iteration approaches sigma_max from below
-    return 1.1 * 0.25 * sigma_sq / n + l2_weight
+    curvature = (1.1 * 0.25 * keep * keep * sigma_sq
+                 + 0.25 * delta * keep * float(x.sum(axis=0).max()))
+    return curvature / n + l2_weight
 
 
 def _training_arrays(data) -> tuple[np.ndarray, np.ndarray]:
@@ -137,13 +160,34 @@ def train_logistic(data, cfg: TrainConfig) -> LinearClassifier:
     return train_logistic_dropout(data, cfg)
 
 
-def train_logistic_dropout(data, cfg: TrainConfig) -> LinearClassifier:
-    """Logistic regression on thinned counts.
+def _expected_thinned_gradient(x: np.ndarray, y: np.ndarray, w: np.ndarray,
+                               delta: float) -> np.ndarray:
+    """Gradient in w of sum_i E[softplus(s_i)] - y_i E[s_i], where s_i is
+    row i's thinned score under its Gaussian law (train_logistic_dropout)."""
+    keep = 1.0 - delta
+    xw = np.einsum("ij,kj->ik", x, np.stack([w, w * w]))  # X.w and X.(w*w)
+    mean = keep * xw[:, 0]
+    sd = np.sqrt(delta * keep * xw[:, 1])
+    p = _sigmoid(mean[:, None] + sd[:, None] * _GH_NODES)  # (n, K)
+    coef = np.stack([keep * (np.einsum("ik,k->i", p, _GH_WEIGHTS) - y),
+                     delta * keep * np.einsum("ik,k->i", p * (1.0 - p),
+                                              _GH_WEIGHTS)], axis=1)
+    g = np.einsum("ij,ik->kj", x, coef)
+    return g[0] + g[1] * w
 
-    Each pass re-thins every example mc_replicates times with fresh noise and
-    averages the gradient over the replicates, giving an unbiased stochastic
-    gradient of the expected thinned loss.  delta = 0 thins nothing and is
-    the plain trainer; delta = 1 is rejected (its endpoint is naive Bayes).
+
+def train_logistic_dropout(data, cfg: TrainConfig) -> LinearClassifier:
+    """Logistic regression on thinned counts: a fixed-budget descent iterate
+    on the expected thinned loss.
+
+    A thinned row's score s = w.x~ has the exact binomial mean mu = keep w.x
+    and variance delta keep sum_j w_j^2 x_j.  Each epoch takes one full-batch
+    step on the mean over rows of E_z[softplus(mu + sd z)] - y mu, z standard
+    normal, with the expectations taken on K = len(_GH_NODES) Gauss-Hermite
+    nodes.  By Stein's identity its gradient is
+    keep X^T(E[sigmoid] - y) + delta keep (X^T E[sigmoid']) * w.  Nothing is
+    drawn.  delta = 0 is the plain trainer on the raw counts; delta = 1 is
+    rejected (its endpoint is naive Bayes).
     """
     if cfg.dropout.delta >= 1.0:
         raise ValueError("delta = 1 deletes every word, so logistic training "
@@ -152,24 +196,13 @@ def train_logistic_dropout(data, cfg: TrainConfig) -> LinearClassifier:
     x, y = _training_arrays(data)
     n, d = x.shape
     delta = cfg.dropout.delta
-    m = cfg.dropout.mc_replicates if delta > 0.0 else 1
     x_float = x.astype(float)
-    thinner = Thinner(x, delta)
     step = cfg.step_size
     if step is None:
-        smooth = _smoothness_bound(x_float, cfg.l2_weight)
+        smooth = _smoothness_bound(x_float, delta, cfg.l2_weight)
         if delta > 0.0:
-            # size the step for the thinned objective: a pilot replicate
-            # estimates the smoothness of the matrices actually seen, with
-            # headroom for replicate-to-replicate fluctuation and a floor
-            # at the expected thinned curvature
-            pilot_rng = make_rng(cfg.seed, "logistic-gd-pilot")
-            pilot = thinner.draw(pilot_rng).astype(float)
-            keep = 1.0 - delta
-            smooth = 2.0 * max(_smoothness_bound(pilot, cfg.l2_weight),
-                               keep * keep * smooth)
+            smooth *= _STEP_HEADROOM
         step = 1.0 / max(smooth, 1e-12)
-    rng = make_rng(cfg.seed, "logistic-gd")
     w = np.zeros(d)
     yf = y.astype(float)
 
@@ -177,12 +210,12 @@ def train_logistic_dropout(data, cfg: TrainConfig) -> LinearClassifier:
     # an overflow can only end in non-finite weights, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
-            gw = np.zeros(d)
-            for _ in range(m):
-                xb = thinner.draw(rng).astype(float) if delta > 0.0 else x_float
-                err = _sigmoid(np.einsum("ij,j->i", xb, w)) - yf
-                gw += np.einsum("ij,i->j", xb, err)
-            w -= step * (gw * (1.0 / (n * m)) + cfg.l2_weight * w)
+            if delta > 0.0:
+                gw = _expected_thinned_gradient(x_float, yf, w, delta)
+            else:
+                err = _sigmoid(np.einsum("ij,j->i", x_float, w)) - yf
+                gw = np.einsum("ij,i->j", x_float, err)
+            w -= step * (gw * (1.0 / n) + cfg.l2_weight * w)
     if not np.all(np.isfinite(w)):
         raise ValueError(f"gradient descent diverged at step size {step:g}; "
                          "use a smaller step size, or none to size it from "

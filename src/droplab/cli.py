@@ -147,16 +147,13 @@ def _cmd_train(args) -> int:
 
     cfg = TrainConfig(l2_weight=args.l2, step_size=args.step,
                       epochs=args.epochs,
-                      dropout=DropoutConfig(delta=args.delta,
-                                            mc_replicates=args.mc_replicates),
-                      seed=args.seed)
+                      dropout=DropoutConfig(delta=args.delta))
     clf = fit_classifier(train, cfg, nb_smoothing=args.smoothing)
 
     meta = _meta(args, command="train", delta=args.delta,
                  corpus=args.corpus, docs=args.docs,
                  train_frac=args.train_frac, train_size=args.train_size,
                  l2=args.l2, step=args.step, epochs=args.epochs,
-                 mc_replicates=args.mc_replicates,
                  smoothing=args.smoothing)
     meta["train_error"] = evaluate_error(clf, train)
     if heldout is not None:
@@ -199,9 +196,7 @@ def _cmd_eval(args) -> int:
 def _cmd_curves(args) -> int:
     sampler = _load_sampler(args.model)
     cfg = TrainConfig(l2_weight=args.l2, step_size=args.step,
-                      epochs=args.epochs,
-                      dropout=DropoutConfig(delta=0.0,
-                                            mc_replicates=args.mc_replicates))
+                      epochs=args.epochs)
     spec = CurveSpec(sampler=sampler, n_grid=tuple(args.n_grid),
                      delta_grid=tuple(args.delta_grid), trials=args.trials,
                      test_size=args.test_size, train_cfg=cfg,
@@ -287,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     source(p)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--mc", dest="mc_replicates", type=int, default=8,
-                   help="thinned replicates per pass")
     p.add_argument("--l2", type=float, default=1e-7)
     p.add_argument("--epochs", type=int, default=400)
     p.add_argument("--step", type=float, default=None)
@@ -318,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", type=float, default=1e-7)
     p.add_argument("--epochs", type=int, default=150)
     p.add_argument("--step", type=float, default=None)
-    p.add_argument("--mc", dest="mc_replicates", type=int, default=4,
-                   help="thinned replicates per pass")
     p.add_argument("--timing", action="store_true",
                    help="write measured per-cell wall times (breaks "
                         "byte-for-byte reproducibility)")

@@ -27,7 +27,7 @@ from .classifiers import (LinearClassifier, TrainConfig, error_by_topic,
                           train_logistic, train_logistic_dropout,
                           train_naive_bayes)
 from .diagnostics import berry_esseen_statistic, score_moments
-from .dropout import DropoutConfig, dropout_posterior, thin_counts
+from .dropout import dropout_posterior, thin_counts
 from .streams import make_rng, seed_fingerprint
 from .topics import (DocumentBatch, GenerativeSampler, Topic, TopicModel,
                      bayes_posterior, enumerate_counts, sample_documents)
@@ -90,7 +90,6 @@ class CurveSpec:
             "l2_weight": self.train_cfg.l2_weight,
             "epochs": self.train_cfg.epochs,
             "step_size": self.train_cfg.step_size,
-            "mc_replicates": self.train_cfg.dropout.mc_replicates,
             "nb_smoothing": 1.0,  # fit_classifier's default
             "master_seed": self.master_seed,
         }
@@ -137,8 +136,8 @@ def fit_classifier(train: DocumentBatch, cfg: TrainConfig,
     return recalibrate_intercept(clf, train)
 
 
-def _at_delta(cfg: TrainConfig, delta: float, seed: int) -> TrainConfig:
-    return replace(cfg, seed=seed, dropout=replace(cfg.dropout, delta=delta))
+def _at_delta(cfg: TrainConfig, delta: float) -> TrainConfig:
+    return replace(cfg, dropout=replace(cfg.dropout, delta=delta))
 
 
 def _run_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int,
@@ -149,12 +148,13 @@ def _run_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int,
     started = time.perf_counter()
     rng = make_rng(spec.master_seed, _CELL_TAG, n, delta, trial)
     fingerprint = seed_fingerprint(spec.master_seed, _CELL_TAG, n, delta, trial)
-    train_seed = int(rng.integers(0, 2 ** 31 - 1))
+    # the trainers draw nothing; this draw keeps each cell's training-set
+    # stream, so the delta = 0 and delta = 1 rows stay as they were
+    rng.integers(0, 2 ** 31 - 1)
     note = ""
     try:
         train = sample_documents(spec.sampler, n, rng)
-        clf = fit_classifier(train, _at_delta(spec.train_cfg, delta,
-                                              train_seed))
+        clf = fit_classifier(train, _at_delta(spec.train_cfg, delta))
         train_error = evaluate_error(clf, train)
         test_error = evaluate_error(clf, test)
     except ValueError as exc:
@@ -401,8 +401,7 @@ INFLUENCE_RARE_WEIGHT = 0.01
 # the influence effect only appears once the plain fit is near its optimum,
 # hence the large epoch budget; with d = 2 that stays cheap.  Each arm sets
 # its own delta.
-INFLUENCE_TRAIN_CFG = TrainConfig(epochs=15_000,
-                                  dropout=DropoutConfig(mc_replicates=1))
+INFLUENCE_TRAIN_CFG = TrainConfig(epochs=15_000)
 
 
 def influence_demo_model() -> TopicModel:
@@ -452,11 +451,10 @@ def run_influence_demo(delta: float = 0.75, n: int = 10_000,
     model = influence_demo_model()
     rng = make_rng(master_seed, "influence-train")
     train = sample_documents(model, n, rng)
-    train_seed = int(rng.integers(0, 2 ** 31 - 1))
 
-    clf_plain = fit_classifier(train, _at_delta(train_cfg, 0.0, train_seed))
+    clf_plain = fit_classifier(train, _at_delta(train_cfg, 0.0))
     clf_drop = clf_plain if delta == 0.0 else fit_classifier(
-        train, _at_delta(train_cfg, delta, train_seed))
+        train, _at_delta(train_cfg, delta))
 
     eval_rng = make_rng(master_seed, "influence-eval")
     eval_batch = sample_documents(model, eval_size, eval_rng)

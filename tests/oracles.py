@@ -3,8 +3,9 @@ uses: bin pooling for chi-square tests (goodness of fit runs
 `scipy.stats.chisquare(*pool_bins(...))`), a pooled two-sample chi-square
 test, the per-sample Kolmogorov statistic, the length-first multinomial
 document sampler, an exhaustive zero-one empirical risk minimizer for
-d <= 3, the tracemalloc peak of a call, and a subprocess running a fresh
-interpreter that imports this droplab.
+d <= 3, the Monte Carlo dropout gradient and its descent, the tracemalloc
+peak of a call, and a subprocess running a fresh interpreter that imports
+this droplab.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from scipy.stats import chi2_contingency
 
 import droplab
 from droplab import (DocumentBatch, EmptyDataError, GenerativeSampler,
-                     LinearClassifier, recalibrate_intercept)
+                     LinearClassifier, recalibrate_intercept, thin_counts)
+from droplab.classifiers import _sigmoid
 
 
 def pool_bins(observed, expected, min_expected: float):
@@ -96,6 +98,33 @@ def sample_documents_multinomial(sampler: GenerativeSampler, n: int,
     probs = intensities / totals[:, None]
     counts = rng.multinomial(lengths, probs)
     return DocumentBatch(counts=counts, labels=labels, topics=topic_ids)
+
+
+def mc_thinned_gradient(x: np.ndarray, y: np.ndarray, w: np.ndarray,
+                        delta: float, rng: np.random.Generator) -> np.ndarray:
+    """Gradient in w of sum_i softplus(w.x~_i) - y_i w.x~_i on one binomial
+    thinning x~ of the integer count rows x: an unbiased draw of the
+    expected thinned gradient that `train_logistic_dropout` computes under
+    the Gaussian law of each thinned score."""
+    xb = thin_counts(x, delta, rng).astype(float)
+    err = _sigmoid(np.einsum("ij,j->i", xb, w)) - y
+    return np.einsum("ij,i->j", xb, err)
+
+
+def mc_dropout_descent(data: DocumentBatch, delta: float, step: float,
+                       epochs: int, replicates: int,
+                       rng: np.random.Generator,
+                       l2_weight: float = 1e-7) -> LinearClassifier:
+    """Full-batch descent on the thinned logistic loss with the mean of
+    `replicates` Monte Carlo gradients per epoch, from zero weights."""
+    x, y = data.counts, data.labels.astype(float)
+    n, d = x.shape
+    w = np.zeros(d)
+    for _ in range(epochs):
+        g = sum(mc_thinned_gradient(x, y, w, delta, rng)
+                for _ in range(replicates))
+        w -= step * (g / (n * replicates) + l2_weight * w)
+    return LinearClassifier(weights=w)
 
 
 class DimensionError(ValueError):

@@ -13,7 +13,7 @@ import pytest
 from scipy import stats as sps
 from scipy.stats import chisquare
 
-from droplab import (CurveSpec, DropoutConfig, LinearClassifier, TrainConfig,
+from droplab import (CurveSpec, LinearClassifier, TrainConfig,
                      berry_esseen_check, build_synthetic_model,
                      excess_risk_decomposition, gaussian_tail_check, make_rng,
                      margin_condition, run_altitude_sweep, run_bias_check,
@@ -186,9 +186,7 @@ def small_n_curves():
     spec = CurveSpec(
         sampler=build_synthetic_model(),
         n_grid=(100,), delta_grid=(0.0, 0.95), trials=10, test_size=100_000,
-        train_cfg=TrainConfig(epochs=400,
-                              dropout=DropoutConfig(delta=0.0,
-                                                    mc_replicates=8)),
+        train_cfg=TrainConfig(epochs=400),
         master_seed=2024, sampler_name="synthetic-sec6")
     return run_learning_curves(spec, threads=4)
 

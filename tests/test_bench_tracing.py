@@ -33,8 +33,7 @@ def test_install_wraps_and_uninstall_restores():
         assert all(b.get() is not o for b, o in zip(bindings, originals))
         train = sample_documents(equal_length_models()[0], 100,
                                  make_rng(1, "trace"))
-        cfg = TrainConfig(epochs=3, dropout=DropoutConfig(delta=0.5,
-                                                          mc_replicates=1))
+        cfg = TrainConfig(epochs=3, dropout=DropoutConfig(delta=0.5))
         experiments.fit_classifier(train, cfg)
         experiments.run_bias_check(equal_length_models()[0], (0.5,), 3)
     finally:

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import expit
+from scipy.stats import norm
 
 from droplab import (DegenerateDataError, DropoutConfig, EmptyDataError,
                      LinearClassifier, TrainConfig, evaluate_error, make_rng,
@@ -15,8 +18,10 @@ from droplab import (DegenerateDataError, DropoutConfig, EmptyDataError,
 import droplab
 from droplab import classifiers
 from droplab.presets import two_word_intensity
-from droplab.topics import DocumentBatch, Topic, TopicModel
-from oracles import DimensionError, erm_zero_one_small
+from droplab.topics import (DocumentBatch, Topic, TopicModel,
+                            build_synthetic_model)
+from oracles import (DimensionError, erm_zero_one_small, mc_dropout_descent,
+                     mc_thinned_gradient)
 
 EXACT_THINNED_RATE = 0.043627118658197702   # P[thinned score <= 0], z = 2.5
 GAUSSIAN_THINNED_RATE = 0.038549935871770885
@@ -210,7 +215,7 @@ class TestTrainLogistic:
         train = sample_documents(sampler, 2_000, make_rng(100, "train"))
         test = sample_documents(sampler, 100_000, make_rng(100, "test"))
         clf = recalibrate_intercept(
-            train_logistic(train, TrainConfig(epochs=400, seed=5)), train)
+            train_logistic(train, TrainConfig(epochs=400)), train)
         ref = recalibrate_intercept(
             LinearClassifier(weights=np.array([np.log(0.25), np.log(4.0)])),
             train)
@@ -224,7 +229,7 @@ class TestTrainLogistic:
         sampler = two_topic_sampler([8.0, 2.0], [2.0, 8.0])
         train = sample_documents(sampler, 200, make_rng(102, "diverge"))
         cfg = TrainConfig(step_size=1e9, epochs=400,
-                          dropout=DropoutConfig(delta=delta, mc_replicates=2))
+                          dropout=DropoutConfig(delta=delta))
         with pytest.raises(ValueError, match="diverged at step size 1e\\+09"):
             train_logistic_dropout(train, cfg)
         assert not [w for w in recwarn if "overflow" in str(w.message)]
@@ -240,33 +245,28 @@ class TestTrainLogisticDropout:
         with pytest.raises(ValueError, match="naive Bayes"):
             trainer(data, cfg)
 
-    def test_descent_thins_through_one_thinner(self, monkeypatch):
-        made, drawn = [], []
+    def test_descent_draws_no_thinning(self, monkeypatch):
+        # a thinning draw of these counts would call rng.binomial
+        sampler = two_topic_sampler([20.0, 10.0], [10.0, 20.0])
+        train = sample_documents(sampler, 100, make_rng(105, "no-draws"))
 
-        class Recording(classifiers.Thinner):
-            def __init__(self, counts, delta):
-                made.append(counts.shape)
-                super().__init__(counts, delta)
+        class NoDraws(np.random.Generator):
+            def binomial(self, *args, **kwargs):
+                raise AssertionError("the dropout trainer drew a thinning")
 
-            def draw(self, rng):
-                drawn.append(self.counts.shape)
-                return super().draw(rng)
+            geometric = binomial
 
-        monkeypatch.setattr(classifiers, "Thinner", Recording)
-        sampler = two_topic_sampler([2.0, 1.0], [1.0, 2.0])
-        train = sample_documents(sampler, 100, make_rng(105, "mb-thin"))
-        cfg = TrainConfig(epochs=3, seed=2,
-                          dropout=DropoutConfig(delta=0.9, mc_replicates=2))
-        train_logistic_dropout(train, cfg)
-        # one Thinner per fit: the pilot draw, then mc_replicates full-set
-        # draws per epoch
-        assert made == [(100, 2)]
-        assert drawn == [(100, 2)] * (1 + 3 * 2)
+        monkeypatch.setattr(np.random, "Generator", NoDraws)
+        with pytest.raises(AssertionError):  # make_rng now builds NoDraws
+            make_rng(0, "no-draws").binomial(3, 0.5)
+        for delta in (0.5, 0.9):
+            cfg = TrainConfig(epochs=3, dropout=DropoutConfig(delta=delta))
+            train_logistic_dropout(train, cfg)
 
     def test_zero_rate_is_bit_identical_to_plain(self):
         sampler = two_topic_sampler([5.0, 1.0], [1.0, 5.0])
         train = sample_documents(sampler, 300, make_rng(102, "d0"))
-        cfg = TrainConfig(epochs=80, seed=9, dropout=DropoutConfig(delta=0.0))
+        cfg = TrainConfig(epochs=80, dropout=DropoutConfig(delta=0.0))
         a = train_logistic_dropout(train, cfg)
         b = train_logistic(train, cfg)
         assert np.array_equal(a.weights, b.weights)
@@ -275,27 +275,65 @@ class TestTrainLogisticDropout:
     def test_same_seed_reproduces_exactly(self):
         sampler = two_topic_sampler([5.0, 1.0], [1.0, 5.0])
         train = sample_documents(sampler, 200, make_rng(103, "det"))
-        cfg = TrainConfig(epochs=100, seed=7,
-                          dropout=DropoutConfig(delta=0.5, mc_replicates=64))
+        cfg = TrainConfig(epochs=100, dropout=DropoutConfig(delta=0.5))
         a = train_logistic_dropout(train, cfg)
         b = train_logistic_dropout(train, cfg)
         assert np.array_equal(a.weights, b.weights)
 
     def test_seed_sensitivity_is_within_noise(self):
-        # different thinning noise, same data: test errors agree closely
+        # the Monte Carlo gradient at two seeds and its Gaussian expectation
+        # give test errors that agree within sampling noise
         sampler = two_topic_sampler([8.0, 2.0], [2.0, 8.0])
         train = sample_documents(sampler, 200, make_rng(104, "seeds"))
         test = sample_documents(sampler, 50_000, make_rng(104, "seedtest"))
-        errs = []
-        for seed in (7, 8):
-            cfg = TrainConfig(epochs=200, seed=seed,
-                              dropout=DropoutConfig(delta=0.5,
-                                                    mc_replicates=64))
-            clf = recalibrate_intercept(
-                train_logistic_dropout(train, cfg), train)
-            errs.append(evaluate_error(clf, test))
+        step = 0.1
+        fits = [mc_dropout_descent(train, 0.5, step, 200, 64,
+                                   make_rng(seed, "mc-descent"))
+                for seed in (7, 8)]
+        cfg = TrainConfig(epochs=200, step_size=step,
+                          dropout=DropoutConfig(delta=0.5))
+        fits.append(train_logistic_dropout(train, cfg))
+        errs = [evaluate_error(recalibrate_intercept(clf, train), test)
+                for clf in fits]
         se = np.sqrt(errs[0] * (1 - errs[0]) / len(test))
-        assert abs(errs[0] - errs[1]) <= 3 * 2 * se
+        assert max(errs) - min(errs) <= 3 * 2 * se
+
+
+class TestExpectedThinnedGradient:
+    @pytest.mark.parametrize("delta", [0.5, 0.95])
+    def test_within_monte_carlo_noise(self, delta):
+        # along w (where the variance term acts) and along the all-ones
+        # direction, the Gauss-Hermite gradient lies within 4 standard
+        # errors of the mean of 100 Monte Carlo thinned gradients
+        data = sample_documents(build_synthetic_model(), 200,
+                                make_rng(106, "gh-grad"))
+        x, y = data.counts, data.labels.astype(float)
+        w = 0.5 * train_naive_bayes(data).weights
+        rng = make_rng(107, "mc-grad", delta)
+        mc = np.array([mc_thinned_gradient(x, y, w, delta, rng)
+                       for _ in range(100)])
+        gh = classifiers._expected_thinned_gradient(x.astype(float), y, w,
+                                                    delta)
+        for u in (w, np.ones_like(w)):
+            proj = mc @ u
+            se = np.std(proj, ddof=1) / np.sqrt(len(proj))
+            assert abs(gh @ u - np.mean(proj)) <= 4 * se
+
+    def test_nodes_match_quadrature(self):
+        # E[sigmoid(mu + s z)] and E[sigmoid'(mu + s z)], z standard normal:
+        # the 8-node rule is within 1e-6 of quad up to s = 0.7, and its
+        # error grows to 3.1e-4 at s = 1.5, about the largest thinned-score
+        # sd that fits at delta 0.9 and 0.95 meet
+        assert len(classifiers._GH_NODES) == 8
+        for mu in (-3.0, -1.0, 0.0, 0.5, 2.0):
+            for s, tol in ((0.1, 1e-6), (0.4, 1e-6), (0.7, 1e-6),
+                           (1.0, 2e-5), (1.5, 4e-4)):
+                p = classifiers._sigmoid(mu + s * classifiers._GH_NODES)
+                for f, rule in ((expit, p), (lambda t: expit(t) * expit(-t),
+                                             p * (1.0 - p))):
+                    exact = quad(lambda z: f(mu + s * z) * norm.pdf(z),
+                                 -np.inf, np.inf, epsabs=1e-13)[0]
+                    assert abs(rule @ classifiers._GH_WEIGHTS - exact) <= tol
 
 
 class TestNaiveBayes:

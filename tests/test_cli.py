@@ -187,7 +187,7 @@ class TestTrainEval:
         clf_path = tmp_path / "clf.json"
         assert cli_dispatch(["train", "--docs", str(docs_path),
                              "--epochs", "150", "--delta", "0.5",
-                             "--mc", "4", "--out", str(clf_path)]) == 0
+                             "--out", str(clf_path)]) == 0
         report_path = tmp_path / "report.json"
         assert cli_dispatch(["eval", "--classifier", str(clf_path),
                              "--docs", str(docs_path),

@@ -9,7 +9,6 @@ from scipy.stats import chisquare
 
 from droplab import (DropoutConfig, bayes_posterior, dropout_posterior,
                      make_rng, sample_documents, thin_counts, thinned_model)
-from droplab.dropout import Thinner, _bernoulli_positions
 from droplab.presets import (equal_length_models, two_word_intensity,
                              unequal_length_control)
 from droplab.topics import enumerate_counts
@@ -34,6 +33,11 @@ class TestThinCounts:
     def test_rate_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             thin_counts(np.array([1]), 1.5, make_rng(0, "range"))
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+    def test_non_integer_counts_rejected(self, delta):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            thin_counts(np.array([[2.7, 3.9]]), delta, make_rng(0, "float"))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=60), min_size=1,
@@ -67,28 +71,15 @@ class TestThinCounts:
         assert abs(deleted - delta) < 3.0 * np.sqrt(delta * (1 - delta) / len(x))
 
 
-class _UnitGaps:
-    """Stand-in generator whose geometric gaps are all 1: every trial is a
-    success, so a chunk of k gaps covers only k positions."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def geometric(self, p, size):
-        self.calls += 1
-        return np.ones(size, dtype=np.int64)
-
-
 class TestOccurrenceKernel:
+    """Entry-level law, dtype and random stream of thin_counts."""
+
     @pytest.mark.parametrize("keep", [0.05, 0.5, 0.95])
     def test_each_count_level_is_binomial(self, keep):
-        # low counts (mean 1.5) select the occurrence kernel at every keep
         levels = 4
         reps = 20_000
         x = np.tile(np.arange(levels), (reps, 1))
-        thinner = Thinner(x, 1.0 - keep)
-        assert thinner.occurrences is not None
-        out = thinner.draw(make_rng(5, "levels", keep))
+        out = thin_counts(x, 1.0 - keep, make_rng(5, "levels", keep))
         assert np.all(out[:, 0] == 0)
         for k in range(1, levels):
             obs = np.bincount(out[:, k], minlength=k + 1)
@@ -99,36 +90,9 @@ class TestOccurrenceKernel:
     def test_zero_total_draws_nothing(self):
         rng = make_rng(6, "empty")
         before = rng.bit_generator.state
-        assert len(_bernoulli_positions(0, 0.3, rng)) == 0
-        assert rng.bit_generator.state == before
-        out = Thinner(np.zeros((3, 4), dtype=np.int64), 0.5).draw(rng)
+        out = thin_counts(np.zeros((3, 4), dtype=np.int64), 0.5, rng)
         assert out.shape == (3, 4) and not out.any()
-
-    @pytest.mark.parametrize("total", [2, 3, 7, 50, 1000])
-    def test_top_up_covers_every_position(self, total):
-        # all-success gaps fall short of the total after the first chunk
-        fake = _UnitGaps()
-        pos = _bernoulli_positions(total, 0.1, fake)
-        assert np.array_equal(pos, np.arange(total))
-        assert fake.calls > 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=1, max_value=300),
-           st.floats(min_value=0.01, max_value=0.5),
-           st.integers(min_value=0, max_value=2**31 - 1))
-    def test_positions_sorted_unique_in_range(self, total, p, seed):
-        pos = _bernoulli_positions(total, p, make_rng(seed, "gaps"))
-        assert np.all(np.diff(pos) > 0)
-        assert len(pos) == 0 or (pos[0] >= 0 and pos[-1] < total)
-
-    def test_tiny_totals_hit_each_position_with_probability_p(self):
-        rng = make_rng(7, "tiny")
-        total, p, reps = 3, 0.3, 20_000
-        hits = np.zeros(total)
-        for _ in range(reps):
-            hits[_bernoulli_positions(total, p, rng)] += 1
-        se = np.sqrt(p * (1 - p) / reps)
-        assert np.all(np.abs(hits / reps - p) <= 4 * se)
+        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.int64])
     def test_endpoints_keep_dtype(self, dtype):
@@ -145,20 +109,10 @@ class TestOccurrenceKernel:
         sweep = make_rng(9, "sweep").poisson(
             two_word_intensity(2.5, 10.0), size=(100_000, 2))
         for x in (poisson10, sweep):
-            assert Thinner(x, delta).occurrences is None
             a, b = make_rng(10, "stream"), make_rng(10, "stream")
             assert np.array_equal(thin_counts(x, delta, a),
                                   b.binomial(x, 1.0 - delta))
             assert a.bit_generator.state == b.bit_generator.state
-
-    def test_selection_rule(self):
-        # expected gap draws per entry: total * min(keep, delta) / size
-        twos = np.full((10, 10), 2)
-        assert Thinner(twos, 0.9).occurrences is not None      # 0.2 per entry
-        assert Thinner(twos, 0.5).occurrences is not None      # 1.0 per entry
-        assert Thinner(twos + 1, 0.5).occurrences is None      # 1.5 per entry
-        # index bound: mean count 8 is 4x the float copy, even at 0.8 per entry
-        assert Thinner(np.full((10, 10), 8), 0.9).occurrences is None
 
 
 class TestDropoutConfig:

@@ -134,8 +134,7 @@ class TestFitClassifier:
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
     def test_dispatches_by_delta_and_recalibrates(self, delta):
         train = self.data()
-        cfg = TrainConfig(epochs=30, seed=4,
-                          dropout=DropoutConfig(delta=delta, mc_replicates=2))
+        cfg = TrainConfig(epochs=30, dropout=DropoutConfig(delta=delta))
         if delta == 1.0:
             raw = train_naive_bayes(train, smoothing=0.5)
         elif delta == 0.0:
@@ -162,8 +161,7 @@ class TestFitClassifier:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(experiments, name, spy)
-        cfg = TrainConfig(epochs=5, dropout=DropoutConfig(delta=delta,
-                                                          mc_replicates=1))
+        cfg = TrainConfig(epochs=5, dropout=DropoutConfig(delta=delta))
         experiments.fit_classifier(self.data(), cfg)
         assert seen == [trainer, "recalibrate_intercept"]
 
@@ -175,9 +173,7 @@ def tiny_spec(**overrides) -> CurveSpec:
         delta_grid=(0.0, 0.5, 1.0),
         trials=2,
         test_size=1_500,
-        train_cfg=TrainConfig(epochs=40,
-                              dropout=DropoutConfig(delta=0.0,
-                                                    mc_replicates=2)),
+        train_cfg=TrainConfig(epochs=40),
         master_seed=11,
         sampler_name="synthetic-sec6",
     )

@@ -49,7 +49,7 @@ COMMANDS = {
     # large enough that a BLAS product would split rows between threads
     "sample-3000": "sample --n 3000 --seed 4 --out synthetic-3000.jsonl",
     "train-3000": "train --docs synthetic-3000.jsonl --delta 0.5 --epochs 30 "
-                  "--mc 2 --out clf-3000.json",
+                  "--out clf-3000.json",
     "demo-influence": "demo-influence --n 300 --out demo.json",
     "sample-twin-ids": "sample --model twin-model.json --n 10",
     "sample-huge-ids": "sample --model huge-id-model.json --n 10",
