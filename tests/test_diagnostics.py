@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from droplab import (LinearClassifier, ZeroVarianceError,
                      berry_esseen_statistic, excess_risk_decomposition,
-                     make_rng, margin_condition, score_moments)
+                     make_rng, margin_condition, score_moments, verify)
 from droplab.presets import (equal_length_models, orthogonal_topic_model,
                              two_word_intensity, unequal_length_control)
+from droplab.stats import binomial_se
 from droplab.topics import Topic, TopicModel
 from oracles import traced_peak_mib
 
@@ -185,3 +186,32 @@ class TestExcessRiskDecomposition:
         be_slack = 4.0 * np.sqrt(berry_esseen_statistic(clf.weights, lam))
         se = np.sqrt(rate * (1 - rate) / n)
         assert abs(rate - 0.038549935871770885) <= 3 * se + be_slack
+
+
+class TestExactMarginRates:
+    """verify's closed-form per-topic thinned rates against the Monte Carlo
+    decomposition."""
+
+    def test_within_monte_carlo_noise(self):
+        model = orthogonal_topic_model(10.0)
+        w = margin_condition(model, 0.5).separator
+        exact = verify._thinned_rates(model, w, 0.5)
+        decomp = excess_risk_decomposition(
+            model, LinearClassifier(weights=w), 0.5, 200_000,
+            make_rng(11, "exact-margin-rates"))
+        # the label-1 topic errs exactly when no word survives: e^-5
+        assert exact[1] > 0.005 and exact[[0, 2]].tolist() == [0.0, 0.0]
+        se = binomial_se(exact, decomp.n_samples)
+        assert np.all(np.abs(decomp.rates - exact) <= 4.0 * se)
+
+    def test_suite_rates_underflow_to_zero(self):
+        worst = [c["worst_rate"] for c in verify.run_margin_suite(0, 1)
+                 if c["name"].endswith("per-topic thinned error")]
+        assert worst == [np.exp(-(1.0 - verify.MARGIN_DELTA) * length)
+                         for length in verify.MARGIN_LENGTHS]
+        assert worst[0] > 0.0 and worst[-1] == 0.0
+
+    def test_rule_must_be_constant_on_each_support(self):
+        with pytest.raises(ValueError, match="w is not constant on topic 0"):
+            verify._thinned_rates(equal_length_models()[1],
+                                  np.array([-1.0, 0.0, 1.0]), 0.5)

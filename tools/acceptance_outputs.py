@@ -30,9 +30,9 @@ COMMANDS = {
     "curves": "curves --n-grid 100,300 --delta-grid 0,0.5,0.9,1 --trials 2 "
               "--test-size 3000 --epochs 50 --out curves",
     "verify": "verify --suite all --mc 20000 --out verify.json",
-    # some topic draws no documents at this budget: exit 2, no traceback
+    # the margin suite is exact: the smallest budget passes like any other
     "verify-margin-mc8": "verify --suite margin --mc 8 --seed 0",
-    # more than one 200,000-document chunk per length
+    # its report matches verify-margin-mc8's checks at any --mc and --seed
     "verify-margin": "verify --suite margin --mc 500000 --out verify-margin.json",
     # two 1,000,000-document sweep chunks, the last thinning block ragged
     "verify-altitude": "verify --suite altitude --mc 1100000 --seed 3 "
