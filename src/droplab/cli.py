@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .corpus import SplitSpec, corpus_from_text, load_corpus
 from .dropout import DropoutConfig
 from .experiments import (VERSION, CurveSpec, curve_csv, curve_summary,
                           fit_classifier, run_influence_demo,
-                          run_learning_curves, usable_cpus)
+                          run_learning_curves)
 from .streams import make_rng
 from .topics import (DocumentBatch, SYNTHETIC_PRESET, TopicModel,
                      build_synthetic_model, sample_documents)
@@ -248,9 +249,12 @@ def _float_list(text: str) -> list[float]:
 
 
 def _default_threads() -> int:
-    # each sampling thread holds one test-set block (about 65 MB) while it
-    # works, hence the cap
-    return min(8, usable_cpus())
+    # the CPUs this process may run on (its affinity mask, not the
+    # machine's), capped at 8: each sampling thread holds one test-set block
+    # (about 65 MB) while it works
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(8, cpus)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,10 @@
 """Score diagnostics for linear rules under a Poisson topic model.
 
 Per-topic score moments, the Berry-Esseen concentration statistic (largest
-squared weight relative to the score variance), and Monte Carlo thinned
+squared weight relative to the score variance), Monte Carlo thinned
 sub-optimal prediction rates per topic, tied to the thinned error by the
-counting identity.
+counting identity, and their exact values for a rule that is constant on
+each topic's support.
 """
 
 from __future__ import annotations
@@ -120,3 +121,22 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
     return RiskDecomposition(
         error_thinned=err_thin, rates=rates, n_samples=n_topic,
         identity_residual=float(residual), identity_tolerance=float(tol))
+
+
+def thinned_topic_rates(model: TopicModel, weights: np.ndarray,
+                        delta: float) -> np.ndarray:
+    """Each topic's exact thinned rate of predicting other than its majority
+    label under the rule w.x > 0.  w must be one constant c on each topic's
+    support, so the thinned score is c*N with N ~ Poisson((1-delta) *
+    doc_length): label 0 when N = 0, label c > 0 otherwise."""
+    majority = model.label1_given_topic() > 0.5
+    rates = []
+    for topic, label in zip(model.topics, majority):
+        c = weights[topic.intensity > 0]
+        if np.any(c != c[0]):
+            raise ValueError(f"w is not constant on topic {topic.id:g}")
+        mu = (1.0 - delta) * topic.doc_length
+        # P(N = 0) itself: 1 - P(N > 0) cancels to 0 once exp(-mu) < 1e-16
+        rates.append((label != 0) * np.exp(-mu)
+                     - (label != (c[0] > 0)) * np.expm1(-mu))
+    return np.array(rates)

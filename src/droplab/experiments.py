@@ -12,7 +12,6 @@ and the trainers do not).
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -183,14 +182,6 @@ def _join_blocks(blocks) -> DocumentBatch:
     return DocumentBatch(counts=np.concatenate([d.counts for d in docs]),
                          labels=np.concatenate([d.labels for d in docs]),
                          topics=np.concatenate([d.topics for d in docs]))
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity mask), not the
-    machine's; the CPU count where the platform has no affinity call."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
@@ -402,6 +393,7 @@ INFLUENCE_RARE_WEIGHT = 0.01
 # hence the large epoch budget; with d = 2 that stays cheap.  Each arm sets
 # its own delta.
 INFLUENCE_TRAIN_CFG = TrainConfig(epochs=15_000)
+INFLUENCE_EVAL_SIZE = 100_000   # documents in the evaluation sample
 
 
 def influence_demo_model() -> TopicModel:
@@ -435,9 +427,7 @@ def _angle_between(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def run_influence_demo(delta: float = 0.75, n: int = 10_000,
-                       master_seed: int = 0,
-                       train_cfg: TrainConfig = INFLUENCE_TRAIN_CFG,
-                       eval_size: int = 100_000) -> InfluenceDemoReport:
+                       master_seed: int = 0) -> InfluenceDemoReport:
     """Train plain and thinned classifiers on the three-cluster geometry.
 
     Reports the angle between the two fitted normals and per-cluster error
@@ -452,12 +442,12 @@ def run_influence_demo(delta: float = 0.75, n: int = 10_000,
     rng = make_rng(master_seed, "influence-train")
     train = sample_documents(model, n, rng)
 
-    clf_plain = fit_classifier(train, _at_delta(train_cfg, 0.0))
+    clf_plain = fit_classifier(train, _at_delta(INFLUENCE_TRAIN_CFG, 0.0))
     clf_drop = clf_plain if delta == 0.0 else fit_classifier(
-        train, _at_delta(train_cfg, delta))
+        train, _at_delta(INFLUENCE_TRAIN_CFG, delta))
 
     eval_rng = make_rng(master_seed, "influence-eval")
-    eval_batch = sample_documents(model, eval_size, eval_rng)
+    eval_batch = sample_documents(model, INFLUENCE_EVAL_SIZE, eval_rng)
     return InfluenceDemoReport(
         clf_plain=clf_plain, clf_dropout=clf_drop,
         angle_degrees=_angle_between(clf_plain.weights, clf_drop.weights),

@@ -10,12 +10,12 @@ import numpy as np
 from .bounds import berry_esseen_check, gaussian_tail_check, margin_condition
 # no suite calls it: bench/spans.py binds verify.excess_risk_decomposition
 from .diagnostics import excess_risk_decomposition  # noqa: F401
+from .diagnostics import thinned_topic_rates
 from .experiments import VERSION, run_altitude_sweep, run_bias_check
 from .presets import (berry_esseen_suite, default_sweep_configs,
                       equal_length_models, orthogonal_topic_model,
                       unequal_length_control)
 from .streams import make_rng
-from .topics import TopicModel
 
 TAIL_GRID = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)
 BIAS_DELTAS = (0.25, 0.5, 0.9)
@@ -100,25 +100,6 @@ def run_bias_suite(seed: int, mc: int) -> list[dict]:
     return checks
 
 
-def _thinned_rates(model: TopicModel, weights: np.ndarray,
-                   delta: float) -> np.ndarray:
-    """Each topic's exact thinned rate of predicting other than its majority
-    label under the rule w.x > 0.  w must be one constant c on each topic's
-    support, so the thinned score is c*N with N ~ Poisson((1-delta) *
-    doc_length): label 0 when N = 0, label c > 0 otherwise."""
-    majority = model.label1_given_topic() > 0.5
-    rates = []
-    for topic, label in zip(model.topics, majority):
-        c = weights[topic.intensity > 0]
-        if np.any(c != c[0]):
-            raise ValueError(f"w is not constant on topic {topic.id:g}")
-        mu = (1.0 - delta) * topic.doc_length
-        # P(N = 0) itself: 1 - P(N > 0) cancels to 0 once exp(-mu) < 1e-16
-        rates.append((label != 0) * np.exp(-mu)
-                     - (label != (c[0] > 0)) * np.expm1(-mu))
-    return np.array(rates)
-
-
 def run_margin_suite(seed: int, mc: int) -> list[dict]:
     checks = []
     for length in MARGIN_LENGTHS:
@@ -142,8 +123,8 @@ def run_margin_suite(seed: int, mc: int) -> list[dict]:
             "separator_norm": rep.separator_norm,
             "norm_bound": rep.norm_bound,
         })
-        worst = float(np.max(_thinned_rates(model, rep.separator,
-                                            MARGIN_DELTA)))
+        worst = float(np.max(thinned_topic_rates(model, rep.separator,
+                                                 MARGIN_DELTA)))
         target = 1.0 / np.sqrt(length)
         checks.append({
             "suite": "margin", "name": f"{base} per-topic thinned error",

@@ -13,7 +13,7 @@ import pytest
 from scipy import stats as sps
 from scipy.stats import chisquare
 
-from droplab import (CurveSpec, LinearClassifier, TrainConfig,
+from droplab import (CurveSpec, LinearClassifier, SweepConfig, TrainConfig,
                      berry_esseen_check, build_synthetic_model,
                      excess_risk_decomposition, gaussian_tail_check, make_rng,
                      margin_condition, run_altitude_sweep, run_bias_check,
@@ -27,6 +27,7 @@ from oracles import pool_bins
 
 PHI_M25 = 0.0062096653257761352          # Phi(-2.5)
 PHI_M25_THINNED = 0.038549935871770885   # Phi(-2.5 / sqrt 2)
+SWEEP_MC = 10_000_000                    # documents per sweep configuration
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -71,36 +72,29 @@ def test_criterion_2_berry_esseen():
     assert worst <= 0
 
 
-def test_criterion_3_reference_rates():
+@pytest.fixture(scope="module")
+def sweep_results():
+    return run_altitude_sweep(default_sweep_configs(), mc_budget=SWEEP_MC,
+                              master_seed=2024)
+
+
+def test_criterion_3_reference_rates(sweep_results):
     """z = 2.5 configuration at 1e7 draws: raw and thinned rates within
-    3 s.e. + 4 sqrt(psi) of their Gaussian predictions."""
-    lam = np.array(two_word_intensity(2.5, 10.0))
-    w = np.array([1.0, -1.0])
-    rng = make_rng(2024, "acceptance-fig-rates")
-    n = 10_000_000
-    wrong = wrong_thin = 0
-    chunk = 1_000_000
-    for _ in range(n // chunk):
-        counts = rng.poisson(lam, size=(chunk, 2))
-        thinned = rng.binomial(counts, 0.5)
-        wrong += int(np.count_nonzero(counts @ w <= 0.0))
-        wrong_thin += int(np.count_nonzero(thinned @ w <= 0.0))
-    eps, eps_thin = wrong / n, wrong_thin / n
+    3 s.e. + 4 sqrt(psi) of their Gaussian predictions.  The paired draws
+    are the sweep's first configuration, whose exponent 4a checks."""
+    r = sweep_results[0]
+    assert r.config == SweepConfig((1.0, -1.0),
+                                   two_word_intensity(2.5, 10.0), 0.5)
+    eps, eps_thin = r.eps, r.eps_thinned
     slack = 4.0 * np.sqrt(0.01)
-    ok_raw = abs(eps - PHI_M25) <= 3 * binomial_se(eps, n) + slack
+    ok_raw = abs(eps - PHI_M25) <= 3 * binomial_se(eps, SWEEP_MC) + slack
     ok_thin = abs(eps_thin - PHI_M25_THINNED) \
-        <= 3 * binomial_se(eps_thin, n) + slack
+        <= 3 * binomial_se(eps_thin, SWEEP_MC) + slack
     report("criterion 3 (reference two-word rates)", ok_raw and ok_thin,
            f"eps={eps:.6f} (Gaussian {PHI_M25:.6f}), "
            f"eps_thinned={eps_thin:.6f} (Gaussian {PHI_M25_THINNED:.6f}), "
            f"allowance 3 s.e. + {slack:.3f}")
     assert ok_raw and ok_thin
-
-
-@pytest.fixture(scope="module")
-def sweep_results():
-    return run_altitude_sweep(default_sweep_configs(), mc_budget=10_000_000,
-                              master_seed=2024)
 
 
 def test_criterion_4a_exponent_window(sweep_results):
@@ -209,14 +203,15 @@ def test_criterion_7a_small_n_ordering(small_n_curves):
 def test_criterion_7b_naive_bayes_plateau():
     """The rate-1 (naive Bayes) endpoint moves < 0.01 between n = 4000 and
     n = 16000."""
-    means = {}
-    for n in (4000, 16000):
-        spec = CurveSpec(
-            sampler=build_synthetic_model(), n_grid=(n,), delta_grid=(1.0,),
-            trials=3, test_size=100_000, train_cfg=TrainConfig(epochs=10),
-            master_seed=2024, sampler_name="synthetic-sec6")
-        res = run_learning_curves(spec, threads=3)
-        means[n] = res.cell_mean(n, 1.0)
+    # test-set streams depend on (seed, trial, block), not on n, so both
+    # sizes score the same three test sets
+    spec = CurveSpec(
+        sampler=build_synthetic_model(), n_grid=(4000, 16000),
+        delta_grid=(1.0,), trials=3, test_size=100_000,
+        train_cfg=TrainConfig(epochs=10),
+        master_seed=2024, sampler_name="synthetic-sec6")
+    res = run_learning_curves(spec, threads=3)
+    means = {n: res.cell_mean(n, 1.0) for n in (4000, 16000)}
     gap = abs(means[4000] - means[16000])
     ok = gap < 0.01
     report("criterion 7b (naive Bayes plateau)", ok,

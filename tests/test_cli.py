@@ -14,7 +14,6 @@ from droplab import cli, verify
 from droplab.cli import (ValidationError, _default_threads, _float_list,
                          _int_list, _load_sampler, _read_docs_jsonl,
                          cli_dispatch)
-from droplab.experiments import usable_cpus
 from droplab.serialize import dumps
 from droplab.topics import Topic, TopicModel
 from droplab.verify import VERIFY_SUITES, run_verification
@@ -478,15 +477,6 @@ class TestCurves:
         assert (out1 / "summary.json").read_bytes() == \
             (out2 / "summary.json").read_bytes()
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t4"
-        assert cli_dispatch(self.ARGS + ["--threads", "1",
-                                         "--out", str(out1)]) == 0
-        assert cli_dispatch(self.ARGS + ["--threads", "4",
-                                         "--out", str(out2)]) == 0
-        assert (out1 / "curves.csv").read_bytes() == \
-            (out2 / "curves.csv").read_bytes()
-
     def test_blocked_test_set_does_not_depend_on_threads(self, tmp_path):
         # 16,387 rows: three test-set blocks, the last one ragged (a
         # repeated flag takes its last value)
@@ -534,12 +524,11 @@ class TestCurves:
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(32)))
         assert _default_threads() == 8
-        assert usable_cpus() == 32
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert _default_threads() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _default_threads() == usable_cpus() == 1
+        assert _default_threads() == 1
 
     def test_header_carries_the_model_file(self, model_json, tmp_path):
         out = tmp_path / "c"
@@ -588,8 +577,7 @@ class TestVerify:
 
     def test_reports_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"
-        args = ["verify", "--suite", "berry-esseen", "--seed", "11",
-                "--mc", "20000"]
+        args = ["verify", "--suite", "all", "--mc", "20000", "--seed", "11"]
         assert cli_dispatch(args + ["--out", str(out1)]) == 0
         assert cli_dispatch(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -642,20 +630,7 @@ class TestVerify:
 
 
 class TestVerifyConcurrency:
-    def test_report_does_not_depend_on_cpu_count(self, monkeypatch):
-        reports = []
-        for cpus in ({0}, {0, 1, 2, 3}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
-                                raising=False)
-            reports.append(dumps(run_verification("all", mc=20_000, seed=3),
-                                 indent=2))
-        assert reports[0] == reports[1]
-
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_suites_run_serially_on_the_calling_thread(self, cpus,
-                                                       monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
+    def test_suites_run_serially_on_the_calling_thread(self, monkeypatch):
         calls = []
 
         def recorder(name):
@@ -672,38 +647,12 @@ class TestVerifyConcurrency:
                          for name in VERIFY_SUITES]
 
     def test_suite_error_propagates(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                            raising=False)
-
         def broken(seed, mc):
             raise RuntimeError("altitude broke")
 
         monkeypatch.setitem(verify._SUITE_RUNNERS, "altitude", broken)
-        outcome = []
-
-        def call():
-            try:
-                run_verification("all", mc=2_000, seed=1)
-            except RuntimeError as exc:
-                outcome.append(str(exc))
-
-        caller = threading.Thread(target=call, daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive(), "run_verification hung"
-        assert outcome == ["altitude broke"]
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
-                        or len(os.sched_getaffinity(0)) < 2,
-                        reason="needs two usable CPUs and sched_setaffinity")
-    def test_cli_report_same_on_one_cpu(self):
-        one = min(os.sched_getaffinity(0))
-        args = ("-m", "droplab", "verify", "--suite", "all", "--mc", "20000")
-        pinned = run_python(*args, preexec_fn=lambda: os.sched_setaffinity(
-            0, {one}))
-        free = run_python(*args)
-        assert pinned.returncode == free.returncode == 0, pinned.stderr
-        assert pinned.stdout == free.stdout
+        with pytest.raises(RuntimeError, match="altitude broke"):
+            run_verification("all", mc=2_000, seed=1)
 
 
 def test_module_entry_point_runs_the_cli():

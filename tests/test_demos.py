@@ -22,6 +22,11 @@ def test_demo_runs(name):
     out = run_python(str(DEMOS / f"{name}.py"))
     assert out.returncode == 0, out.stderr
     assert out.stdout
+    if name == "margin_separator":
+        # the length-100 row's worst rate is exact: e^-50, not a zero count
+        row = next(line for line in out.stdout.splitlines()
+                   if line.split()[:1] == ["100"])
+        assert "1.93e-22" in row
 
 
 @pytest.mark.parametrize("name", ["influence_geometry",

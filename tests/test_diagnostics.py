@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from droplab import (LinearClassifier, ZeroVarianceError,
                      berry_esseen_statistic, excess_risk_decomposition,
                      make_rng, margin_condition, score_moments, verify)
+from droplab.diagnostics import thinned_topic_rates
 from droplab.presets import (equal_length_models, orthogonal_topic_model,
                              two_word_intensity, unequal_length_control)
 from droplab.stats import binomial_se
@@ -189,13 +190,13 @@ class TestExcessRiskDecomposition:
 
 
 class TestExactMarginRates:
-    """verify's closed-form per-topic thinned rates against the Monte Carlo
+    """Closed-form per-topic thinned rates against the Monte Carlo
     decomposition."""
 
     def test_within_monte_carlo_noise(self):
         model = orthogonal_topic_model(10.0)
         w = margin_condition(model, 0.5).separator
-        exact = verify._thinned_rates(model, w, 0.5)
+        exact = thinned_topic_rates(model, w, 0.5)
         decomp = excess_risk_decomposition(
             model, LinearClassifier(weights=w), 0.5, 200_000,
             make_rng(11, "exact-margin-rates"))
@@ -213,5 +214,5 @@ class TestExactMarginRates:
 
     def test_rule_must_be_constant_on_each_support(self):
         with pytest.raises(ValueError, match="w is not constant on topic 0"):
-            verify._thinned_rates(equal_length_models()[1],
-                                  np.array([-1.0, 0.0, 1.0]), 0.5)
+            thinned_topic_rates(equal_length_models()[1],
+                                np.array([-1.0, 0.0, 1.0]), 0.5)

@@ -4,7 +4,8 @@ Commands run as `python -m droplab` subprocesses in OUT_DIR, on the package
 PYTHONPATH resolves.  counts.json (src lines; defaulted parameters plus
 defaulted dataclass fields; names droplab/__init__.py imports) is the one
 file meant to differ by version.  A command without --out is run for its
-exit code alone.
+exit code alone.  The quick demos of the same checkout (its demos/ beside
+src/) write their stdout to demo-<name>.txt.
 """
 
 import ast
@@ -58,6 +59,9 @@ COMMANDS = {
        for d in DELTAS},
 }
 
+QUICK_DEMOS = ("posterior_preservation", "gaussian_score_accuracy",
+               "margin_separator", "error_exponentiation")
+
 
 def counts(src: Path) -> dict:
     files = sorted(src.glob("*.py"))
@@ -92,4 +96,9 @@ if __name__ == "__main__":
                                   stdout=subprocess.DEVNULL).returncode
              for name, cmd in COMMANDS.items()}
     (out / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+    demos = src.parent.parent / "demos"
+    for name in QUICK_DEMOS:
+        with open(out / f"demo-{name}.txt", "w") as fh:
+            subprocess.run([sys.executable, str(demos / f"{name}.py")],
+                           cwd=out, env=env, stdout=fh, check=True)
     (out / "counts.json").write_text(json.dumps(counts(src), indent=2) + "\n")
