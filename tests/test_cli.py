@@ -630,7 +630,21 @@ class TestVerify:
 
 
 class TestVerifyConcurrency:
-    def test_suites_run_serially_on_the_calling_thread(self, monkeypatch):
+    def test_report_does_not_depend_on_cpu_count(self, monkeypatch):
+        reports = []
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            reports.append(dumps(run_verification("all", mc=20_000, seed=3),
+                                 indent=2))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_suites_run_serially_on_the_calling_thread(self, cpus,
+                                                       monkeypatch):
+        # however many CPUs are usable, no suite leaves the calling thread
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
         calls = []
 
         def recorder(name):
