@@ -20,7 +20,9 @@ from scipy.special import gammaln, logsumexp, xlogy
 from .serialize import json_float, json_floats, json_int, read_field
 
 PROB_ATOL = 1e-12
-_BAYES_BLOCK_ROWS = 65_536  # enumeration rows per bayes_error likelihood call
+# enumeration rows per bayes_error table gather: bounds its (rows, topics)
+# float temporaries whatever the grid size
+_BAYES_BLOCK_ROWS = 65_536
 _CELL_BUDGET = 5_000_000    # most count vectors enumerate_counts will build
 
 
@@ -248,6 +250,10 @@ def enumerate_counts(d: int, max_total: int) -> np.ndarray:
     for each first entry f = 0, 1, ..., the length-k vectors with sum at most
     max_total - f.  The result is the only allocation of its size.
     """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if max_total < 0:
+        raise ValueError(f"max_total must be >= 0, got {max_total}")
     n_cells = comb(max_total + d, d)
     if n_cells > _CELL_BUDGET:
         raise EnumerationTooLargeError(
@@ -286,17 +292,33 @@ def bayes_error(model: TopicModel, max_total_count: int | None = None
     The default truncation covers the mean document length plus ten standard
     deviations.  The unexplored mass is reported so callers can bound the
     truncation error: true risk lies within [value, value + truncation_mass].
+
+    Each cell is a table lookup: the Poisson log pmf of every count 0..K of
+    every word under every topic is computed once, a cell's per-topic log
+    likelihood is the sum of its d entries, and the class joints are
+    prior_c * sum_t rho_ct * exp(that sum).
     """
     if max_total_count is None:
         mean_len = float(np.max(model.doc_lengths))
         max_total_count = int(np.ceil(mean_len + 10.0 * np.sqrt(mean_len)))
+    elif max_total_count < 0:
+        raise ValueError(f"max_total_count must be >= 0, got {max_total_count}")
     grid = enumerate_counts(model.vocab_size, max_total_count)
+    # table[j, k, t] = log P(word j has count k | topic t), (d, K + 1, T);
+    # xlogy(0, 0) = 0 gives a zero-intensity word count 0 with probability 1
+    k = np.arange(max_total_count + 1.0)[:, None]
+    lam = model.intensities.T[:, None, :]
+    table = xlogy(k, lam) - lam - gammaln(k + 1.0)
     prior = np.array([1.0 - model.label_prior, model.label_prior])
+    weights = model.rho * prior[:, None]  # (2, T): prior_c * rho_ct
     covered = risk = 0.0
-    # fixed row blocks bound the float temporaries whatever the grid size
     for start in range(0, grid.shape[0], _BAYES_BLOCK_ROWS):
         block = grid[start:start + _BAYES_BLOCK_ROWS]
-        joint = np.exp(_log_class_likelihoods(model, block)) * prior
+        ll = table[0][block[:, 0]]
+        for j in range(1, model.vocab_size):
+            ll += table[j][block[:, j]]
+        # einsum, not a BLAS product: the sums do not depend on BLAS threads
+        joint = np.einsum("mt,ct->mc", np.exp(ll), weights)
         covered += float(joint.sum())
         risk += float(np.minimum(joint[:, 0], joint[:, 1]).sum())
     return BayesErrorResult(value=risk, truncation_mass=max(0.0, 1.0 - covered),

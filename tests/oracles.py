@@ -3,9 +3,9 @@ uses: bin pooling for chi-square tests (goodness of fit runs
 `scipy.stats.chisquare(*pool_bins(...))`), a pooled two-sample chi-square
 test, the per-sample Kolmogorov statistic, the length-first multinomial
 document sampler, an exhaustive zero-one empirical risk minimizer for
-d <= 3, the Monte Carlo dropout gradient and its descent, the tracemalloc
-peak of a call, and a subprocess running a fresh interpreter that imports
-this droplab.
+d <= 3, the Monte Carlo dropout gradient and its descent, the row-wise
+exact Bayes risk, the tracemalloc peak of a call, and a subprocess running a
+fresh interpreter that imports this droplab.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import droplab
 from droplab import (DocumentBatch, EmptyDataError, GenerativeSampler,
                      LinearClassifier, recalibrate_intercept, thin_counts)
 from droplab.classifiers import _sigmoid
+from droplab.topics import (TopicModel, _log_class_likelihoods,
+                            enumerate_counts)
 
 
 def pool_bins(observed, expected, min_expected: float):
@@ -171,6 +173,19 @@ def erm_zero_one_small(data: DocumentBatch, resolution: int
         if err < best_err - 1e-15:
             best, best_err = cand, err
     return best
+
+
+def bayes_error_rowwise(model: TopicModel, max_total_count: int
+                        ) -> tuple[float, float]:
+    """(risk, truncation mass) over the count vectors with total at most
+    max_total_count, each row's class joints computed from its own log
+    likelihoods: the formula `droplab.bayes_error` replaced with per-word
+    log-pmf tables."""
+    grid = enumerate_counts(model.vocab_size, max_total_count)
+    prior = np.array([1.0 - model.label_prior, model.label_prior])
+    joint = np.exp(_log_class_likelihoods(model, grid)) * prior
+    return (float(np.minimum(joint[:, 0], joint[:, 1]).sum()),
+            max(0.0, 1.0 - float(joint.sum())))
 
 
 def run_python(*args, **kwargs) -> subprocess.CompletedProcess:

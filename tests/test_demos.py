@@ -27,6 +27,13 @@ def test_demo_runs(name):
         row = next(line for line in out.stdout.splitlines()
                    if line.split()[:1] == ["100"])
         assert "1.93e-22" in row
+    if name == "error_exponentiation":
+        # no raw error in 2,000,000 documents: the resolution limit, and
+        # no exponent, where 0.000e+00 and nan were printed
+        row = next(line for line in out.stdout.splitlines()
+                   if line.lstrip().startswith("(20500, 19500)"))
+        assert row.split()[3:4] == ["<5.000e-07"]
+        assert row.split()[-2:] == ["n/a", "2.000"]
 
 
 @pytest.mark.parametrize("name", ["influence_geometry",

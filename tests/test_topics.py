@@ -11,7 +11,7 @@ from droplab import (EnumerationTooLargeError, Topic, TopicModel,
 from droplab import topics
 from droplab.topics import enumerate_counts
 from droplab.presets import equal_length_models, unequal_length_control
-from oracles import (chi_square_two_sample, pool_bins,
+from oracles import (bayes_error_rowwise, chi_square_two_sample, pool_bins,
                      sample_documents_multinomial)
 
 
@@ -269,12 +269,38 @@ class TestEnumerateCounts:
         assert out.shape == (135_751, 4)
         assert peak < 4 * out.nbytes
 
+    @pytest.mark.parametrize("d, max_total, name",
+                             [(3, -1, "max_total"), (3, -3, "max_total"),
+                              (0, 5, "d"), (-2, 5, "d")])
+    def test_rejects_bad_arguments_by_name(self, d, max_total, name):
+        # -1 once failed in a numpy broadcast, -3 in math.comb, and d = 0
+        # returned one empty vector
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            enumerate_counts(d, max_total)
+
     def test_budget_counts_the_real_cells(self, monkeypatch):
         monkeypatch.setattr(topics, "_CELL_BUDGET", 165)
         assert len(enumerate_counts(3, 8)) == 165
         monkeypatch.setattr(topics, "_CELL_BUDGET", 164)
         with pytest.raises(EnumerationTooLargeError):
             enumerate_counts(3, 8)
+
+
+ORACLE_MODELS = {
+    **{f"equal-length-{k}": m for k, m in enumerate(equal_length_models())},
+    "unequal-length": unequal_length_control(),                      # d = 1
+    # word 1 never occurs under topic 0, word 2 never under topic 1
+    "zero-intensity": two_class_model([2.0, 0.0, 1.0], [0.5, 1.5, 0.0]),
+    # topic 0 has weight 0 in class 1, topic 2 in class 0
+    "zero-weight": TopicModel(label_prior=0.35, vocab_size=2, topics=(
+        Topic(id=0, rho0=0.5, rho1=0.0, intensity=np.array([3.0, 1.0])),
+        Topic(id=1, rho0=0.5, rho1=0.25, intensity=np.array([1.0, 1.0])),
+        Topic(id=2, rho0=0.0, rho1=0.75, intensity=np.array([0.5, 3.0])))),
+    "prior-0": two_class_model([2.0, 1.0], [1.0, 2.0], prior=0.0),
+    "prior-1": two_class_model([2.0, 1.0], [1.0, 2.0], prior=1.0),
+    "four-words": two_class_model([2.0, 1.0, 0.5, 1.5], [1.0, 0.5, 2.0, 1.5],
+                                  prior=0.45),
+}
 
 
 class TestBayesError:
@@ -325,6 +351,51 @@ class TestBayesError:
         model = two_class_model([2.0], [3.0])
         res = bayes_error(model)
         assert res.truncation_mass < 1e-6
+
+    @pytest.mark.parametrize("total", [-1, -3])
+    def test_negative_truncation_is_rejected_by_name(self, total):
+        with pytest.raises(ValueError, match="^max_total_count must be"):
+            bayes_error(equal_length_models()[1], max_total_count=total)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    @pytest.mark.parametrize("total", [4, 8])
+    def test_matches_rowwise_oracle(self, name, total):
+        # truncation masses from 1e-4 to 0.7 here, so both numbers are
+        # compared to within a few ulp
+        model = ORACLE_MODELS[name]
+        value, mass = bayes_error_rowwise(model, total)
+        res = bayes_error(model, max_total_count=total)
+        assert res.value == pytest.approx(value, rel=1e-13)
+        assert res.truncation_mass == pytest.approx(mass, rel=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_matches_rowwise_oracle_at_default_truncation(self, name):
+        # the mass is now 1 minus a sum near 1: only its rounding is left
+        model = ORACLE_MODELS[name]
+        res = bayes_error(model)
+        mean_len = float(np.max(model.doc_lengths))
+        value, mass = bayes_error_rowwise(
+            model, int(np.ceil(mean_len + 10.0 * np.sqrt(mean_len))))
+        assert res.value == pytest.approx(value, rel=1e-13)
+        assert res.truncation_mass == pytest.approx(mass, abs=1e-15)
+
+    @pytest.mark.parametrize("length, reference",
+                             [(40.0, 0.18134132312907808),
+                              (60.0, 0.18013554501048848),
+                              (80.0, 0.1800141510062837)])
+    def test_benchmark_references(self, length, reference):
+        # equal_length_models()[1] with every topic scaled to one expected
+        # length, the values the benchmark's exact part checks
+        base = equal_length_models()[1]
+        model = TopicModel(
+            label_prior=base.label_prior, vocab_size=base.vocab_size,
+            topics=tuple(Topic(id=t.id, rho0=t.rho0, rho1=t.rho1,
+                               intensity=t.intensity * (length / t.doc_length))
+                         for t in base.topics))
+        res = bayes_error(model)
+        assert res.value == pytest.approx(reference, rel=1e-12)
+        assert res.truncation_mass <= 1e-12
+
 
 
 class TestSyntheticBenchmark:

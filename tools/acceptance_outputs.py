@@ -3,9 +3,12 @@
 Commands run as `python -m droplab` subprocesses in OUT_DIR, on the package
 PYTHONPATH resolves.  counts.json (src lines; defaulted parameters plus
 defaulted dataclass fields; names droplab/__init__.py imports) is the one
-file meant to differ by version.  A command without --out is run for its
+file meant to differ by version, and bayes-error.txt whenever the order of
+the Bayes-risk arithmetic changes.  A command without --out is run for its
 exit code alone.  The quick demos of the same checkout (its demos/ beside
-src/) write their stdout to demo-<name>.txt.
+src/) write their stdout to demo-<name>.txt, and bayes-error.txt holds the
+reprs of bayes_error's value, truncation mass and cell count, so a diff
+shows last-bit moves.
 """
 
 import ast
@@ -62,6 +65,21 @@ COMMANDS = {
 QUICK_DEMOS = ("posterior_preservation", "gaussian_score_accuracy",
                "margin_separator", "error_exponentiation")
 
+# one line per model: name, truncation, repr(value), repr(truncation_mass),
+# n_cells; equal_length_models() at the default truncation, MODEL at 30
+BAYES_ERROR = """
+import json
+from droplab import TopicModel, bayes_error
+from droplab.presets import equal_length_models
+cases = [(f"equal_length_models()[{k}]", m, None)
+         for k, m in enumerate(equal_length_models())]
+with open("model.json") as fh:
+    cases.append(("MODEL", TopicModel.from_dict(json.load(fh)), 30))
+for name, model, total in cases:
+    r = bayes_error(model, total)
+    print(name, total, repr(r.value), repr(r.truncation_mass), r.n_cells)
+"""
+
 
 def counts(src: Path) -> dict:
     files = sorted(src.glob("*.py"))
@@ -101,4 +119,7 @@ if __name__ == "__main__":
         with open(out / f"demo-{name}.txt", "w") as fh:
             subprocess.run([sys.executable, str(demos / f"{name}.py")],
                            cwd=out, env=env, stdout=fh, check=True)
+    with open(out / "bayes-error.txt", "w") as fh:
+        subprocess.run([sys.executable, "-c", BAYES_ERROR], cwd=out, env=env,
+                       stdout=fh, check=True)
     (out / "counts.json").write_text(json.dumps(counts(src), indent=2) + "\n")
