@@ -97,7 +97,6 @@ class BoundReport:
     at one standard deviation.
     """
 
-    be_stat: float
     inflated: float
     vacuous: bool
     value: float
@@ -127,8 +126,7 @@ def altitude_error_bound(eps_thinned: float, be_stat: float,
         coeff = 2.0 ** expo * np.sqrt(1.0 - delta) * np.sqrt(4.0 * np.pi) ** ratio
         log_factor = np.sqrt(-np.log(inflated)) ** ratio
         value = float(coeff * log_factor * inflated ** expo + c * root)
-    return BoundReport(be_stat=be_stat, inflated=inflated, vacuous=vacuous,
-                       value=value)
+    return BoundReport(inflated=inflated, vacuous=vacuous, value=value)
 
 
 @dataclass(frozen=True)

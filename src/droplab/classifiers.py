@@ -223,7 +223,7 @@ def train_logistic_dropout(data, cfg: TrainConfig) -> LinearClassifier:
     return LinearClassifier(weights=w)
 
 
-def train_naive_bayes(data, smoothing: float = 1.0) -> LinearClassifier:
+def train_naive_bayes(data, smoothing: float) -> LinearClassifier:
     """Multinomial naive Bayes with additive smoothing.
 
     Weights are log-ratios of smoothed word probabilities; the intercept is

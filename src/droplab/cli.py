@@ -20,8 +20,8 @@ from . import serialize
 from .classifiers import LinearClassifier, TrainConfig, evaluate_error
 from .corpus import SplitSpec, corpus_from_text, load_corpus
 from .dropout import DropoutConfig
-from .experiments import (VERSION, CurveSpec, curve_csv, curve_summary,
-                          fit_classifier, run_influence_demo,
+from .experiments import (NB_SMOOTHING, VERSION, CurveSpec, curve_csv,
+                          curve_summary, fit_classifier, run_influence_demo,
                           run_learning_curves)
 from .streams import make_rng
 from .topics import (DocumentBatch, SYNTHETIC_PRESET, TopicModel,
@@ -68,8 +68,12 @@ def _write_output(text: str, out: str | None):
 
 
 def _meta(args, **config) -> dict:
-    return {"version": VERSION, "config": config,
-            "seed": getattr(args, "seed", 0)}
+    return {"version": VERSION, "config": config, "seed": args.seed}
+
+
+def _train_config(args, delta: float) -> TrainConfig:
+    return TrainConfig(l2_weight=args.l2, step_size=args.step,
+                       epochs=args.epochs, dropout=DropoutConfig(delta=delta))
 
 
 def _cmd_sample(args) -> int:
@@ -146,10 +150,8 @@ def _cmd_train(args) -> int:
         train = _read_docs_jsonl(args.docs)
         heldout = None
 
-    cfg = TrainConfig(l2_weight=args.l2, step_size=args.step,
-                      epochs=args.epochs,
-                      dropout=DropoutConfig(delta=args.delta))
-    clf = fit_classifier(train, cfg, nb_smoothing=args.smoothing)
+    clf = fit_classifier(train, _train_config(args, args.delta),
+                         nb_smoothing=args.smoothing)
 
     meta = _meta(args, command="train", delta=args.delta,
                  corpus=args.corpus, docs=args.docs,
@@ -196,12 +198,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_curves(args) -> int:
     sampler = _load_sampler(args.model)
-    cfg = TrainConfig(l2_weight=args.l2, step_size=args.step,
-                      epochs=args.epochs)
     spec = CurveSpec(sampler=sampler, n_grid=tuple(args.n_grid),
                      delta_grid=tuple(args.delta_grid), trials=args.trials,
-                     test_size=args.test_size, train_cfg=cfg,
-                     master_seed=args.seed, sampler_name=args.model)
+                     test_size=args.test_size, master_seed=args.seed,
+                     train_cfg=_train_config(args, 0.0),  # per-cell delta
+                     sampler_name=args.model)
     if args.out is None:
         raise ValidationError("curves writes a directory; give --out")
     result = run_learning_curves(spec, threads=args.threads)
@@ -221,8 +222,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo_influence(args) -> int:
-    rep = run_influence_demo(delta=args.delta, n=args.n,
-                             master_seed=args.seed)
+    rep = run_influence_demo(args.delta, args.n, args.seed)
     doc = {
         "meta": _meta(args, command="demo-influence", delta=args.delta,
                       n=args.n),
@@ -272,6 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"preset name ({SYNTHETIC_PRESET}) or model "
                                 f"JSON path")
 
+    def logistic(p, epochs):
+        p.add_argument("--l2", type=float, default=TrainConfig.l2_weight)
+        p.add_argument("--epochs", type=int, default=epochs)
+        p.add_argument("--step", type=float, default=TrainConfig.step_size)
+
     def source(p):
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--corpus", type=str, help="label<TAB>text corpus file")
@@ -286,10 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     source(p)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--l2", type=float, default=1e-7)
-    p.add_argument("--epochs", type=int, default=400)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--smoothing", type=float, default=1.0,
+    logistic(p, TrainConfig.epochs)
+    p.add_argument("--smoothing", type=float, default=NB_SMOOTHING,
                    help="naive Bayes smoothing (delta = 1)")
     p.add_argument("--train-frac", type=float, default=0.6)
     p.add_argument("--train-size", type=int, default=None)
@@ -312,9 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=_default_threads(),
                    help="test-set sampling threads (default: usable CPUs, "
                         "at most 8); outputs do not depend on it")
-    p.add_argument("--l2", type=float, default=1e-7)
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--step", type=float, default=None)
+    logistic(p, 150)  # the curves' epoch budget, their regularizer
     p.add_argument("--timing", action="store_true",
                    help="write measured per-cell wall times (breaks "
                         "byte-for-byte reproducibility)")

@@ -35,9 +35,9 @@ class SplitSpec:
     Exactly one of train_fraction / train_size picks the cut point.
     """
 
-    seed: int = 0
-    train_fraction: float | None = 0.6
-    train_size: int | None = None
+    seed: int
+    train_fraction: float | None
+    train_size: int | None
 
     def __post_init__(self):
         if (self.train_fraction is None) == (self.train_size is None):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -38,6 +38,7 @@ _TEST_TAG = "curve-test"
 _TEST_BLOCK_ROWS = 8_192    # test-set rows per sampling block and stream
 _SWEEP_CHUNK = 1_000_000    # sweep documents per Poisson draw
 _SWEEP_ROWS = 65_536        # sweep documents thinned and scored at a time
+NB_SMOOTHING = 1.0          # naive Bayes smoothing: curves, train's default
 
 
 @dataclass(frozen=True)
@@ -45,12 +46,12 @@ class CurveSpec:
     """Grid specification for a learning-curve run."""
 
     sampler: GenerativeSampler
-    n_grid: tuple[int, ...] = (100, 300, 1000, 3000, 10000)
-    delta_grid: tuple[float, ...] = (0.0, 0.5, 0.75, 0.9, 0.95, 1.0)
-    trials: int = 10
-    test_size: int = 100_000
-    train_cfg: TrainConfig = field(default_factory=TrainConfig)
-    master_seed: int = 0
+    n_grid: tuple[int, ...]
+    delta_grid: tuple[float, ...]
+    trials: int
+    test_size: int
+    train_cfg: TrainConfig
+    master_seed: int
     sampler_name: str = ""
 
     def __post_init__(self):
@@ -89,7 +90,7 @@ class CurveSpec:
             "l2_weight": self.train_cfg.l2_weight,
             "epochs": self.train_cfg.epochs,
             "step_size": self.train_cfg.step_size,
-            "nb_smoothing": 1.0,  # fit_classifier's default
+            "nb_smoothing": NB_SMOOTHING,
             "master_seed": self.master_seed,
         }
 
@@ -103,7 +104,7 @@ class CurveRecord:
     train_error: float
     wall_time_ms: float
     seed: int
-    note: str = ""
+    note: str
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ class CurveResult:
 
 
 def fit_classifier(train: DocumentBatch, cfg: TrainConfig,
-                   nb_smoothing: float = 1.0) -> LinearClassifier:
+                   nb_smoothing: float = NB_SMOOTHING) -> LinearClassifier:
     """The classifier droplab fits at thinning rate cfg.dropout.delta.
 
     delta = 1 is naive Bayes (the full-thinning endpoint), delta = 0 plain
@@ -153,7 +154,8 @@ def _run_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int,
     note = ""
     try:
         train = sample_documents(spec.sampler, n, rng)
-        clf = fit_classifier(train, _at_delta(spec.train_cfg, delta))
+        clf = fit_classifier(train, _at_delta(spec.train_cfg, delta),
+                             nb_smoothing=NB_SMOOTHING)
         train_error = evaluate_error(clf, train)
         test_error = evaluate_error(clf, test)
     except ValueError as exc:
@@ -328,7 +330,7 @@ class SweepResult:
     gaussian_eps: float
     gaussian_eps_thinned: float
     bound: BoundReport
-    bound_holds: bool | None
+    bound_holds: bool
     exponent: float
     exponent_target: float
 
@@ -341,8 +343,8 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
     intensities and thinned binomially (paired); errors are score <= 0 events
     under the positive-class convention (score mean must be positive).  Each
     result reports the Monte Carlo rates, their Gaussian predictions, the
-    explicit error bound with its pass/fail (None when vacuous), and the
-    empirical exponent log(eps) / log(eps_thinned) against 1 / (1 - delta).
+    explicit error bound with its pass/fail (a vacuous bound is inf: a pass),
+    and the empirical exponent log(eps) / log(eps_thinned) vs 1 / (1 - delta).
     """
     if mc_budget < 1:
         raise ValueError(f"mc_budget must be >= 1, got {mc_budget}")
@@ -369,15 +371,14 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
         g_eps, g_eps_thin = gaussian_error_estimate(w, lam, cfg.delta)
         be = berry_esseen_statistic(w, lam)
         bound = altitude_error_bound(eps_thin, be, cfg.delta)
-        holds = None if bound.vacuous else bool(eps <= bound.value)
         if eps > 0.0 and 0.0 < eps_thin < 1.0:
             exponent = float(np.log(eps) / np.log(eps_thin))
         else:
             exponent = float("nan")
         results.append(SweepResult(
             config=cfg, eps=eps, eps_thinned=eps_thin,
-            gaussian_eps=g_eps, gaussian_eps_thinned=g_eps_thin,
-            bound=bound, bound_holds=holds, exponent=exponent,
+            gaussian_eps=g_eps, gaussian_eps_thinned=g_eps_thin, bound=bound,
+            bound_holds=bool(eps <= bound.value), exponent=exponent,
             exponent_target=1.0 / (1.0 - cfg.delta)))
     return results
 
@@ -426,8 +427,8 @@ def _angle_between(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
 
 
-def run_influence_demo(delta: float = 0.75, n: int = 10_000,
-                       master_seed: int = 0) -> InfluenceDemoReport:
+def run_influence_demo(delta: float, n: int,
+                       master_seed: int) -> InfluenceDemoReport:
     """Train plain and thinned classifiers on the three-cluster geometry.
 
     Reports the angle between the two fitted normals and per-cluster error

@@ -13,12 +13,12 @@ import pytest
 from scipy import stats as sps
 from scipy.stats import chisquare
 
-from droplab import (CurveSpec, LinearClassifier, SweepConfig, TrainConfig,
-                     berry_esseen_check, build_synthetic_model,
-                     excess_risk_decomposition, gaussian_tail_check, make_rng,
+from droplab import (CurveSpec, SweepConfig, TrainConfig, berry_esseen_check,
+                     build_synthetic_model, gaussian_tail_check, make_rng,
                      margin_condition, run_altitude_sweep, run_bias_check,
                      run_learning_curves, thin_counts)
 from droplab.cli import cli_dispatch
+from droplab.diagnostics import thinned_topic_rates
 from droplab.presets import (berry_esseen_suite, default_sweep_configs,
                              equal_length_models, orthogonal_topic_model,
                              two_word_intensity, unequal_length_control)
@@ -78,6 +78,7 @@ def sweep_results():
                               master_seed=2024)
 
 
+@pytest.mark.slow
 def test_criterion_3_reference_rates(sweep_results):
     """z = 2.5 configuration at 1e7 draws: raw and thinned rates within
     3 s.e. + 4 sqrt(psi) of their Gaussian predictions.  The paired draws
@@ -97,6 +98,7 @@ def test_criterion_3_reference_rates(sweep_results):
     assert ok_raw and ok_thin
 
 
+@pytest.mark.slow
 def test_criterion_4a_exponent_window(sweep_results):
     """Empirical exponent for the pinned z = 2.5 configuration must land in
     [1.6, 2.4] against target 2.
@@ -115,6 +117,7 @@ def test_criterion_4a_exponent_window(sweep_results):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_4b_bound_soundness(sweep_results):
     """Measured raw error never exceeds the explicit bound in any
     non-vacuous sweep configuration."""
@@ -152,25 +155,19 @@ def test_criterion_5_posterior_preservation():
 def test_criterion_6_margin_construction():
     """Orthogonal topics at lengths 100/400/1600, rate 0.5: the singular
     value condition holds, the separator achieves unit margins to 1e-9, and
-    per-topic thinned error stays within 1/sqrt(length) + 3 s.e."""
-    mc = 1_000_000
+    the exact per-topic thinned error stays within 1/sqrt(length)."""
     ok = True
     details = []
-    for k, length in enumerate((100.0, 400.0, 1600.0)):
+    for length in (100.0, 400.0, 1600.0):
         model = orthogonal_topic_model(length)
         rep = margin_condition(model, 0.5)
-        clf = LinearClassifier(weights=rep.separator)
-        decomp = excess_risk_decomposition(
-            model, clf, 0.5, mc, make_rng(2024, "acceptance-margin", k))
         target = 1.0 / np.sqrt(length)
-        topic_ok = bool(np.all(
-            decomp.rates
-            <= target + 3 * binomial_se(decomp.rates, decomp.n_samples)))
+        worst_rate = max(thinned_topic_rates(model, rep.separator, 0.5))
+        topic_ok = bool(worst_rate <= target)
         ok = ok and rep.holds and rep.max_margin_error <= 1e-9 and topic_ok
-        worst_rate = np.max(decomp.rates)
         details.append(f"len={length:g}: holds={rep.holds} "
                        f"margin_err={rep.max_margin_error:.1e} "
-                       f"worst_rate={worst_rate:.2e} target={target:.3f}")
+                       f"worst_rate={worst_rate:.3g} target={target:.3f}")
     report("criterion 6 (margin construction)", ok, "; ".join(details))
     assert ok
 

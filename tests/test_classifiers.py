@@ -199,7 +199,7 @@ class TestTrainLogistic:
         data = batch_from(np.zeros((4, 0)), [0, 1, 0, 1])
         cfg = TrainConfig(dropout=DropoutConfig(delta=delta))
         train = {0.0: train_logistic, 0.5: train_logistic_dropout,
-                 1.0: lambda d, _: train_naive_bayes(d)}[delta]
+                 1.0: lambda d, _: train_naive_bayes(d, smoothing=1.0)}[delta]
         with pytest.raises(EmptyDataError, match="no count columns"):
             train(data, cfg)
 
@@ -308,7 +308,7 @@ class TestExpectedThinnedGradient:
         data = sample_documents(build_synthetic_model(), 200,
                                 make_rng(106, "gh-grad"))
         x, y = data.counts, data.labels.astype(float)
-        w = 0.5 * train_naive_bayes(data).weights
+        w = 0.5 * train_naive_bayes(data, smoothing=1.0).weights
         rng = make_rng(107, "mc-grad", delta)
         mc = np.array([mc_thinned_gradient(x, y, w, delta, rng)
                        for _ in range(100)])

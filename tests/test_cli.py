@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from droplab import cli, verify
+from droplab import (cli, experiments, recalibrate_intercept,
+                     train_naive_bayes, verify)
 from droplab.cli import (ValidationError, _default_threads, _float_list,
                          _int_list, _load_sampler, _read_docs_jsonl,
                          cli_dispatch)
@@ -543,6 +544,31 @@ class TestCurves:
         doc = config["model"]
         assert TopicModel.from_dict(doc).to_dict() == doc
         assert doc == json.loads(Path(model_json).read_text())
+
+    def test_header_records_the_naive_bayes_smoothing(self, monkeypatch,
+                                                      tmp_path):
+        # the header names the smoothing the delta = 1 cells were fitted with
+        monkeypatch.setattr(experiments, "NB_SMOOTHING", 0.5)
+        fitted = []
+        fit = experiments.fit_classifier
+
+        def spy(train, cfg, **kwargs):
+            clf = fit(train, cfg, **kwargs)
+            fitted.append((cfg.dropout.delta, train, clf))
+            return clf
+
+        monkeypatch.setattr(experiments, "fit_classifier", spy)
+        out = tmp_path / "c"
+        assert cli_dispatch(self.ARGS + ["--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["meta"]["config"]["nb_smoothing"] == 0.5
+        cells = [(train, clf) for delta, train, clf in fitted if delta == 1.0]
+        assert len(cells) == 2  # one per trial
+        for train, clf in cells:
+            ref = recalibrate_intercept(
+                train_naive_bayes(train, smoothing=0.5), train)
+            assert clf.weights.tobytes() == ref.weights.tobytes()
+            assert clf.intercept == ref.intercept
 
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "c"
