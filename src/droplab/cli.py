@@ -58,13 +58,14 @@ def _read_json(path: str, from_dict):
             raise ValidationError(f"{path}: {exc}") from None
 
 
-def _write_output(text: str, out: str | None):
+def _write_output(parts, out: str | None):
+    """Write each string of parts, as it is made, to --out or to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _meta(args, **config) -> dict:
@@ -82,16 +83,18 @@ def _cmd_sample(args) -> int:
     batch = sample_documents(sampler, args.n, rng)
     model = (sampler.to_dict() if isinstance(sampler, TopicModel)
              else args.model)
-    lines = ["# " + serialize.dumps(_meta(args, command="sample",
-                                          model=model, n=args.n))]
-    for i in range(len(batch)):
-        lines.append(serialize.dumps({
-            "counts": batch.counts[i].tolist(),
-            "label": int(batch.labels[i]),
-            "topic": float(batch.topics[i]),
-            "length": int(batch.counts[i].sum()),
-        }))
-    _write_output("\n".join(lines) + "\n", args.out)
+
+    def lines():  # one at a time: every document's text is never held at once
+        yield "# " + serialize.dumps(_meta(args, command="sample",
+                                           model=model, n=args.n)) + "\n"
+        for i in range(len(batch)):
+            yield serialize.dumps({
+                "counts": batch.counts[i].tolist(),
+                "label": int(batch.labels[i]),
+                "topic": float(batch.topics[i]),
+                "length": int(batch.counts[i].sum()),
+            }) + "\n"
+    _write_output(lines(), args.out)
     return 0
 
 
@@ -163,7 +166,7 @@ def _cmd_train(args) -> int:
         meta["test_error"] = evaluate_error(clf, heldout)
     if vocabulary is not None:
         meta["vocabulary"] = vocabulary
-    _write_output(serialize.dumps(clf.to_dict(meta=meta), indent=2) + "\n",
+    _write_output([serialize.dumps(clf.to_dict(meta=meta), indent=2) + "\n"],
                   args.out)
     return 0
 
@@ -192,7 +195,7 @@ def _cmd_eval(args) -> int:
                    corpus=args.corpus, docs=args.docs)
     report = {"meta": report, "error": evaluate_error(clf, data),
               "n": len(data)}
-    _write_output(serialize.dumps(report, indent=2) + "\n", args.out)
+    _write_output([serialize.dumps(report, indent=2) + "\n"], args.out)
     return 0
 
 
@@ -217,7 +220,7 @@ def _cmd_curves(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_verification(suite=args.suite, mc=args.mc, seed=args.seed)
-    _write_output(serialize.dumps(report, indent=2) + "\n", args.out)
+    _write_output([serialize.dumps(report, indent=2) + "\n"], args.out)
     return 0 if report["passed"] else 2
 
 
@@ -236,7 +239,7 @@ def _cmd_demo_influence(args) -> int:
         "plain_test_error": rep.plain_test_error,
         "dropout_test_error": rep.dropout_test_error,
     }
-    _write_output(serialize.dumps(doc, indent=2) + "\n", args.out)
+    _write_output([serialize.dumps(doc, indent=2) + "\n"], args.out)
     return 0
 
 
@@ -251,7 +254,7 @@ def _float_list(text: str) -> list[float]:
 def _default_threads() -> int:
     # the CPUs this process may run on (its affinity mask, not the
     # machine's), capped at 8: each sampling thread holds one test-set block
-    # (about 65 MB) while it works
+    # (about 16 MB) while it works
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     return min(8, cpus)

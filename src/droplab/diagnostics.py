@@ -85,9 +85,6 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
     pt = model.topic_probs()
     p1t = model.label1_given_topic()
     majority = (p1t > 0.5).astype(np.int64)
-    t_ids = np.array([t.id for t in model.topics], dtype=float)
-    id_order = np.argsort(t_ids)
-    sorted_ids = t_ids[id_order]
 
     n_topic = np.zeros(model.n_topics, dtype=np.int64)
     sub_thin = np.zeros(model.n_topics, dtype=np.int64)
@@ -96,7 +93,7 @@ def excess_risk_decomposition(model: TopicModel, clf: LinearClassifier,
         b = min(_CHUNK, mc_budget - start)
         batch = sample_documents(thinned, b, rng)
         pred = clf.predict(batch.counts)
-        idx = id_order[np.searchsorted(sorted_ids, batch.topics)]
+        idx = model.topic_index(batch.topics)
         n_topic += np.bincount(idx, minlength=model.n_topics)
         sub_thin += np.bincount(idx, weights=(pred != majority[idx]),
                                 minlength=model.n_topics).astype(np.int64)

@@ -169,13 +169,10 @@ def _run_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int,
 
 def _sample_test_block(spec: CurveSpec, trial: int, block: int
                        ) -> DocumentBatch:
-    """Rows [block * _TEST_BLOCK_ROWS, ...) of a trial's test set, with the
-    counts in the narrowest unsigned dtype that holds them."""
+    """Rows [block * _TEST_BLOCK_ROWS, ...) of a trial's test set."""
     rows = min(_TEST_BLOCK_ROWS, spec.test_size - block * _TEST_BLOCK_ROWS)
-    rng = make_rng(spec.master_seed, _TEST_TAG, trial, block)
-    docs = sample_documents(spec.sampler, rows, rng)
-    return replace(docs, counts=docs.counts.astype(
-        np.min_scalar_type(docs.counts.max())))
+    return sample_documents(spec.sampler, rows,
+                            make_rng(spec.master_seed, _TEST_TAG, trial, block))
 
 
 def _join_blocks(blocks) -> DocumentBatch:

@@ -2,10 +2,12 @@
 
 A model draws a binary label, a topic given the label, and then independent
 Poisson word counts from the topic's intensity vector.  Every model samples
-itself: `sample_documents` draws the labels from its `label_prior` and asks
-its `draw_topics` for the rest.  A `TopicModel` keeps an explicit topic table
-and supports exact Bayes posteriors; the synthetic benchmark draws a fresh
-intensity vector per document (its label-1 topics form a continuum).
+itself: `sample_documents` draws the labels from its `label_prior`, the
+topic ids from its `draw_topics`, and then the counts chunk by chunk, from
+the rows its `intensity_rows` builds.  A `TopicModel` keeps an explicit
+topic table and supports exact Bayes posteriors; the synthetic benchmark
+draws a fresh intensity vector per document (its label-1 topics form a
+continuum).
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ PROB_ATOL = 1e-12
 # float temporaries whatever the grid size
 _BAYES_BLOCK_ROWS = 65_536
 _CELL_BUDGET = 5_000_000    # most count vectors enumerate_counts will build
+# Poisson cells per sample_documents draw: bounds its float intensity and
+# int64 count temporaries whatever the batch size
+_SAMPLE_CELLS = 2 ** 19
 
 
 class UndefinedPosteriorError(ValueError):
@@ -122,7 +127,7 @@ class TopicModel:
         return (1.0 - p1) * self.rho[0] + p1 * self.rho[1]
 
     def draw_topics(self, labels, rng):
-        """Topic ids (as floats) and intensity rows for the given labels."""
+        """Topic ids (as floats) for the given labels."""
         cum = np.cumsum(self.rho, axis=1)
         u = rng.random(len(labels))
         topic_idx = np.empty(len(labels), dtype=np.int64)
@@ -131,7 +136,17 @@ class TopicModel:
             topic_idx[mask] = np.searchsorted(cum[c], u[mask], side="right")
         topic_idx = np.minimum(topic_idx, self.n_topics - 1)
         ids = np.array([t.id for t in self.topics])
-        return ids[topic_idx].astype(float), self.intensities[topic_idx]
+        return ids[topic_idx].astype(float)
+
+    def topic_index(self, topic_ids: np.ndarray) -> np.ndarray:
+        """Position in `topics` of each of the model's topic ids."""
+        ids = np.array([t.id for t in self.topics], dtype=float)
+        order = np.argsort(ids)
+        return order[np.searchsorted(ids[order], topic_ids)]
+
+    def intensity_rows(self, labels, topic_ids):
+        """The intensity vector of each topic id, one row per id."""
+        return self.intensities[self.topic_index(topic_ids)]
 
     def label1_given_topic(self) -> np.ndarray:
         """P(label = 1 | topic) per topic; nan where the topic has mass 0."""
@@ -169,7 +184,8 @@ class TopicModel:
 class DocumentBatch:
     """Column-oriented batch of sampled documents."""
 
-    counts: np.ndarray          # (n, d) integer counts
+    counts: np.ndarray          # (n, d) integer counts; sampled batches
+                                # use the narrowest unsigned dtype
     labels: np.ndarray          # (n,) in {0, 1}
     topics: np.ndarray          # (n,) latent topic ids (float for continua)
 
@@ -178,26 +194,45 @@ class DocumentBatch:
 
 
 class GenerativeSampler(Protocol):
-    """A label prior, and a topic draw given the labels."""
+    """A label prior and vocabulary size, a topic draw given the labels, and
+    the intensity rows of any slice of drawn documents."""
 
     label_prior: float
+    vocab_size: int
 
     def draw_topics(self, labels: np.ndarray, rng: np.random.Generator
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """Return (topic_ids, intensity_matrix), one row per label."""
+                    ) -> np.ndarray:
+        """Every random draw a topic takes: one topic id per label."""
+        ...
+
+    def intensity_rows(self, labels: np.ndarray, topic_ids: np.ndarray
+                       ) -> np.ndarray:
+        """The (m, vocab_size) intensities of m documents; draws nothing."""
         ...
 
 
 def sample_documents(sampler: GenerativeSampler, n: int,
                      rng: np.random.Generator) -> DocumentBatch:
     """Draw n documents: label, topic given the label, then independent
-    Poisson counts, consuming the stream in that order."""
+    Poisson counts, consuming the stream in that order.  The counts are drawn
+    in row chunks of about _SAMPLE_CELLS cells, exactly as one call over all
+    rows draws them, and kept in the narrowest unsigned dtype that holds them.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     labels = (rng.random(n) < sampler.label_prior).astype(np.int64)
-    topic_ids, intensities = sampler.draw_topics(labels, rng)
-    counts = rng.poisson(intensities)
-    return DocumentBatch(counts=counts, labels=labels, topics=topic_ids)
+    topic_ids = sampler.draw_topics(labels, rng)
+    rows = max(1, _SAMPLE_CELLS // sampler.vocab_size)
+    chunks = []
+    # n = 0 still takes one (empty) chunk, so the batch is (0, d)
+    for start in range(0, max(n, 1), rows):
+        part = slice(start, start + rows)
+        draws = rng.poisson(sampler.intensity_rows(labels[part],
+                                                   topic_ids[part]))
+        chunks.append(draws.astype(np.min_scalar_type(draws.max(initial=0))))
+    # concatenate promotes to the widest chunk dtype
+    return DocumentBatch(counts=np.concatenate(chunks), labels=labels,
+                         topics=topic_ids)
 
 
 def _log_class_likelihoods(model: TopicModel, counts: np.ndarray) -> np.ndarray:
@@ -347,25 +382,31 @@ class SyntheticModel:
     name = SYNTHETIC_PRESET
     params = SYNTHETIC_PARAMS
     label_prior = SYNTHETIC_PARAMS["label_prior"]
+    vocab_size = SYNTHETIC_PARAMS["vocab_size"]
 
     def draw_topics(self, labels, rng):
-        p = self.params
-        vocab_size, block_size = p["vocab_size"], p["block_size"]
-        n = len(labels)
-        tau = np.zeros(n)
+        """Topic strengths: 0 for label 0, Exponential for label 1."""
+        tau = np.zeros(len(labels))
         ones = labels == 1
-        tau[ones] = rng.exponential(scale=1.0 / p["exp_rate"],
+        tau[ones] = rng.exponential(scale=1.0 / self.params["exp_rate"],
                                     size=int(ones.sum()))
-        theta = np.zeros((n, vocab_size))
+        return tau
+
+    def intensity_rows(self, labels, topic_ids):
+        """Softmax of each document's log-intensity profile."""
+        p = self.params
+        block_size = p["block_size"]
+        ones = labels == 1
+        theta = np.zeros((len(labels), self.vocab_size))
         theta[~ones, :block_size] = 1.0
-        theta[ones, block_size:2 * block_size] = tau[ones, None]
+        theta[ones, block_size:2 * block_size] = topic_ids[ones, None]
         # softmax in place: the same operations in the same order as
-        # doc_length * z / z.sum(...), without three more (n, d) temporaries
+        # doc_length * z / z.sum(...), without three more (m, d) temporaries
         z = np.exp(theta, out=theta)
         total = z.sum(axis=1, keepdims=True)
         np.multiply(p["doc_length"], z, out=z)
         np.divide(z, total, out=z)
-        return tau, z
+        return z
 
 
 def build_synthetic_model() -> SyntheticModel:

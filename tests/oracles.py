@@ -4,8 +4,9 @@ uses: bin pooling for chi-square tests (goodness of fit runs
 test, the per-sample Kolmogorov statistic, the length-first multinomial
 document sampler, an exhaustive zero-one empirical risk minimizer for
 d <= 3, the Monte Carlo dropout gradient and its descent, the row-wise
-exact Bayes risk, the tracemalloc peak of a call, and a subprocess running a
-fresh interpreter that imports this droplab.
+exact Bayes risk, the tracemalloc peak of a call, the one-call Poisson
+document sampler, and a subprocess running a fresh interpreter that imports
+this droplab.
 """
 
 from __future__ import annotations
@@ -94,11 +95,23 @@ def sample_documents_multinomial(sampler: GenerativeSampler, n: int,
     and topic draws it repeats.
     """
     labels = (rng.random(n) < sampler.label_prior).astype(np.int64)
-    topic_ids, intensities = sampler.draw_topics(labels, rng)
+    topic_ids = sampler.draw_topics(labels, rng)
+    intensities = sampler.intensity_rows(labels, topic_ids)
     totals = intensities.sum(axis=1)
     lengths = rng.poisson(totals)
     probs = intensities / totals[:, None]
     counts = rng.multinomial(lengths, probs)
+    return DocumentBatch(counts=counts, labels=labels, topics=topic_ids)
+
+
+def sample_documents_one_call(sampler: GenerativeSampler, n: int,
+                              rng: np.random.Generator) -> DocumentBatch:
+    """`droplab.sample_documents` with one Poisson draw over the (n, d)
+    intensities of all n documents, counts left int64: the sampler before
+    its draws were split into row chunks."""
+    labels = (rng.random(n) < sampler.label_prior).astype(np.int64)
+    topic_ids = sampler.draw_topics(labels, rng)
+    counts = rng.poisson(sampler.intensity_rows(labels, topic_ids))
     return DocumentBatch(counts=counts, labels=labels, topics=topic_ids)
 
 

@@ -116,7 +116,9 @@ class TestExcessRiskDecomposition:
         clf = LinearClassifier(weights=np.array([-1.0, 0.0, 1.0]))
         rng = Recording(make_rng(6, "decomp-draws"))
         excess_risk_decomposition(model, clf, 0.5, 250_000, rng)
-        assert rng.calls.count("poisson") == 2  # 200,000 + 50,000 rows
+        # sample_documents draws d = 3 rows in chunks of 174,762: two for
+        # the first 200,000-document round, one for the last 50,000
+        assert rng.calls.count("poisson") == 3
         assert not {"binomial", "geometric"} & set(rng.calls)
 
     def test_unsampled_topic_rate_is_nan(self):

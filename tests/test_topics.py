@@ -12,7 +12,8 @@ from droplab import topics
 from droplab.topics import enumerate_counts
 from droplab.presets import equal_length_models, unequal_length_control
 from oracles import (bayes_error_rowwise, chi_square_two_sample, pool_bins,
-                     sample_documents_multinomial)
+                     sample_documents_multinomial, sample_documents_one_call,
+                     traced_peak_mib)
 
 
 def single_topic_model(intensity, prior=0.5):
@@ -70,24 +71,44 @@ class TestModelValidation:
 
 
 def draw_head(sampler, n, rng):
-    """The head of sample_documents: labels, then draw_topics."""
+    """The head of sample_documents: labels, then draw_topics; with the
+    intensity rows of all n documents."""
     labels = (rng.random(n) < sampler.label_prior).astype(np.int64)
-    return (labels, *sampler.draw_topics(labels, rng))
+    topic_ids = sampler.draw_topics(labels, rng)
+    return labels, topic_ids, sampler.intensity_rows(labels, topic_ids)
 
 
 class FixedIntensitySampler:
-    """The smallest GenerativeSampler: one intensity row for every label."""
+    """The smallest GenerativeSampler: one intensity row for every label.
+
+    It records the labels and stream state draw_topics sees, and the row
+    count and stream state of each intensity_rows call."""
 
     label_prior = 0.5
 
     def __init__(self, intensity):
         self.intensity = np.asarray(intensity, dtype=float)
-        self.seen = []
+        self.vocab_size = len(self.intensity)
+        self.seen, self.rows = [], []
 
     def draw_topics(self, labels, rng):
+        self.rng = rng
         self.seen.append((labels.copy(), rng.bit_generator.state))
-        return (np.zeros(len(labels)),
-                np.tile(self.intensity, (len(labels), 1)))
+        return np.zeros(len(labels))
+
+    def intensity_rows(self, labels, topic_ids):
+        self.rows.append((len(labels), self.rng.bit_generator.state))
+        return np.tile(self.intensity, (len(labels), 1))
+
+
+def small_topic_model():
+    """Three topics with non-consecutive ids, listed out of id order, and a
+    largest count past 255."""
+    return TopicModel(label_prior=0.4, vocab_size=3, topics=(
+        Topic(id=7, rho0=0.6, rho1=0.1, intensity=np.array([4.0, 1.0, 0.5])),
+        Topic(id=2, rho0=0.3, rho1=0.2, intensity=np.array([0.0, 2.0, 3.0])),
+        Topic(id=40, rho0=0.1, rho1=0.7,
+              intensity=np.array([1.0, 1.0, 300.0]))))
 
 
 class TestSampling:
@@ -97,9 +118,12 @@ class TestSampling:
         batch = sample_documents(sampler, 500, make_rng(0, "zeros"))
         assert np.all(batch.counts[:, :2] == 0)
 
-    def test_labels_are_drawn_before_topics(self):
+    def test_labels_are_drawn_before_topics(self, monkeypatch):
         # one uniform per document decides its label, then draw_topics sees
-        # the labels and the stream just past those uniforms
+        # the labels and the stream just past those uniforms; intensity_rows
+        # draws nothing, so three 128-row chunks of Poisson draws continue
+        # the stream as one call over all 300 rows would
+        monkeypatch.setattr(topics, "_SAMPLE_CELLS", 256)
         sampler = FixedIntensitySampler([1.0, 2.0])
         batch = sample_documents(sampler, 300, make_rng(17, "order"))
         rng = make_rng(17, "order")
@@ -108,6 +132,8 @@ class TestSampling:
         assert np.array_equal(seen_labels, labels)
         assert np.array_equal(batch.labels, labels)
         assert seen_state == rng.bit_generator.state
+        assert [m for m, _ in sampler.rows] == [128, 128, 44]
+        assert sampler.rows[0][1] == seen_state
         assert np.array_equal(batch.counts,
                               rng.poisson(np.tile([1.0, 2.0], (300, 1))))
 
@@ -117,6 +143,37 @@ class TestSampling:
         for sampler in (single_topic_model([1.0, 2.0]),
                         build_synthetic_model()):
             assert len(sample_documents(sampler, 0, make_rng(0, "n"))) == 0
+
+    @pytest.mark.parametrize("name", ["synthetic", "topic-model"])
+    def test_chunks_match_one_poisson_call(self, name):
+        # n = 0, n = 1, exactly one chunk, and a ragged n over three chunks
+        sampler = (build_synthetic_model() if name == "synthetic"
+                   else small_topic_model())
+        rows = topics._SAMPLE_CELLS // sampler.vocab_size
+        for n in (0, 1, rows, 2 * rows + 37):
+            batch = sample_documents(sampler, n, make_rng(18, name, n))
+            ref = sample_documents_one_call(sampler, n, make_rng(18, name, n))
+            assert batch.counts.shape == (n, sampler.vocab_size)
+            assert np.array_equal(batch.counts, ref.counts)
+            assert np.array_equal(batch.labels, ref.labels)
+            assert np.array_equal(batch.topics, ref.topics)
+            assert batch.counts.dtype == np.min_scalar_type(
+                ref.counts.max(initial=0))
+        if name == "topic-model":
+            assert set(batch.topics) == {7.0, 2.0, 40.0}
+            assert batch.counts.dtype == np.uint16
+
+    def test_peak_memory_is_the_output_and_a_few_chunks(self):
+        # twice the counts in their narrowest dtype (the chunks and their
+        # concatenation), plus four chunk-sized float or int64 temporaries;
+        # sampling through an (n, d) float intensity matrix and an int64
+        # Poisson result peaked at 153 MiB on this batch
+        out = []
+        peak = traced_peak_mib(lambda: out.append(sample_documents(
+            build_synthetic_model(), 20_000, make_rng(19, "memory"))))
+        counts = out[0].counts
+        narrow = counts.size * np.min_scalar_type(counts.max()).itemsize
+        assert peak < (2 * narrow + 4 * topics._SAMPLE_CELLS * 8) / 2 ** 20
 
     def test_poisson_mean_concentrates(self):
         sampler = single_topic_model([10.0])
