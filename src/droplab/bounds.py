@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .diagnostics import berry_esseen_statistic, score_moments
-from .stats import dkw_slack, kolmogorov_distance
+from .stats import dkw_slack, kolmogorov_distance, tally
 from .topics import TopicModel
 
 BERRY_ESSEEN_CONSTANT = 4.0
@@ -75,13 +75,15 @@ def berry_esseen_check(weights: np.ndarray, intensity: np.ndarray,
     mu, var = score_moments(w, lam)
     be = berry_esseen_statistic(w, lam)
     sigma = np.sqrt(var)
-    # row chunks of one generator draw the same counts as a single call
-    scores = np.empty(n_samples)
+    # row chunks of one generator draw the same counts as a single call;
+    # each chunk's scores are tallied and dropped
+    values, ties = np.empty(0), np.empty(0, dtype=np.int64)
     for start in range(0, n_samples, _CHUNK):
         b = min(_CHUNK, n_samples - start)
-        np.matmul(rng.poisson(lam, size=(b, len(lam))), w,
-                  out=scores[start:start + b])
-    dist = kolmogorov_distance(scores, lambda s: normal_cdf((s - mu) / sigma))
+        values, ties = tally(values, ties,
+                             rng.poisson(lam, size=(b, len(lam))) @ w)
+    dist = kolmogorov_distance(values, ties,
+                               lambda s: normal_cdf((s - mu) / sigma))
     return BerryEsseenReport(
         sup_distance=dist,
         bound=BERRY_ESSEEN_CONSTANT * float(np.sqrt(be)),

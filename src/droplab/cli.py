@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .dropout import DropoutConfig
 from .experiments import (NB_SMOOTHING, VERSION, CurveSpec, curve_csv,
                           curve_summary, fit_classifier, run_influence_demo,
                           run_learning_curves)
-from .streams import make_rng
+from .streams import make_rng, usable_cpus
 from .topics import (DocumentBatch, SYNTHETIC_PRESET, TopicModel,
                      build_synthetic_model, sample_documents)
 from .verify import VERIFY_SUITES, run_verification
@@ -252,12 +251,9 @@ def _float_list(text: str) -> list[float]:
 
 
 def _default_threads() -> int:
-    # the CPUs this process may run on (its affinity mask, not the
-    # machine's), capped at 8: each sampling thread holds one test-set block
-    # (about 16 MB) while it works
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return min(8, cpus)
+    # capped at 8: each sampling thread holds one test-set block (about
+    # 16 MB) while it works
+    return min(8, usable_cpus())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,8 +6,10 @@ and the cell coordinates, and every fixed block of a learning-curve test set
 owns one derived from (seed, trial, block), so results are independent of
 scheduling, of the thread count and of which other cells run, and any cell
 can be reproduced in isolation.  The cells run serially; `threads` sizes the
-pool that samples the test sets (`rng.poisson` releases the GIL, thinning
-and the trainers do not).
+pool that samples the test sets (`rng.poisson` releases the GIL, the
+trainers do not).  The altitude sweep runs its configurations on one thread
+per usable CPU, each on its own stream (`rng.poisson` and `rng.binomial`
+both release the GIL).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .classifiers import (LinearClassifier, TrainConfig, error_by_topic,
                           train_naive_bayes)
 from .diagnostics import berry_esseen_statistic, score_moments
 from .dropout import dropout_posterior, thin_counts
-from .streams import make_rng, seed_fingerprint
+from .streams import make_rng, map_streams, seed_fingerprint
 from .topics import (DocumentBatch, GenerativeSampler, Topic, TopicModel,
                      bayes_posterior, enumerate_counts, sample_documents)
 
@@ -36,8 +38,8 @@ VERSION = "0.1.0"
 _CELL_TAG = "curve-cell"
 _TEST_TAG = "curve-test"
 _TEST_BLOCK_ROWS = 8_192    # test-set rows per sampling block and stream
-_SWEEP_CHUNK = 1_000_000    # sweep documents per Poisson draw
-_SWEEP_ROWS = 65_536        # sweep documents thinned and scored at a time
+_SWEEP_CHUNK = 1_000_000    # sweep documents drawn before any is thinned
+_SWEEP_ROWS = 65_536        # sweep documents per draw and per thinning
 NB_SMOOTHING = 1.0          # naive Bayes smoothing: curves, train's default
 
 
@@ -332,6 +334,34 @@ class SweepResult:
     exponent_target: float
 
 
+def _sweep_errors(cfg: SweepConfig, mc_budget: int,
+                  rng: np.random.Generator) -> tuple[int, int]:
+    """Raw and thinned score <= 0 counts over mc_budget paired documents.
+
+    Each chunk of _SWEEP_CHUNK documents is drawn whole before any of it is
+    thinned, in _SWEEP_ROWS-row Poisson draws that consume the stream as
+    one call would; each draw is narrowed as soon as it is made.
+    """
+    w = np.asarray(cfg.weights, dtype=float)
+    lam = np.asarray(cfg.intensity, dtype=float)
+    wrong = wrong_thin = 0
+    for start in range(0, mc_budget, _SWEEP_CHUNK):
+        b = min(_SWEEP_CHUNK, mc_budget - start)
+        blocks = []
+        for row in range(0, b, _SWEEP_ROWS):
+            draws = rng.poisson(lam, size=(min(_SWEEP_ROWS, b - row),
+                                           len(lam)))
+            blocks.append(draws.astype(np.min_scalar_type(
+                draws.max(initial=0))))
+        del draws  # before the chunk is thinned
+        for raw in blocks:
+            thin = thin_counts(raw, cfg.delta, rng)
+            wrong += int(np.count_nonzero(raw @ w <= 0.0))
+            wrong_thin += int(np.count_nonzero(thin @ w <= 0.0))
+        del blocks, raw, thin  # before the next chunk is drawn
+    return wrong, wrong_thin
+
+
 def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
                        ) -> list[SweepResult]:
     """Measure raw and thinned sub-optimal rates for fixed linear scores.
@@ -342,31 +372,27 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
     result reports the Monte Carlo rates, their Gaussian predictions, the
     explicit error bound with its pass/fail (a vacuous bound is inf: a pass),
     and the empirical exponent log(eps) / log(eps_thinned) vs 1 / (1 - delta).
+
+    The configurations run on one thread per usable CPU (map_streams), each
+    on the stream of its position k, so no result depends on the CPU count.
     """
     if mc_budget < 1:
         raise ValueError(f"mc_budget must be >= 1, got {mc_budget}")
-    results = []
-    for k, cfg in enumerate(configs):
-        w = np.asarray(cfg.weights, dtype=float)
-        lam = np.asarray(cfg.intensity, dtype=float)
-        mu, _ = score_moments(w, lam)
-        if mu <= 0:
+    configs = list(configs)
+    for cfg in configs:
+        if score_moments(cfg.weights, cfg.intensity)[0] <= 0:
             raise ValueError("sweep configurations need a positive score mean")
-        rng = make_rng(master_seed, "altitude-sweep", k)
-        wrong = wrong_thin = 0
-        for start in range(0, mc_budget, _SWEEP_CHUNK):
-            b = min(_SWEEP_CHUNK, mc_budget - start)
-            counts = rng.poisson(lam, size=(b, len(lam)))
-            for row in range(0, b, _SWEEP_ROWS):
-                raw = counts[row:row + _SWEEP_ROWS]
-                thin = thin_counts(raw, cfg.delta, rng)
-                wrong += int(np.count_nonzero(raw @ w <= 0.0))
-                wrong_thin += int(np.count_nonzero(thin @ w <= 0.0))
-            del counts, raw, thin  # before the next chunk is drawn
+    errors = map_streams(
+        lambda k: _sweep_errors(configs[k], mc_budget,
+                                make_rng(master_seed, "altitude-sweep", k)),
+        range(len(configs)))
+    results = []
+    for cfg, (wrong, wrong_thin) in zip(configs, errors):
         eps = wrong / mc_budget
         eps_thin = wrong_thin / mc_budget
-        g_eps, g_eps_thin = gaussian_error_estimate(w, lam, cfg.delta)
-        be = berry_esseen_statistic(w, lam)
+        g_eps, g_eps_thin = gaussian_error_estimate(cfg.weights, cfg.intensity,
+                                                    cfg.delta)
+        be = berry_esseen_statistic(cfg.weights, cfg.intensity)
         bound = altitude_error_bound(eps_thin, be, cfg.delta)
         if eps > 0.0 and 0.0 < eps_thin < 1.0:
             exponent = float(np.log(eps) / np.log(eps_thin))

@@ -283,7 +283,8 @@ def enumerate_counts(d: int, max_total: int) -> np.ndarray:
 
     Built one leading coordinate at a time: the vectors of length k + 1 are,
     for each first entry f = 0, 1, ..., the length-k vectors with sum at most
-    max_total - f.  The result is the only allocation of its size.
+    max_total - f.  The result, in the narrowest unsigned dtype that holds
+    max_total, is the only allocation of its size.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -293,13 +294,14 @@ def enumerate_counts(d: int, max_total: int) -> np.ndarray:
     if n_cells > _CELL_BUDGET:
         raise EnumerationTooLargeError(
             f"{n_cells} cells exceed the budget of {_CELL_BUDGET}")
-    tails = np.zeros((1, 0), dtype=np.int64)
-    sums = np.zeros(1, dtype=np.int64)
+    dtype = np.min_scalar_type(max_total)
+    tails = np.zeros((1, 0), dtype=dtype)
+    sums = np.zeros(1, dtype=dtype)
     for k in range(d):
         # rows of the next level whose first entry is f: tails with sum <= T-f
         fits = np.cumsum(np.bincount(sums, minlength=max_total + 1))
         sizes = fits[::-1]
-        out = np.empty((int(sizes.sum()), k + 1), dtype=np.int64)
+        out = np.empty((int(sizes.sum()), k + 1), dtype=dtype)
         start = 0
         for f, size in enumerate(sizes):
             block = out[start:start + size]
@@ -307,7 +309,7 @@ def enumerate_counts(d: int, max_total: int) -> np.ndarray:
             block[:, 1:] = tails[sums <= max_total - f]
             start += size
         tails = out
-        sums = out.sum(axis=1)
+        sums = out.sum(axis=1, dtype=dtype)  # never above max_total
     return tails
 
 

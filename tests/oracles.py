@@ -5,8 +5,9 @@ test, the per-sample Kolmogorov statistic, the length-first multinomial
 document sampler, an exhaustive zero-one empirical risk minimizer for
 d <= 3, the Monte Carlo dropout gradient and its descent, the row-wise
 exact Bayes risk, the tracemalloc peak of a call, the one-call Poisson
-document sampler, and a subprocess running a fresh interpreter that imports
-this droplab.
+document sampler, the altitude sweep's error counts from one Poisson draw
+per chunk, the Berry-Esseen distance from one sorted vector of every score,
+and a subprocess running a fresh interpreter that imports this droplab.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from scipy.stats import chi2_contingency
 import droplab
 from droplab import (DocumentBatch, EmptyDataError, GenerativeSampler,
                      LinearClassifier, recalibrate_intercept, thin_counts)
+from droplab.bounds import normal_cdf
 from droplab.classifiers import _sigmoid
+from droplab.diagnostics import score_moments
 from droplab.topics import (TopicModel, _log_class_likelihoods,
                             enumerate_counts)
 
@@ -74,6 +77,46 @@ def kolmogorov_distance_sorted(samples, cdf) -> float:
     f = cdf(s)
     i = np.arange(1, n + 1, dtype=float)
     return float(max(np.max(i / n - f), np.max(f - (i - 1.0) / n)))
+
+
+def berry_esseen_distance_sorted(weights, intensity, n_samples: int,
+                                 rng: np.random.Generator, chunk: int
+                                 ) -> float:
+    """`droplab.berry_esseen_check`'s Kolmogorov distance from one vector
+    of all n_samples scores, drawn `chunk` rows at a time and sorted: the
+    check before it tallied each chunk's scores."""
+    w = np.asarray(weights, dtype=float)
+    lam = np.asarray(intensity, dtype=float)
+    mu, var = score_moments(w, lam)
+    sigma = np.sqrt(var)
+    scores = np.empty(n_samples)
+    for start in range(0, n_samples, chunk):
+        b = min(chunk, n_samples - start)
+        np.matmul(rng.poisson(lam, size=(b, len(lam))), w,
+                  out=scores[start:start + b])
+    return kolmogorov_distance_sorted(
+        scores, lambda s: normal_cdf((s - mu) / sigma))
+
+
+def altitude_sweep_errors_one_draw(cfg, mc_budget: int,
+                                   rng: np.random.Generator, chunk: int,
+                                   rows: int) -> tuple[int, int]:
+    """(raw, thinned) score <= 0 counts of one `droplab.run_altitude_sweep`
+    config: one int64 Poisson draw per chunk of `chunk` documents, thinned
+    and scored `rows` rows at a time, as the sweep drew before it split its
+    chunks into narrowed row draws."""
+    w = np.asarray(cfg.weights, dtype=float)
+    lam = np.asarray(cfg.intensity, dtype=float)
+    wrong = wrong_thin = 0
+    for start in range(0, mc_budget, chunk):
+        counts = rng.poisson(lam, size=(min(chunk, mc_budget - start),
+                                        len(lam)))
+        for row in range(0, len(counts), rows):
+            raw = counts[row:row + rows]
+            thin = thin_counts(raw, cfg.delta, rng)
+            wrong += int(np.count_nonzero(raw @ w <= 0.0))
+            wrong_thin += int(np.count_nonzero(thin @ w <= 0.0))
+    return wrong, wrong_thin
 
 
 def traced_peak_mib(fn) -> float:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,12 @@ from droplab import (BERRY_ESSEEN_CONSTANT, RankDeficientError,
                      altitude_error_bound, berry_esseen_check,
                      gaussian_error_estimate, gaussian_tail_check, make_rng,
                      margin_condition, normal_cdf)
+from droplab import bounds
 from droplab.presets import (berry_esseen_suite, orthogonal_topic_model,
                              two_word_intensity)
-from oracles import kolmogorov_distance_sorted, traced_peak_mib
+from droplab.verify import run_berry_esseen_suite
+from oracles import (berry_esseen_distance_sorted, kolmogorov_distance_sorted,
+                     traced_peak_mib)
 
 # frozen with 30-digit arithmetic
 PHI_M1 = 0.15865525393145705
@@ -108,6 +113,32 @@ class TestBerryEsseenCheck:
         from droplab import ZeroVarianceError
         with pytest.raises(ZeroVarianceError):
             berry_esseen_check([0.0], [1.0], 100, make_rng(2, "be3"))
+
+
+class TestBerryEsseenSuite:
+    def test_checks_do_not_depend_on_cpu_count(self, monkeypatch):
+        # 3,500 samples per config in chunks of 1,000, the last one ragged
+        monkeypatch.setattr(bounds, "_CHUNK", 1_000)
+        runs = []
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            runs.append(run_berry_esseen_suite(seed=4, mc=3_500))
+        assert runs[0] == runs[1]
+        for k, ((w, lam), check) in enumerate(zip(berry_esseen_suite(),
+                                                  runs[1])):
+            assert check["sup_distance"] == berry_esseen_distance_sorted(
+                w, lam, 3_500, make_rng(4, "verify-berry-esseen", k), 1_000)
+
+    def test_peak_memory_at_a_million_samples_on_two_cpus(self, monkeypatch):
+        # two configs at a time, each holding one chunk of counts and the
+        # tally of its scores; a float vector of every score peaked at
+        # 17.2 MiB
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        peak = traced_peak_mib(lambda: run_berry_esseen_suite(seed=1,
+                                                              mc=1_000_000))
+        assert peak <= 8.0
 
 
 class TestAltitudeErrorBound:

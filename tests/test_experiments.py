@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from droplab.experiments import (CurveResult, SweepConfig,
                                  influence_demo_model)
 from droplab.presets import (default_sweep_configs, equal_length_models,
                              two_word_intensity, unequal_length_control)
-from oracles import traced_peak_mib
+from oracles import altitude_sweep_errors_one_draw, traced_peak_mib
 
 UNEQUAL_CONTROL_GAP = 0.10859924742815032  # posterior shift at count 0
 
@@ -120,6 +121,35 @@ class TestAltitudeSweep:
         peak = traced_peak_mib(lambda: run_altitude_sweep(
             default_sweep_configs()[:1], mc_budget=1_000_000, master_seed=3))
         assert peak <= 25.0
+
+    def test_results_do_not_depend_on_cpu_count(self, monkeypatch):
+        # 5,000 documents per config: three chunks of up to 2,000, each
+        # drawn in 700-row draws, the last chunk and draws ragged
+        monkeypatch.setattr(experiments, "_SWEEP_CHUNK", 2_000)
+        monkeypatch.setattr(experiments, "_SWEEP_ROWS", 700)
+        configs = default_sweep_configs()
+        runs = []
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                                raising=False)
+            runs.append(run_altitude_sweep(configs, mc_budget=5_000,
+                                           master_seed=8))
+        assert repr(runs[0]) == repr(runs[1])  # repr: nan exponents match
+        for k, (cfg, res) in enumerate(zip(configs, runs[1])):
+            wrong, wrong_thin = altitude_sweep_errors_one_draw(
+                cfg, 5_000, make_rng(8, "altitude-sweep", k), 2_000, 700)
+            assert res.eps == wrong / 5_000
+            assert res.eps_thinned == wrong_thin / 5_000
+
+    def test_peak_memory_of_the_default_sweep_on_two_cpus(self, monkeypatch):
+        # two configs at a time, each holding one chunk of narrowed counts
+        # (2-4 MB) plus one row draw's temporaries; int64 chunks of 16 MB
+        # peaked at 17.8 MiB
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        peak = traced_peak_mib(lambda: run_altitude_sweep(
+            default_sweep_configs(), mc_budget=1_000_000))
+        assert peak <= 16.0
 
     def test_positive_mean_required(self):
         cfg = SweepConfig(weights=(1.0, -1.0), intensity=(1.0, 5.0),

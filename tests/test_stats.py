@@ -3,7 +3,7 @@ import pytest
 from scipy import stats as sps
 from scipy.stats import chisquare
 
-from droplab.stats import binomial_se, dkw_slack, kolmogorov_distance
+from droplab.stats import binomial_se, dkw_slack, kolmogorov_distance, tally
 from oracles import chi_square_two_sample, kolmogorov_distance_sorted, pool_bins
 
 
@@ -58,7 +58,7 @@ def test_two_sample_chi_square_detects_shift():
 def test_kolmogorov_distance_matches_scipy():
     rng = np.random.default_rng(3)
     x = rng.normal(size=2_000)
-    ours = kolmogorov_distance(x, sps.norm.cdf)
+    ours = kolmogorov_distance(*np.unique(x, return_counts=True), sps.norm.cdf)
     theirs = sps.kstest(x, "norm").statistic
     assert ours == pytest.approx(theirs, abs=1e-12)
 
@@ -79,19 +79,67 @@ def test_kolmogorov_distance_on_lattice_ties_is_bit_exact(weights, lam):
     def cdf(s):
         return sps.norm.cdf((s - mu) / sd)
 
-    assert kolmogorov_distance(x, cdf) == kolmogorov_distance_sorted(x, cdf)
+    assert (kolmogorov_distance(*np.unique(x, return_counts=True), cdf)
+            == kolmogorov_distance_sorted(x, cdf))
 
 
 def test_kolmogorov_distance_single_value():
     # one run of ties: d+ = 1 - F(v), d- = F(v)
-    x = np.full(1_000, 2.0)
-    assert kolmogorov_distance(x, lambda s: np.full(len(s), 0.25)) == 0.75
-    assert kolmogorov_distance(x, lambda s: np.full(len(s), 0.9)) == 0.9
+    values, ties = np.array([2.0]), np.array([1_000])
+    assert kolmogorov_distance(values, ties,
+                               lambda s: np.full(len(s), 0.25)) == 0.75
+    assert kolmogorov_distance(values, ties,
+                               lambda s: np.full(len(s), 0.9)) == 0.9
 
 
 def test_kolmogorov_distance_empty_rejected():
     with pytest.raises(ValueError):
-        kolmogorov_distance(np.array([]), sps.norm.cdf)
+        kolmogorov_distance(np.array([]), np.array([], dtype=np.int64),
+                            sps.norm.cdf)
+
+
+def _tally_in_chunks(x, size):
+    values, ties = np.empty(0), np.empty(0, dtype=np.int64)
+    for start in range(0, len(x), size):
+        values, ties = tally(values, ties, x[start:start + size])
+    return values, ties
+
+
+def test_chunk_tallies_with_ties_across_chunks_are_bit_exact():
+    # integer weights: a few hundred lattice values, each one recurring in
+    # every chunk of 999, the last chunk ragged
+    rng = np.random.default_rng(23)
+    x = rng.poisson([50.0, 100.0, 30.0], size=(10_000, 3)) @ np.array(
+        [3.0, 1.0, -2.0])
+    assert len(np.intersect1d(x[:999], x[999:1998])) > 50
+    values, ties = _tally_in_chunks(x, 999)
+    ref_values, ref_ties = np.unique(x, return_counts=True)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(ties, ref_ties)
+    mu, sd = float(np.mean(x)), float(np.std(x))
+
+    def cdf(s):
+        return sps.norm.cdf((s - mu) / sd)
+
+    assert (kolmogorov_distance(values, ties, cdf)
+            == kolmogorov_distance_sorted(x, cdf))
+
+
+def test_chunk_tallies_of_distinct_scores_are_bit_exact():
+    # incommensurate float weights on long documents: every score distinct
+    rng = np.random.default_rng(29)
+    x = rng.poisson([1e4, 2e4, 3e4], size=(5_000, 3)) @ np.array(
+        [1.0, np.sqrt(2.0), -np.pi])
+    assert len(np.unique(x)) == len(x)
+    values, ties = _tally_in_chunks(x, 777)
+    assert np.array_equal(values, np.sort(x)) and np.all(ties == 1)
+    mu, sd = float(np.mean(x)), float(np.std(x))
+
+    def cdf(s):
+        return sps.norm.cdf((s - mu) / sd)
+
+    assert (kolmogorov_distance(values, ties, cdf)
+            == kolmogorov_distance_sorted(x, cdf))
 
 
 def test_dkw_slack_formula():

@@ -312,7 +312,7 @@ class TestEnumerateCounts:
     def test_matches_meshgrid_order(self, d, max_total):
         got = enumerate_counts(d, max_total)
         ref = meshgrid_counts(d, max_total)
-        assert got.dtype == ref.dtype
+        assert got.dtype == np.min_scalar_type(max_total)
         assert np.array_equal(got, ref)
 
     def test_peak_memory_is_a_small_multiple_of_the_result(self):
@@ -453,6 +453,21 @@ class TestBayesError:
         assert res.value == pytest.approx(reference, rel=1e-12)
         assert res.truncation_mass <= 1e-12
 
+
+
+    def test_peak_memory_at_length_80(self):
+        # 848,046 cells at the default truncation of 170 words: uint8
+        # counts are 2.5 MB where int64 ones peaked at 26.0 MiB
+        base = equal_length_models()[1]
+        model = TopicModel(
+            label_prior=base.label_prior, vocab_size=base.vocab_size,
+            topics=tuple(Topic(id=t.id, rho0=t.rho0, rho1=t.rho1,
+                               intensity=t.intensity * (80.0 / t.doc_length))
+                         for t in base.topics))
+        out = []
+        peak = traced_peak_mib(lambda: out.append(bayes_error(model)))
+        assert out[0].n_cells == 848_046
+        assert peak <= 10.0
 
 
 class TestSyntheticBenchmark:
