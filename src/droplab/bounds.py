@@ -16,12 +16,11 @@ import numpy as np
 from scipy.special import erfc
 
 from .diagnostics import berry_esseen_statistic, score_moments
-from .stats import dkw_slack, kolmogorov_distance, tally
-from .topics import TopicModel
+from .stats import dkw_slack, kolmogorov_distance
+from .topics import TopicModel, poisson_rows
 
 BERRY_ESSEEN_CONSTANT = 4.0
 _DKW_CONFIDENCE = 0.999      # of the sampling slack in berry_esseen_check
-_CHUNK = 65_536              # simulated scores per Poisson draw
 _RANK_TOL = 1e-12            # relative eigenvalue floor of the Gram matrix
 
 
@@ -70,18 +69,17 @@ def berry_esseen_check(weights: np.ndarray, intensity: np.ndarray,
     The Kolmogorov distance must not exceed the theoretical bound
     4 * sqrt(be_stat) plus a DKW sampling slack at 99.9% confidence.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     w = np.asarray(weights, dtype=float)
     lam = np.asarray(intensity, dtype=float)
     mu, var = score_moments(w, lam)
     be = berry_esseen_statistic(w, lam)
     sigma = np.sqrt(var)
-    # row chunks of one generator draw the same counts as a single call;
-    # each chunk's scores are tallied and dropped
-    values, ties = np.empty(0), np.empty(0, dtype=np.int64)
-    for start in range(0, n_samples, _CHUNK):
-        b = min(_CHUNK, n_samples - start)
-        values, ties = tally(values, ties,
-                             rng.poisson(lam, size=(b, len(lam))) @ w)
+    # each block's scores are tallied and dropped; the tallies merge once
+    values, ties = map(np.concatenate, zip(*(
+        np.unique(counts @ w, return_counts=True)
+        for counts in poisson_rows(lam, n_samples, rng))))
     dist = kolmogorov_distance(values, ties,
                                lambda s: normal_cdf((s - mu) / sigma))
     return BerryEsseenReport(

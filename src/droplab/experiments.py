@@ -31,7 +31,8 @@ from .diagnostics import berry_esseen_statistic, score_moments
 from .dropout import dropout_posterior, thin_counts
 from .streams import make_rng, map_streams, seed_fingerprint
 from .topics import (DocumentBatch, GenerativeSampler, Topic, TopicModel,
-                     bayes_posterior, enumerate_counts, sample_documents)
+                     bayes_posterior, enumerate_counts, poisson_rows,
+                     sample_documents)
 
 VERSION = "0.1.0"
 
@@ -39,7 +40,6 @@ _CELL_TAG = "curve-cell"
 _TEST_TAG = "curve-test"
 _TEST_BLOCK_ROWS = 8_192    # test-set rows per sampling block and stream
 _SWEEP_CHUNK = 1_000_000    # sweep documents drawn before any is thinned
-_SWEEP_ROWS = 65_536        # sweep documents per draw and per thinning
 NB_SMOOTHING = 1.0          # naive Bayes smoothing: curves, train's default
 
 
@@ -338,22 +338,15 @@ def _sweep_errors(cfg: SweepConfig, mc_budget: int,
                   rng: np.random.Generator) -> tuple[int, int]:
     """Raw and thinned score <= 0 counts over mc_budget paired documents.
 
-    Each chunk of _SWEEP_CHUNK documents is drawn whole before any of it is
-    thinned, in _SWEEP_ROWS-row Poisson draws that consume the stream as
-    one call would; each draw is narrowed as soon as it is made.
+    Each chunk of _SWEEP_CHUNK documents is drawn whole, as the narrowed
+    row blocks of `poisson_rows`, before any of it is thinned; each block is
+    then thinned with its own thin_counts call.
     """
     w = np.asarray(cfg.weights, dtype=float)
-    lam = np.asarray(cfg.intensity, dtype=float)
     wrong = wrong_thin = 0
     for start in range(0, mc_budget, _SWEEP_CHUNK):
-        b = min(_SWEEP_CHUNK, mc_budget - start)
-        blocks = []
-        for row in range(0, b, _SWEEP_ROWS):
-            draws = rng.poisson(lam, size=(min(_SWEEP_ROWS, b - row),
-                                           len(lam)))
-            blocks.append(draws.astype(np.min_scalar_type(
-                draws.max(initial=0))))
-        del draws  # before the chunk is thinned
+        blocks = list(poisson_rows(cfg.intensity,
+                                   min(_SWEEP_CHUNK, mc_budget - start), rng))
         for raw in blocks:
             thin = thin_counts(raw, cfg.delta, rng)
             wrong += int(np.count_nonzero(raw @ w <= 0.0))
@@ -379,7 +372,10 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
     if mc_budget < 1:
         raise ValueError(f"mc_budget must be >= 1, got {mc_budget}")
     configs = list(configs)
-    for cfg in configs:
+    for k, cfg in enumerate(configs):
+        if not 0.0 <= cfg.delta < 1.0:
+            raise ValueError(f"sweep config {k}: delta must lie in [0, 1), "
+                             f"got {cfg.delta}")
         if score_moments(cfg.weights, cfg.intensity)[0] <= 0:
             raise ValueError("sweep configurations need a positive score mean")
     errors = map_streams(

@@ -29,6 +29,7 @@ _CELL_BUDGET = 5_000_000    # most count vectors enumerate_counts will build
 # Poisson cells per sample_documents draw: bounds its float intensity and
 # int64 count temporaries whatever the batch size
 _SAMPLE_CELLS = 2 ** 19
+_POISSON_ROWS = 65_536      # rows per poisson_rows block
 
 
 class UndefinedPosteriorError(ValueError):
@@ -227,12 +228,26 @@ def sample_documents(sampler: GenerativeSampler, n: int,
     # n = 0 still takes one (empty) chunk, so the batch is (0, d)
     for start in range(0, max(n, 1), rows):
         part = slice(start, start + rows)
-        draws = rng.poisson(sampler.intensity_rows(labels[part],
-                                                   topic_ids[part]))
-        chunks.append(draws.astype(np.min_scalar_type(draws.max(initial=0))))
+        chunks.append(_narrow(rng.poisson(
+            sampler.intensity_rows(labels[part], topic_ids[part]))))
     # concatenate promotes to the widest chunk dtype
     return DocumentBatch(counts=np.concatenate(chunks), labels=labels,
                          topics=topic_ids)
+
+
+def _narrow(draws: np.ndarray) -> np.ndarray:
+    """Counts in the narrowest unsigned dtype that holds their maximum."""
+    return draws.astype(np.min_scalar_type(draws.max(initial=0)))
+
+
+def poisson_rows(intensity, n: int, rng: np.random.Generator):
+    """Yield n Poisson count rows at one intensity vector, as `_narrow`
+    blocks of _POISSON_ROWS rows that together hold exactly what one
+    rng.poisson(intensity, size=(n, d)) call draws."""
+    lam = np.asarray(intensity, dtype=float)
+    for start in range(0, n, _POISSON_ROWS):
+        yield _narrow(rng.poisson(lam, size=(min(_POISSON_ROWS, n - start),
+                                             len(lam))))
 
 
 def _log_class_likelihoods(model: TopicModel, counts: np.ndarray) -> np.ndarray:

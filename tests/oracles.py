@@ -84,7 +84,7 @@ def berry_esseen_distance_sorted(weights, intensity, n_samples: int,
                                  ) -> float:
     """`droplab.berry_esseen_check`'s Kolmogorov distance from one vector
     of all n_samples scores, drawn `chunk` rows at a time and sorted: the
-    check before it tallied each chunk's scores."""
+    check before it tallied each block's scores and merged the tallies."""
     w = np.asarray(weights, dtype=float)
     lam = np.asarray(intensity, dtype=float)
     mu, var = score_moments(w, lam)

@@ -9,7 +9,7 @@ from droplab import (BERRY_ESSEEN_CONSTANT, RankDeficientError,
                      altitude_error_bound, berry_esseen_check,
                      gaussian_error_estimate, gaussian_tail_check, make_rng,
                      margin_condition, normal_cdf)
-from droplab import bounds
+from droplab import topics
 from droplab.presets import (berry_esseen_suite, orthogonal_topic_model,
                              two_word_intensity)
 from droplab.verify import run_berry_esseen_suite
@@ -109,6 +109,15 @@ class TestBerryEsseenCheck:
             w, lam, 1_000_000, make_rng(1, "be-memory")))
         assert peak <= 25.0
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_budget_is_rejected_by_name(self, n):
+        rng = make_rng(2, "be-empty")
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError,
+                           match=f"n_samples must be >= 1, got {n}"):
+            berry_esseen_check([1.0], [100.0], n, rng)
+        assert rng.bit_generator.state == state  # nothing was drawn
+
     def test_zero_variance_rejected(self):
         from droplab import ZeroVarianceError
         with pytest.raises(ZeroVarianceError):
@@ -117,8 +126,8 @@ class TestBerryEsseenCheck:
 
 class TestBerryEsseenSuite:
     def test_checks_do_not_depend_on_cpu_count(self, monkeypatch):
-        # 3,500 samples per config in chunks of 1,000, the last one ragged
-        monkeypatch.setattr(bounds, "_CHUNK", 1_000)
+        # 3,500 samples per config in blocks of 1,000, the last one ragged
+        monkeypatch.setattr(topics, "_POISSON_ROWS", 1_000)
         runs = []
         for cpus in ({0}, {0, 1, 2, 3}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,

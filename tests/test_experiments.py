@@ -12,7 +12,7 @@ from droplab import (CurveSpec, DropoutConfig, Topic, TopicModel,
                      run_bias_check, run_influence_demo, run_learning_curves,
                      sample_documents, thin_counts, train_logistic,
                      train_logistic_dropout, train_naive_bayes)
-from droplab import experiments
+from droplab import experiments, topics
 from droplab.experiments import (CurveResult, SweepConfig,
                                  influence_demo_model)
 from droplab.presets import (default_sweep_configs, equal_length_models,
@@ -102,9 +102,9 @@ class TestAltitudeSweep:
         pytest.param((0.8, 0.2), 65_536, id="intensity1")])
     def test_row_blocks_equal_one_draw(self, intensity, block):
         # 150,000 documents: three thinning blocks, the last one ragged.  The
-        # sweep thins each 65,536-row block with its own thin_counts call;
-        # rng.binomial blocks draw what one call on the whole chunk draws,
-        # while at (0.8, 0.2) each block picks the occurrence kernel.
+        # sweep thins each 65,536-row block with its own thin_counts call,
+        # one rng.binomial call per block, so the thinned stream is the
+        # per-block one the reference draws.
         cfg = SweepConfig(weights=(1.0, -1.0), intensity=intensity, delta=0.5)
         res = run_altitude_sweep([cfg], mc_budget=150_000, master_seed=6)[0]
         rng = make_rng(6, "altitude-sweep", 0)
@@ -116,17 +116,17 @@ class TestAltitudeSweep:
         assert res.eps_thinned == np.count_nonzero(thinned @ w <= 0) / 150_000
 
     def test_peak_memory_at_a_million_documents(self):
-        # the 16 MB chunk of counts plus one block at a time; thinning and
-        # scoring the whole chunk at once takes 53.4 MiB
+        # the chunk of narrowed row draws (2-4 MB) plus one block at a time;
+        # thinning and scoring the whole chunk at once takes 53.4 MiB
         peak = traced_peak_mib(lambda: run_altitude_sweep(
             default_sweep_configs()[:1], mc_budget=1_000_000, master_seed=3))
         assert peak <= 25.0
 
     def test_results_do_not_depend_on_cpu_count(self, monkeypatch):
         # 5,000 documents per config: three chunks of up to 2,000, each
-        # drawn in 700-row draws, the last chunk and draws ragged
+        # drawn in 700-row blocks, the last chunk and blocks ragged
         monkeypatch.setattr(experiments, "_SWEEP_CHUNK", 2_000)
-        monkeypatch.setattr(experiments, "_SWEEP_ROWS", 700)
+        monkeypatch.setattr(topics, "_POISSON_ROWS", 700)
         configs = default_sweep_configs()
         runs = []
         for cpus in ({0}, {0, 1, 2, 3}):
@@ -150,6 +150,19 @@ class TestAltitudeSweep:
         peak = traced_peak_mib(lambda: run_altitude_sweep(
             default_sweep_configs(), mc_budget=1_000_000))
         assert peak <= 16.0
+
+    @pytest.mark.parametrize("delta", [1.0, 1.5, -0.1])
+    def test_delta_outside_unit_interval_is_rejected_before_any_draw(
+            self, monkeypatch, delta):
+        def no_draw(*args):
+            raise AssertionError("_sweep_errors ran before validation")
+
+        monkeypatch.setattr(experiments, "_sweep_errors", no_draw)
+        configs = default_sweep_configs()
+        configs[2] = replace(configs[2], delta=delta)
+        with pytest.raises(ValueError, match=rf"sweep config 2: delta must "
+                                             rf"lie in \[0, 1\), got {delta}"):
+            run_altitude_sweep(configs, mc_budget=3_000_000)
 
     def test_positive_mean_required(self):
         cfg = SweepConfig(weights=(1.0, -1.0), intensity=(1.0, 5.0),

@@ -175,6 +175,21 @@ class TestSampling:
         narrow = counts.size * np.min_scalar_type(counts.max()).itemsize
         assert peak < (2 * narrow + 4 * topics._SAMPLE_CELLS * 8) / 2 ** 20
 
+    @pytest.mark.parametrize("n", [100, 2 * 128 + 37])
+    def test_poisson_rows_blocks_equal_one_draw(self, monkeypatch, n):
+        # blocks of 128 rows: n = 100 under one block, and a ragged n over
+        # three; the largest intensity pushes a block's maximum past 255
+        monkeypatch.setattr(topics, "_POISSON_ROWS", 128)
+        lam = np.array([0.5, 3.0, 250.0])
+        blocks = list(topics.poisson_rows(lam, n, make_rng(21, "rows", n)))
+        ref = make_rng(21, "rows", n).poisson(lam, size=(n, 3))
+        assert [len(b) for b in blocks] == [min(128, n - s)
+                                            for s in range(0, n, 128)]
+        assert np.array_equal(np.concatenate(blocks), ref)
+        for block in blocks:
+            assert block.dtype == np.min_scalar_type(block.max())
+        assert np.dtype(np.uint16) in {b.dtype for b in blocks}
+
     def test_poisson_mean_concentrates(self):
         sampler = single_topic_model([10.0])
         batch = sample_documents(sampler, 100_000, make_rng(1, "mean"))

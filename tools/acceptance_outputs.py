@@ -41,6 +41,10 @@ COMMANDS = {
     # two 1,000,000-document sweep chunks, the last thinning block ragged
     "verify-altitude": "verify --suite altitude --mc 1100000 --seed 3 "
                        "--out verify-altitude.json",
+    # three 65,536-row Poisson blocks per config, the last one ragged, so
+    # the merge of the block tallies crosses block boundaries
+    "verify-berry-esseen": "verify --suite berry-esseen --mc 150000 --seed 3 "
+                           "--out verify-berry-esseen.json",
     # a repeated grid value is rejected: exit 1, nothing written
     "curves-repeated-grid": "curves --n-grid 100,100 --delta-grid 0.5,1 "
                             "--trials 1 --test-size 300 --out curves-repeated",
