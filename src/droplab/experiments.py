@@ -7,9 +7,11 @@ owns one derived from (seed, trial, block), so results are independent of
 scheduling, of the thread count and of which other cells run, and any cell
 can be reproduced in isolation.  The cells run serially; `threads` sizes the
 pool that samples the test sets (`rng.poisson` releases the GIL, the
-trainers do not).  The altitude sweep runs its configurations on one thread
-per usable CPU, each on its own stream (`rng.poisson` and `rng.binomial`
-both release the GIL).
+trainers do not).  A trial's cells are fitted while the pool samples its
+test set, then scored on it block by block while the pool samples the next
+trial's.  The altitude sweep runs its configurations on one thread per
+usable CPU, each on its own stream (`rng.poisson` and `rng.binomial` both
+release the GIL).
 """
 
 from __future__ import annotations
@@ -142,8 +144,13 @@ def _at_delta(cfg: TrainConfig, delta: float) -> TrainConfig:
     return replace(cfg, dropout=replace(cfg.dropout, delta=delta))
 
 
-def _run_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int,
-              test: DocumentBatch) -> CurveRecord:
+def _fit_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int
+              ) -> tuple[CurveRecord, LinearClassifier | None]:
+    """A cell up to its test set: its training set, rule and training error.
+
+    The record holds the fit time and a NaN test error.  A ValueError
+    becomes the record's note, with both errors NaN, and no rule.
+    """
     # streams derive from the delta value (not its grid position) so a cell's
     # record never depends on which other cells are in the grid
     delta = spec.delta_grid[delta_idx]
@@ -159,14 +166,43 @@ def _run_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int,
         clf = fit_classifier(train, _at_delta(spec.train_cfg, delta),
                              nb_smoothing=NB_SMOOTHING)
         train_error = evaluate_error(clf, train)
-        test_error = evaluate_error(clf, test)
     except ValueError as exc:
-        train_error = test_error = float("nan")
+        clf, train_error = None, float("nan")
         note = f"{type(exc).__name__}: {exc}"
     wall = (time.perf_counter() - started) * 1000.0
-    return CurveRecord(n=n, delta=delta, trial=trial, test_error=test_error,
+    return CurveRecord(n=n, delta=delta, trial=trial, test_error=float("nan"),
                        train_error=train_error, wall_time_ms=wall,
-                       seed=fingerprint, note=note)
+                       seed=fingerprint, note=note), clf
+
+
+def _score_cells(spec: CurveSpec, fitted, blocks) -> list[CurveRecord]:
+    """Score a trial's fitted cells on its test set, one block at a time.
+
+    Each block is scored by every cell, then dropped.  A cell's test error
+    is its misclassified count summed over the blocks, over test_size: an
+    exact integer rounded once, so it equals evaluate_error on the joined
+    set bit for bit.  Scoring time is added to each cell's fit time, and a
+    ValueError while scoring fails the cell as one during its fit does.
+    """
+    records = [record for record, _ in fitted]
+    live = {i: clf for i, (_, clf) in enumerate(fitted) if clf is not None}
+    wrong = dict.fromkeys(live, 0)
+    busy = [0.0] * len(records)
+    for block in blocks:
+        for i, clf in list(live.items()):
+            started = time.perf_counter()
+            try:
+                wrong[i] += int(np.count_nonzero(clf.predict(block.counts)
+                                                 != block.labels))
+            except ValueError as exc:
+                del live[i]
+                records[i] = replace(records[i], train_error=float("nan"),
+                                     note=f"{type(exc).__name__}: {exc}")
+            busy[i] += time.perf_counter() - started
+    return [replace(r, test_error=wrong[i] / spec.test_size if i in live
+                    else r.test_error,
+                    wall_time_ms=r.wall_time_ms + busy[i] * 1000.0)
+            for i, r in enumerate(records)]
 
 
 def _sample_test_block(spec: CurveSpec, trial: int, block: int
@@ -175,14 +211,6 @@ def _sample_test_block(spec: CurveSpec, trial: int, block: int
     rows = min(_TEST_BLOCK_ROWS, spec.test_size - block * _TEST_BLOCK_ROWS)
     return sample_documents(spec.sampler, rows,
                             make_rng(spec.master_seed, _TEST_TAG, trial, block))
-
-
-def _join_blocks(blocks) -> DocumentBatch:
-    # concatenate promotes to the widest block dtype, so no count overflows
-    docs = list(blocks)
-    return DocumentBatch(counts=np.concatenate([d.counts for d in docs]),
-                         labels=np.concatenate([d.labels for d in docs]),
-                         topics=np.concatenate([d.topics for d in docs]))
 
 
 def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
@@ -195,30 +223,34 @@ def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
 
     The cells run serially on the calling thread.  `threads` is the size of
     the pool that samples each test set in fixed blocks of _TEST_BLOCK_ROWS
-    rows, one stream per block, so no output depends on it.  The pool
-    samples trial t + 1's blocks while trial t's cells run; cell wall times
-    (written with --timing) therefore overlap that sampling.
+    rows, one stream per block, so no output depends on it.  A trial's
+    cells are fitted while the pool samples its test set, then scored on it
+    block by block as the blocks arrive; the set is never joined.  Each
+    trial submits the next trial's blocks before it fits, so the pool never
+    idles between trials and at most two trials' test sets are held.  A
+    cell's wall time (written with --timing) is its fit time plus its share
+    of the block scoring.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     blocks = range(-(-spec.test_size // _TEST_BLOCK_ROWS))
+    cells = [(n, di) for n in spec.n_grid
+             for di in range(len(spec.delta_grid))]
     records: dict[tuple[int, int, int], CurveRecord] = {}
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
-        # map submits every block at once, so the pool draws trial t + 1's
-        # test set while trial t's cells hold the GIL
-        pending = pool.map(partial(_sample_test_block, spec, 0), blocks)
+        # map submits every block at once and yields them in block order;
+        # the pool draws them while the cells hold the GIL
+        ahead = pool.map(partial(_sample_test_block, spec, 0), blocks)
         for trial in range(spec.trials):
-            test = _join_blocks(pending)
+            test = ahead
             if trial + 1 < spec.trials:
-                pending = pool.map(partial(_sample_test_block, spec,
-                                           trial + 1), blocks)
-            for n in spec.n_grid:
-                for di in range(len(spec.delta_grid)):
-                    records[(n, di, trial)] = _run_cell(spec, n, di, trial,
-                                                        test)
-            # free this trial's test set before the next one is joined
-            del test
+                ahead = pool.map(partial(_sample_test_block, spec,
+                                         trial + 1), blocks)
+            fitted = [_fit_cell(spec, n, di, trial) for n, di in cells]
+            scored = _score_cells(spec, fitted, test)
+            records.update(((n, di, trial), r)
+                           for (n, di), r in zip(cells, scored))
     finally:
         pool.shutdown(cancel_futures=True)
     ordered = [records[(n, di, t)]
@@ -376,8 +408,10 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
         if not 0.0 <= cfg.delta < 1.0:
             raise ValueError(f"sweep config {k}: delta must lie in [0, 1), "
                              f"got {cfg.delta}")
-        if score_moments(cfg.weights, cfg.intensity)[0] <= 0:
-            raise ValueError("sweep configurations need a positive score mean")
+        mean = score_moments(cfg.weights, cfg.intensity)[0]
+        if mean <= 0:
+            raise ValueError(f"sweep config {k}: score mean must be "
+                             f"positive, got {mean:g}")
     errors = map_streams(
         lambda k: _sweep_errors(configs[k], mc_budget,
                                 make_rng(master_seed, "altitude-sweep", k)),

@@ -7,6 +7,7 @@ d <= 3, the Monte Carlo dropout gradient and its descent, the row-wise
 exact Bayes risk, the tracemalloc peak of a call, the one-call Poisson
 document sampler, the altitude sweep's error counts from one Poisson draw
 per chunk, the Berry-Esseen distance from one sorted vector of every score,
+the learning-curve grid that joins each trial's test set before scoring it,
 and a subprocess running a fresh interpreter that imports this droplab.
 """
 
@@ -16,14 +17,18 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 from scipy.stats import chi2_contingency
 
 import droplab
-from droplab import (DocumentBatch, EmptyDataError, GenerativeSampler,
-                     LinearClassifier, recalibrate_intercept, thin_counts)
+from droplab import (CurveRecord, CurveSpec, DocumentBatch, EmptyDataError,
+                     GenerativeSampler, LinearClassifier, evaluate_error,
+                     experiments, fit_classifier, make_rng,
+                     recalibrate_intercept, sample_documents,
+                     seed_fingerprint, thin_counts)
 from droplab.bounds import normal_cdf
 from droplab.classifiers import _sigmoid
 from droplab.diagnostics import score_moments
@@ -242,6 +247,47 @@ def bayes_error_rowwise(model: TopicModel, max_total_count: int
     joint = np.exp(_log_class_likelihoods(model, grid)) * prior
     return (float(np.minimum(joint[:, 0], joint[:, 1]).sum()),
             max(0.0, 1.0 - float(joint.sum())))
+
+
+def learning_curves_joined(spec: CurveSpec) -> list[CurveRecord]:
+    """`droplab.run_learning_curves`'s records, wall_time_ms 0, from a
+    serial grid that joins each trial's test blocks into one set and scores
+    every cell on it with evaluate_error: the grid before it fitted a
+    trial's cells first and scored them block by block."""
+    blocks = range(-(-spec.test_size // experiments._TEST_BLOCK_ROWS))
+    records = {}
+    for trial in range(spec.trials):
+        parts = [experiments._sample_test_block(spec, trial, k)
+                 for k in blocks]
+        test = DocumentBatch(
+            counts=np.concatenate([p.counts for p in parts]),
+            labels=np.concatenate([p.labels for p in parts]),
+            topics=np.concatenate([p.topics for p in parts]))
+        for n in spec.n_grid:
+            for delta in spec.delta_grid:
+                key = (spec.master_seed, experiments._CELL_TAG, n, delta,
+                       trial)
+                rng = make_rng(*key)
+                rng.integers(0, 2 ** 31 - 1)
+                cfg = replace(spec.train_cfg,
+                              dropout=replace(spec.train_cfg.dropout,
+                                              delta=delta))
+                note = ""
+                try:
+                    train = sample_documents(spec.sampler, n, rng)
+                    clf = fit_classifier(
+                        train, cfg, nb_smoothing=experiments.NB_SMOOTHING)
+                    train_error = evaluate_error(clf, train)
+                    test_error = evaluate_error(clf, test)
+                except ValueError as exc:
+                    train_error = test_error = float("nan")
+                    note = f"{type(exc).__name__}: {exc}"
+                records[(n, delta, trial)] = CurveRecord(
+                    n=n, delta=delta, trial=trial, test_error=test_error,
+                    train_error=train_error, wall_time_ms=0.0,
+                    seed=seed_fingerprint(*key), note=note)
+    return [records[(n, delta, t)] for n in spec.n_grid
+            for delta in spec.delta_grid for t in range(spec.trials)]
 
 
 def run_python(*args, **kwargs) -> subprocess.CompletedProcess:

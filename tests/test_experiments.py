@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from droplab import (CurveSpec, DropoutConfig, Topic, TopicModel,
-                     TrainConfig, bayes_posterior, berry_esseen_statistic,
-                     build_synthetic_model, curve_csv, curve_summary,
-                     dropout_posterior, evaluate_error, fit_classifier,
-                     make_rng, recalibrate_intercept, run_altitude_sweep,
+from droplab import (CurveSpec, DocumentBatch, DropoutConfig, Topic,
+                     TopicModel, TrainConfig, bayes_posterior,
+                     berry_esseen_statistic, build_synthetic_model,
+                     curve_csv, curve_summary, dropout_posterior,
+                     evaluate_error, fit_classifier, make_rng,
+                     recalibrate_intercept, run_altitude_sweep,
                      run_bias_check, run_influence_demo, run_learning_curves,
                      sample_documents, thin_counts, train_logistic,
                      train_logistic_dropout, train_naive_bayes)
@@ -17,7 +18,8 @@ from droplab.experiments import (CurveResult, SweepConfig,
                                  influence_demo_model)
 from droplab.presets import (default_sweep_configs, equal_length_models,
                              two_word_intensity, unequal_length_control)
-from oracles import altitude_sweep_errors_one_draw, traced_peak_mib
+from oracles import (altitude_sweep_errors_one_draw, learning_curves_joined,
+                     traced_peak_mib)
 
 UNEQUAL_CONTROL_GAP = 0.10859924742815032  # posterior shift at count 0
 
@@ -167,8 +169,10 @@ class TestAltitudeSweep:
     def test_positive_mean_required(self):
         cfg = SweepConfig(weights=(1.0, -1.0), intensity=(1.0, 5.0),
                           delta=0.5)
-        with pytest.raises(ValueError):
-            run_altitude_sweep([cfg], mc_budget=100)
+        with pytest.raises(ValueError, match=r"^sweep config 1: score mean "
+                                             r"must be positive, got -4$"):
+            run_altitude_sweep([default_sweep_configs()[0], cfg],
+                               mc_budget=100)
 
 
 class TestFitClassifier:
@@ -228,17 +232,24 @@ def tiny_spec(**overrides) -> CurveSpec:
 
 
 def captured_test_sets(monkeypatch, spec: CurveSpec, threads: int) -> dict:
-    """Each trial's test set as run_learning_curves hands it to its cells."""
+    """Each trial's test set as run_learning_curves samples it, its blocks
+    joined here in block order."""
     seen = {}
-    run_cell = experiments._run_cell
+    sample_block = experiments._sample_test_block
 
-    def spy(spec, n, delta_idx, trial, test):
-        seen[trial] = test
-        return run_cell(spec, n, delta_idx, trial, test)
+    def spy(spec, trial, block):
+        seen[(trial, block)] = sample_block(spec, trial, block)
+        return seen[(trial, block)]
 
-    monkeypatch.setattr(experiments, "_run_cell", spy)
+    monkeypatch.setattr(experiments, "_sample_test_block", spy)
     run_learning_curves(spec, threads=threads)
-    return seen
+    joined = {}
+    for trial in sorted({t for t, _ in seen}):
+        parts = [seen[k] for k in sorted(seen) if k[0] == trial]
+        joined[trial] = DocumentBatch(
+            **{f: np.concatenate([getattr(p, f) for p in parts])
+               for f in ("counts", "labels", "topics")})
+    return joined
 
 
 class TestCurveSpec:
@@ -297,6 +308,36 @@ class TestLearningCurves:
         b = run_learning_curves(spec, threads=3)
         assert ([replace(r, wall_time_ms=0.0) for r in a.records]
                 == [replace(r, wall_time_ms=0.0) for r in b.records])
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_block_scoring_equals_the_joined_test_set(self, threads):
+        # three trials, so trial 2 is submitted from inside the loop; a
+        # ragged last block; n = 1 draws one class, so those cells fail
+        spec = tiny_spec(n_grid=(1, 40), trials=3,
+                         test_size=2 * experiments._TEST_BLOCK_ROWS + 37)
+        got = [replace(r, wall_time_ms=0.0)
+               for r in run_learning_curves(spec, threads=threads).records]
+        want = learning_curves_joined(spec)
+        assert repr(got) == repr(want)  # repr: bit-exact floats, nan == nan
+        assert any(r.note.startswith("DegenerateDataError") for r in got)
+        assert all(np.isnan(r.test_error) == bool(r.note) for r in got)
+
+    def test_failed_scoring_is_recorded_like_a_failed_fit(self, monkeypatch):
+        # test blocks one word short of the training sets: every cell fits,
+        # then fails on its first block
+        sample_block = experiments._sample_test_block
+
+        def short_block(spec, trial, block):
+            docs = sample_block(spec, trial, block)
+            return replace(docs, counts=docs.counts[:, 1:])
+
+        monkeypatch.setattr(experiments, "_sample_test_block", short_block)
+        spec = tiny_spec(test_size=experiments._TEST_BLOCK_ROWS + 5)
+        res = run_learning_curves(spec, threads=2)
+        assert len(res.records) == 12
+        for r in res.records:
+            assert r.note.startswith("ValueError: ")
+            assert np.isnan(r.test_error) and np.isnan(r.train_error)
 
     def test_synthetic_test_counts_are_uint8(self, monkeypatch):
         spec = tiny_spec(n_grid=(40,), delta_grid=(1.0,))
