@@ -6,8 +6,8 @@ and prints the mean test error per cell.  This is a reduced grid that runs
 in a few minutes; use `droplab curves` for the full default grid.
 """
 
-from droplab import (CurveSpec, TrainConfig,
-                     build_synthetic_model, run_learning_curves)
+from droplab import (CurveSpec, TrainConfig, build_synthetic_model,
+                     curve_summary, run_learning_curves)
 
 
 def main():
@@ -19,15 +19,15 @@ def main():
         test_size=20_000,
         train_cfg=TrainConfig(epochs=300),
         master_seed=0,
-        sampler_name="synthetic-sec6",
     )
-    result = run_learning_curves(spec, threads=4)
+    cells = curve_summary(run_learning_curves(spec, threads=4))["cells"]
     deltas = spec.delta_grid
     print(f"mean test error over {spec.trials} trials "
           f"(test size {spec.test_size:,})\n")
     print(" " * 8 + "".join(f"delta={d:<8g}" for d in deltas))
     for n in spec.n_grid:
-        row = "".join(f"{result.cell_mean(n, d):<14.4f}" for d in deltas)
+        row = "".join(f"{c['mean_test_error']:<14.4f}"
+                      for c in cells if c["n"] == n)
         print(f"n={n:<6d}{row}")
     print("\nColumns interpolate between plain logistic regression and the")
     print("naive Bayes endpoint; heavier thinning trades fit for stability.")

@@ -16,10 +16,8 @@ from .classifiers import (DegenerateDataError, EmptyDataError,
                           evaluate_error, recalibrate_intercept,
                           train_logistic, train_logistic_dropout,
                           train_naive_bayes)
-from .corpus import (EmptyClassError, MalformedLineError, SplitSpec,
-                     load_corpus, tokenize)
-from .diagnostics import (RiskDecomposition, ZeroVarianceError,
-                          berry_esseen_statistic, excess_risk_decomposition,
+from .corpus import EmptyClassError, MalformedLineError, load_corpus, tokenize
+from .diagnostics import (ZeroVarianceError, berry_esseen_statistic,
                           score_moments)
 from .dropout import (DropoutConfig, dropout_posterior, thin_counts,
                       thinned_model)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .diagnostics import berry_esseen_statistic, score_moments
+from .diagnostics import (ZeroVarianceError, berry_esseen_statistic,
+                          score_moments)
 from .stats import dkw_slack, kolmogorov_distance
 from .topics import TopicModel, poisson_rows
 
@@ -42,7 +43,7 @@ def gaussian_error_estimate(weights: np.ndarray, intensity: np.ndarray,
     """
     mu, var = score_moments(weights, intensity)
     if var <= 0.0:
-        raise ValueError("score variance must be positive")
+        raise ZeroVarianceError("score variance must be positive")
     z = mu / np.sqrt(var)
     return normal_cdf(-z), normal_cdf(-np.sqrt(1.0 - delta) * z)
 

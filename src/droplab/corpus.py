@@ -9,7 +9,6 @@ outside it are dropped.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,26 +25,6 @@ class MalformedLineError(ValueError):
 
 class EmptyClassError(ValueError):
     """A split ended up without one of the two classes."""
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """How to split a corpus file: a seeded shuffle then a prefix cut.
-
-    Exactly one of train_fraction / train_size picks the cut point.
-    """
-
-    seed: int
-    train_fraction: float | None
-    train_size: int | None
-
-    def __post_init__(self):
-        if (self.train_fraction is None) == (self.train_size is None):
-            raise ValueError("set exactly one of train_fraction / train_size")
-        if self.train_fraction is not None and not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
-        if self.train_size is not None and self.train_size < 1:
-            raise ValueError("train_size must be >= 1")
 
 
 def tokenize(text: str) -> list[str]:
@@ -94,18 +73,26 @@ def build_vocabulary(docs: list[tuple[int, list[str]]]) -> dict[str, int]:
     return {tok: i for i, tok in enumerate(tokens)}
 
 
-def load_corpus(path: str | Path, split: SplitSpec
+def load_corpus(path: str | Path, seed: int, train_fraction: float | None,
+                train_size: int | None
                 ) -> tuple[DocumentBatch, DocumentBatch, dict[str, int]]:
     """Load, shuffle, and split a corpus file into (train, test, vocabulary).
 
-    The vocabulary comes from the training split only.  Raises
-    EmptyClassError when either split misses a class.
+    Exactly one of train_fraction / train_size picks where the seeded
+    shuffle is cut.  The vocabulary comes from the training split only.
+    Raises EmptyClassError when either split misses a class.
     """
+    if (train_fraction is None) == (train_size is None):
+        raise ValueError("set exactly one of train_fraction / train_size")
+    if train_fraction is not None and not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie in (0, 1)")
+    if train_size is not None and train_size < 1:
+        raise ValueError("train_size must be >= 1")
     docs = _parse_lines(path)
-    order = make_rng(split.seed, "corpus-split").permutation(len(docs))
+    order = make_rng(seed, "corpus-split").permutation(len(docs))
     docs = [docs[i] for i in order]
-    cut = split.train_size if split.train_size is not None \
-        else int(round(split.train_fraction * len(docs)))
+    cut = train_size if train_size is not None \
+        else int(round(train_fraction * len(docs)))
     cut = min(max(cut, 1), len(docs) - 1)
     train_docs, test_docs = docs[:cut], docs[cut:]
     vocabulary = build_vocabulary(train_docs)

@@ -5,9 +5,9 @@ Every cell of every grid owns a random stream derived from the master seed
 and the cell coordinates, and every fixed block of a learning-curve test set
 owns one derived from (seed, trial, block), so results are independent of
 scheduling, of the thread count and of which other cells run, and any cell
-can be reproduced in isolation.  The cells run serially; `threads` sizes the
-pool that samples the test sets (`rng.poisson` releases the GIL, the
-trainers do not).  A trial's cells are fitted while the pool samples its
+can be reproduced in isolation.  The cells run serially on the calling
+thread; `threads` sizes the pool that samples the test sets (`rng.poisson`
+releases the GIL).  A trial's cells are fitted while the pool samples its
 test set, then scored on it block by block while the pool samples the next
 trial's.  The altitude sweep runs its configurations on one thread per
 usable CPU, each on its own stream (`rng.poisson` and `rng.binomial` both
@@ -56,7 +56,7 @@ class CurveSpec:
     test_size: int
     train_cfg: TrainConfig
     master_seed: int
-    sampler_name: str = ""
+    sampler_name: str = ""  # only the benchmark (bench/workloads.py) sets it
 
     def __post_init__(self):
         if not self.n_grid or not self.delta_grid:
@@ -115,11 +115,6 @@ class CurveRecord:
 class CurveResult:
     spec: CurveSpec
     records: tuple[CurveRecord, ...]
-
-    def cell_mean(self, n: int, delta: float) -> float:
-        errs = [r.test_error for r in self.records
-                if r.n == n and r.delta == delta and not np.isnan(r.test_error)]
-        return float(np.mean(errs)) if errs else float("nan")
 
 
 def fit_classifier(train: DocumentBatch, cfg: TrainConfig,

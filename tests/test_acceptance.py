@@ -14,9 +14,9 @@ from scipy import stats as sps
 from scipy.stats import chisquare
 
 from droplab import (CurveSpec, SweepConfig, TrainConfig, berry_esseen_check,
-                     build_synthetic_model, gaussian_tail_check, make_rng,
-                     margin_condition, run_altitude_sweep, run_bias_check,
-                     run_learning_curves, thin_counts)
+                     build_synthetic_model, curve_summary, gaussian_tail_check,
+                     make_rng, margin_condition, run_altitude_sweep,
+                     run_bias_check, run_learning_curves, thin_counts)
 from droplab.cli import cli_dispatch
 from droplab.diagnostics import thinned_topic_rates
 from droplab.presets import (berry_esseen_suite, default_sweep_configs,
@@ -177,8 +177,7 @@ def small_n_curves():
     spec = CurveSpec(
         sampler=build_synthetic_model(),
         n_grid=(100,), delta_grid=(0.0, 0.95), trials=10, test_size=100_000,
-        train_cfg=TrainConfig(epochs=400),
-        master_seed=2024, sampler_name="synthetic-sec6")
+        train_cfg=TrainConfig(epochs=400), master_seed=2024)
     return run_learning_curves(spec, threads=4)
 
 
@@ -186,9 +185,9 @@ def small_n_curves():
 def test_criterion_7a_small_n_ordering(small_n_curves):
     """Synthetic benchmark at n = 100: heavy thinning should beat plain
     training on the mean over 10 paired trials."""
-    res = small_n_curves
-    mean_plain = res.cell_mean(100, 0.0)
-    mean_heavy = res.cell_mean(100, 0.95)
+    # one cell per delta, in delta_grid order
+    mean_plain, mean_heavy = (c["mean_test_error"] for c
+                              in curve_summary(small_n_curves)["cells"])
     ok = mean_heavy < mean_plain
     report("criterion 7a (small-n ordering)", ok,
            f"err(delta=0.95)={mean_heavy:.4f} vs err(delta=0)="
@@ -205,10 +204,9 @@ def test_criterion_7b_naive_bayes_plateau():
     spec = CurveSpec(
         sampler=build_synthetic_model(), n_grid=(4000, 16000),
         delta_grid=(1.0,), trials=3, test_size=100_000,
-        train_cfg=TrainConfig(epochs=10),
-        master_seed=2024, sampler_name="synthetic-sec6")
+        train_cfg=TrainConfig(epochs=10), master_seed=2024)
     res = run_learning_curves(spec, threads=3)
-    means = {n: res.cell_mean(n, 1.0) for n in (4000, 16000)}
+    means = {c["n"]: c["mean_test_error"] for c in curve_summary(res)["cells"]}
     gap = abs(means[4000] - means[16000])
     ok = gap < 0.01
     report("criterion 7b (naive Bayes plateau)", ok,

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droplab import (BERRY_ESSEEN_CONSTANT, RankDeficientError,
-                     altitude_error_bound, berry_esseen_check,
-                     gaussian_error_estimate, gaussian_tail_check, make_rng,
-                     margin_condition, normal_cdf)
+                     ZeroVarianceError, altitude_error_bound,
+                     berry_esseen_check, gaussian_error_estimate,
+                     gaussian_tail_check, make_rng, margin_condition,
+                     normal_cdf)
 from droplab import topics
 from droplab.presets import (berry_esseen_suite, orthogonal_topic_model,
                              two_word_intensity)
@@ -54,6 +55,12 @@ class TestGaussianErrorEstimate:
     def test_no_thinning_collapses_the_pair(self):
         eps, eps_thin = gaussian_error_estimate([1.0], [9.0], 0.0)
         assert eps == eps_thin
+
+    def test_zero_variance_rejected(self):
+        # the error berry_esseen_statistic raises for the same score
+        with pytest.raises(ZeroVarianceError,
+                           match="^score variance must be positive$"):
+            gaussian_error_estimate([0.0, 0.0], [3.0, 5.0], 0.5)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.05, max_value=6.0),
@@ -119,7 +126,6 @@ class TestBerryEsseenCheck:
         assert rng.bit_generator.state == state  # nothing was drawn
 
     def test_zero_variance_rejected(self):
-        from droplab import ZeroVarianceError
         with pytest.raises(ZeroVarianceError):
             berry_esseen_check([0.0], [1.0], 100, make_rng(2, "be3"))
 

@@ -16,7 +16,7 @@ from droplab.cli import (ValidationError, _default_threads, _float_list,
                          _int_list, _load_sampler, _read_docs_jsonl,
                          cli_dispatch)
 from droplab.serialize import dumps
-from droplab.topics import Topic, TopicModel
+from droplab.topics import SYNTHETIC_PARAMS, Topic, TopicModel
 from droplab.verify import VERIFY_SUITES, run_verification
 from oracles import run_python
 
@@ -508,6 +508,18 @@ class TestCurves:
         assert capsys.readouterr().err == \
             "error: n_grid repeats the value 100\n"
         assert not (tmp_path / "c").exists()
+
+    def test_header_names_the_default_preset(self, tmp_path):
+        out = tmp_path / "c"
+        assert cli_dispatch(["curves", "--n-grid", "20", "--delta-grid", "1",
+                             "--trials", "1", "--test-size", "50",
+                             "--out", str(out)]) == 0
+        line = (out / "curves.csv").read_text().split("\n")[1]
+        config = json.loads(line[len("# config: "):])
+        assert config["model"] == "synthetic-sec6"
+        assert config["model_params"] == SYNTHETIC_PARAMS
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["meta"]["config"] == config
 
     def test_missing_out_exits_1_before_sampling(self, monkeypatch, capsys):
         def never(*args, **kwargs):

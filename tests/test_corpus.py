@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droplab import (DocumentBatch, EmptyClassError, MalformedLineError,
-                     SplitSpec, load_corpus, tokenize)
+                     load_corpus, tokenize)
 from droplab.corpus import build_vocabulary, corpus_from_text, _parse_lines
 
 # the split `train` makes by default (--train-frac 0.6)
@@ -48,9 +48,9 @@ def test_repeated_tokens_increment_counts(tmp_path):
 def test_split_is_deterministic_per_seed(tmp_path):
     lines = [f"{i % 2}\tword{i} shared" for i in range(40)]
     path = write(tmp_path, lines)
-    a_train, a_test, a_vocab = load_corpus(path, SplitSpec(seed=3, **TRAIN_60))
-    b_train, b_test, b_vocab = load_corpus(path, SplitSpec(seed=3, **TRAIN_60))
-    _, _, c_vocab = load_corpus(path, SplitSpec(seed=4, **TRAIN_60))
+    a_train, a_test, a_vocab = load_corpus(path, seed=3, **TRAIN_60)
+    b_train, b_test, b_vocab = load_corpus(path, seed=3, **TRAIN_60)
+    _, _, c_vocab = load_corpus(path, seed=4, **TRAIN_60)
     assert np.array_equal(a_train.counts, b_train.counts)
     assert np.array_equal(a_test.labels, b_test.labels)
     assert a_vocab == b_vocab != c_vocab
@@ -60,7 +60,7 @@ def test_vocabulary_built_from_train_split_only(tmp_path):
     lines = [f"{i % 2}\tcommon token{i}" for i in range(10)]
     path = write(tmp_path, lines)
     train, test, vocabulary = load_corpus(
-        path, SplitSpec(seed=0, train_fraction=0.5, train_size=None))
+        path, seed=0, train_fraction=0.5, train_size=None)
     # out-of-vocabulary test tokens are dropped, never extend the vocabulary
     assert test.counts.shape[1] == train.counts.shape[1] == len(vocabulary)
     assert "common" in vocabulary
@@ -69,36 +69,38 @@ def test_vocabulary_built_from_train_split_only(tmp_path):
 def test_train_size_split(tmp_path):
     lines = [f"{i % 2}\tw{i} shared" for i in range(30)]
     path = write(tmp_path, lines)
-    train, test, _ = load_corpus(path, SplitSpec(seed=1, train_fraction=None,
-                                                 train_size=12))
+    train, test, _ = load_corpus(path, seed=1, train_fraction=None,
+                                 train_size=12)
     assert len(train) == 12 and len(test) == 18
 
 
 def test_malformed_line_reports_number(tmp_path):
     path = write(tmp_path, ["1\tok text", "no tab here"])
     with pytest.raises(MalformedLineError, match="line 2"):
-        load_corpus(path, SplitSpec(seed=0, **TRAIN_60))
+        load_corpus(path, seed=0, **TRAIN_60)
 
 
 def test_bad_label_reports_number(tmp_path):
     path = write(tmp_path, ["2\toops"])
     with pytest.raises(MalformedLineError, match="line 1"):
-        load_corpus(path, SplitSpec(seed=0, **TRAIN_60))
+        load_corpus(path, seed=0, **TRAIN_60)
 
 
 def test_empty_class_detected(tmp_path):
     path = write(tmp_path, ["1\ta b", "1\tc d", "1\te f"])
     with pytest.raises(EmptyClassError):
-        load_corpus(path, SplitSpec(seed=0, **TRAIN_60))
+        load_corpus(path, seed=0, **TRAIN_60)
 
 
-def test_split_spec_validation():
+def test_split_spec_validation(tmp_path):
+    # the split is checked before the file is read: this path does not exist
+    path = tmp_path / "absent.tsv"
     with pytest.raises(ValueError):
-        SplitSpec(seed=0, train_fraction=0.5, train_size=10)
+        load_corpus(path, seed=0, train_fraction=0.5, train_size=10)
     with pytest.raises(ValueError):
-        SplitSpec(seed=0, train_fraction=None, train_size=None)
+        load_corpus(path, seed=0, train_fraction=None, train_size=None)
     with pytest.raises(ValueError):
-        SplitSpec(seed=0, train_fraction=1.5, train_size=None)
+        load_corpus(path, seed=0, train_fraction=1.5, train_size=None)
 
 
 @given(st.text())
@@ -128,8 +130,7 @@ def test_split_sizes_add_up_to_the_document_count(docs, blank_every,
             fh.write("\n".join(lines) + "\n")
         try:
             train, test, vocabulary = load_corpus(
-                path, SplitSpec(seed=seed, train_fraction=fraction,
-                                train_size=None))
+                path, seed=seed, train_fraction=fraction, train_size=None)
         except EmptyClassError:
             return  # the shuffle put a single class in one split
     finally:

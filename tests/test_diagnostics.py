@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droplab import (LinearClassifier, ZeroVarianceError,
-                     berry_esseen_statistic, excess_risk_decomposition,
-                     make_rng, margin_condition, score_moments, verify)
-from droplab.diagnostics import thinned_topic_rates
+                     berry_esseen_statistic, make_rng, margin_condition,
+                     score_moments, verify)
+from droplab.diagnostics import excess_risk_decomposition, thinned_topic_rates
 from droplab.presets import (equal_length_models, orthogonal_topic_model,
                              two_word_intensity, unequal_length_control)
 from droplab.stats import binomial_se

@@ -18,6 +18,7 @@ from droplab.experiments import (CurveResult, SweepConfig,
                                  influence_demo_model)
 from droplab.presets import (default_sweep_configs, equal_length_models,
                              two_word_intensity, unequal_length_control)
+from droplab.topics import SYNTHETIC_PARAMS
 from oracles import (altitude_sweep_errors_one_draw, learning_curves_joined,
                      traced_peak_mib)
 
@@ -225,7 +226,6 @@ def tiny_spec(**overrides) -> CurveSpec:
         test_size=1_500,
         train_cfg=TrainConfig(epochs=40),
         master_seed=11,
-        sampler_name="synthetic-sec6",
     )
     base.update(overrides)
     return CurveSpec(**base)
@@ -253,6 +253,12 @@ def captured_test_sets(monkeypatch, spec: CurveSpec, threads: int) -> dict:
 
 
 class TestCurveSpec:
+    def test_preset_header_names_the_sampler(self):
+        # tiny_spec sets no sampler_name: the preset names itself
+        config = tiny_spec().describe()
+        assert config["model"] == "synthetic-sec6"
+        assert config["model_params"] == SYNTHETIC_PARAMS
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tiny_spec(n_grid=())

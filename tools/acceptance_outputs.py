@@ -29,6 +29,15 @@ HUGE_ID_MODEL = {**MODEL, "topics": [{**t, "id": 2 ** 53 + i}
                                      for i, t in enumerate(MODEL["topics"])]}
 BLANK_DOCS = '{"counts": [], "label": 0}\n{"counts": [], "label": 1}\n'
 NO_WEIGHTS = {"weights": [], "intercept": 0.5}
+# 60 `label<TAB>text` lines built from the line index alone: each label has
+# three words of its own, each line two of five shared words, and every fifth
+# line one word of the other label
+WORDS = (("bad", "dull", "poor"), ("good", "great", "fine"))
+SHARED = ("plot", "film", "cast", "music", "pace")
+REVIEWS = "".join(
+    f"{i % 2}\t{WORDS[i % 2][i % 3]} {SHARED[i % 5]} {SHARED[(3 * i + 1) % 5]}"
+    + (f" {WORDS[1 - i % 2][i % 3]}" if i % 5 == 0 else "") + "\n"
+    for i in range(60))
 DELTAS = ("0", "0.5", "1")
 COMMANDS = {
     "curves": "curves --n-grid 100,300 --delta-grid 0,0.5,0.9,1 --trials 2 "
@@ -62,6 +71,15 @@ COMMANDS = {
     "sample-3000": "sample --n 3000 --seed 4 --out synthetic-3000.jsonl",
     "train-3000": "train --docs synthetic-3000.jsonl --delta 0.5 --epochs 30 "
                   "--out clf-3000.json",
+    # the corpus path: a --train-frac split (0.6 by default), a --train-size
+    # split, and evaluation against the stored vocabulary
+    "train-corpus": "train --corpus reviews.tsv --epochs 50 "
+                    "--out clf-corpus.json",
+    "train-corpus-sized": "train --corpus reviews.tsv --train-size 12 "
+                          "--delta 0.5 --epochs 50 --out clf-corpus-sized.json",
+    "eval-corpus": "eval --classifier clf-corpus.json --corpus reviews.tsv "
+                   "--out eval-corpus.json",
+    "train-corpus-size-0": "train --corpus reviews.tsv --train-size 0",
     "demo-influence": "demo-influence --n 300 --out demo.json",
     "sample-twin-ids": "sample --model twin-model.json --n 10",
     "sample-huge-ids": "sample --model huge-id-model.json --n 10",
@@ -117,6 +135,7 @@ if __name__ == "__main__":
     (out / "huge-id-model.json").write_text(json.dumps(HUGE_ID_MODEL))
     (out / "no-weights.json").write_text(json.dumps(NO_WEIGHTS))
     (out / "blank.jsonl").write_text(BLANK_DOCS)
+    (out / "reviews.tsv").write_text(REVIEWS)
     codes = {name: subprocess.run([sys.executable, "-m", "droplab", *cmd.split()],
                                   cwd=out, env=env,
                                   stdout=subprocess.DEVNULL).returncode
