@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .diagnostics import (ZeroVarianceError, berry_esseen_statistic,
                           score_moments)
@@ -27,6 +26,8 @@ _RANK_TOL = 1e-12            # relative eigenvalue floor of the Gram matrix
 
 def normal_cdf(x) -> np.ndarray | float:
     """Standard normal CDF via the complementary error function."""
+    from scipy.special import erfc
+
     x = np.asarray(x, dtype=float)
     out = 0.5 * erfc(-x / np.sqrt(2.0))
     return float(out) if out.ndim == 0 else out

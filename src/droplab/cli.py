@@ -145,6 +145,9 @@ def _cmd_train(args) -> int:
         if sized and args.train_size < 1:
             raise ValidationError(
                 f"--train-size must be >= 1, got {args.train_size}")
+        if not sized and not 0.0 < args.train_frac < 1.0:
+            raise ValidationError(
+                f"--train-frac must lie in (0, 1), got {args.train_frac}")
         train, heldout, vocabulary = load_corpus(
             args.corpus, args.seed, None if sized else args.train_frac,
             args.train_size)

@@ -17,7 +17,11 @@ from math import comb
 from typing import Protocol
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
+
+# scipy.special is imported inside the functions that call it (the exact
+# posteriors and Bayes error here, bounds.normal_cdf): loading it costs a
+# process about 0.28 s and 26 MB, which sample, train, eval and curves
+# never need
 
 from .serialize import json_float, json_floats, json_int, read_field
 
@@ -252,6 +256,8 @@ def poisson_rows(intensity, n: int, rng: np.random.Generator):
 
 def _log_class_likelihoods(model: TopicModel, counts: np.ndarray) -> np.ndarray:
     """log P(x = v | y = c) for each row v; returns (m, 2)."""
+    from scipy.special import gammaln, logsumexp, xlogy
+
     v = np.atleast_2d(np.asarray(counts, dtype=float))
     if v.shape[1] != model.vocab_size:
         raise ValueError("count vector length must match vocab_size")
@@ -278,6 +284,8 @@ def bayes_posterior(model: TopicModel, counts: np.ndarray
     row.  Raises UndefinedPosteriorError when any v is impossible under both
     classes.
     """
+    from scipy.special import logsumexp
+
     v = np.asarray(counts)
     ll = _log_class_likelihoods(model, v)
     p1 = model.label_prior
@@ -317,14 +325,17 @@ def enumerate_counts(d: int, max_total: int) -> np.ndarray:
         fits = np.cumsum(np.bincount(sums, minlength=max_total + 1))
         sizes = fits[::-1]
         out = np.empty((int(sizes.sum()), k + 1), dtype=dtype)
+        out_sums = np.empty(len(out), dtype=dtype)
         start = 0
         for f, size in enumerate(sizes):
+            keep = sums <= max_total - f
             block = out[start:start + size]
             block[:, 0] = f
-            block[:, 1:] = tails[sums <= max_total - f]
+            block[:, 1:] = tails[keep]
+            # each row's sum is its tail's plus f, never above max_total
+            np.add(sums[keep], f, out=out_sums[start:start + size])
             start += size
-        tails = out
-        sums = out.sum(axis=1, dtype=dtype)  # never above max_total
+        tails, sums = out, out_sums
     return tails
 
 
@@ -350,6 +361,8 @@ def bayes_error(model: TopicModel, max_total_count: int | None = None
     likelihood is the sum of its d entries, and the class joints are
     prior_c * sum_t rho_ct * exp(that sum).
     """
+    from scipy.special import gammaln, xlogy
+
     if max_total_count is None:
         mean_len = float(np.max(model.doc_lengths))
         max_total_count = int(np.ceil(mean_len + 10.0 * np.sqrt(mean_len)))

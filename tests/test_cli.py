@@ -74,6 +74,14 @@ class TestDispatch:
         assert code == 1
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "1.5", "nan"])
+    def test_train_frac_out_of_range_exits_1(self, value, toy_corpus, capsys):
+        code = cli_dispatch(["train", "--corpus", toy_corpus,
+                             "--train-frac", value])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: --train-frac must lie in (0, 1), got {float(value)}")
+
     @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
     @pytest.mark.parametrize("command", ["train", "curves", "demo-influence"])
     def test_every_delta_flag_rejects_out_of_range(self, command, value,
@@ -721,6 +729,57 @@ def test_import_leaves_scipy_stats_unloaded():
                      "if m.startswith('scipy.stats')))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_scipy():
+    # scipy.special loads on the first posterior, Bayes-error or normal-CDF
+    # call, so a process that computes none of them never pays for it
+    out = run_python("-c", "import sys, droplab, droplab.cli, droplab.verify; "
+                     "print(sorted(m for m in sys.modules "
+                     "if m.split('.')[0] == 'scipy'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_commands_without_scipy_numerics_leave_scipy_special_unloaded(
+        tmp_path):
+    script = """
+import sys
+from droplab.cli import cli_dispatch
+for argv in (
+        ["sample", "--n", "40", "--seed", "1", "--out", "docs.jsonl"],
+        ["train", "--docs", "docs.jsonl", "--delta", "0.5", "--epochs", "5",
+         "--out", "clf.json"],
+        ["eval", "--classifier", "clf.json", "--docs", "docs.jsonl",
+         "--out", "eval.json"],
+        ["curves", "--n-grid", "40", "--delta-grid", "0.5", "--trials", "1",
+         "--test-size", "200", "--epochs", "5", "--threads", "2",
+         "--out", "curves"],
+        ["demo-influence", "--delta", "0.5", "--n", "400",
+         "--out", "demo.json"]):
+    assert cli_dispatch(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("scipy.special")))
+"""
+    out = run_python("-c", script, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "curves" / "curves.csv").exists()
+
+
+def test_first_scipy_import_on_pool_threads_gives_the_same_report():
+    # in a cold interpreter the Berry-Esseen configs run on map_streams
+    # threads, so scipy.special is first imported there, concurrently
+    script = """
+import sys
+from droplab.serialize import dumps
+from droplab.verify import run_verification
+assert "scipy.special" not in sys.modules
+print(dumps(run_verification("berry-esseen", mc=20_000, seed=1)))
+"""
+    out = run_python("-c", script)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == dumps(
+        run_verification("berry-esseen", mc=20_000, seed=1))
 
 
 class TestDemoInfluence:
