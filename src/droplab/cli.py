@@ -139,15 +139,17 @@ def _read_docs_jsonl(path: str) -> DocumentBatch:
 
 
 def _cmd_train(args) -> int:
+    # the split flags are checked whatever the source, before any input
+    # is read, even where --docs or --train-size leaves them unused
+    sized = args.train_size is not None
+    if sized and args.train_size < 1:
+        raise ValidationError(
+            f"--train-size must be >= 1, got {args.train_size}")
+    if not 0.0 < args.train_frac < 1.0:
+        raise ValidationError(
+            f"--train-frac must lie in (0, 1), got {args.train_frac}")
     vocabulary = None
     if args.corpus is not None:
-        sized = args.train_size is not None
-        if sized and args.train_size < 1:
-            raise ValidationError(
-                f"--train-size must be >= 1, got {args.train_size}")
-        if not sized and not 0.0 < args.train_frac < 1.0:
-            raise ValidationError(
-                f"--train-frac must lie in (0, 1), got {args.train_frac}")
         train, heldout, vocabulary = load_corpus(
             args.corpus, args.seed, None if sized else args.train_frac,
             args.train_size)

@@ -235,7 +235,7 @@ def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         # map submits every block at once and yields them in block order;
-        # the pool draws them while the cells hold the GIL
+        # the pool draws them while the calling thread fits the cells
         ahead = pool.map(partial(_sample_test_block, spec, 0), blocks)
         for trial in range(spec.trials):
             test = ahead

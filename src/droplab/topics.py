@@ -32,7 +32,7 @@ _BAYES_BLOCK_ROWS = 65_536
 _CELL_BUDGET = 5_000_000    # most count vectors enumerate_counts will build
 # Poisson cells per sample_documents draw: bounds its float intensity and
 # int64 count temporaries whatever the batch size
-_SAMPLE_CELLS = 2 ** 19
+_SAMPLE_CELLS = 2 ** 16
 _POISSON_ROWS = 65_536      # rows per poisson_rows block
 
 
@@ -221,22 +221,25 @@ def sample_documents(sampler: GenerativeSampler, n: int,
     """Draw n documents: label, topic given the label, then independent
     Poisson counts, consuming the stream in that order.  The counts are drawn
     in row chunks of about _SAMPLE_CELLS cells, exactly as one call over all
-    rows draws them, and kept in the narrowest unsigned dtype that holds them.
+    rows draws them, and written into one array kept in the narrowest
+    unsigned dtype that holds them.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     labels = (rng.random(n) < sampler.label_prior).astype(np.int64)
     topic_ids = sampler.draw_topics(labels, rng)
     rows = max(1, _SAMPLE_CELLS // sampler.vocab_size)
-    chunks = []
-    # n = 0 still takes one (empty) chunk, so the batch is (0, d)
-    for start in range(0, max(n, 1), rows):
+    counts = np.empty((n, sampler.vocab_size), dtype=np.uint8)
+    for start in range(0, n, rows):
         part = slice(start, start + rows)
-        chunks.append(_narrow(rng.poisson(
-            sampler.intensity_rows(labels[part], topic_ids[part]))))
-    # concatenate promotes to the widest chunk dtype
-    return DocumentBatch(counts=np.concatenate(chunks), labels=labels,
-                         topics=topic_ids)
+        draws = rng.poisson(sampler.intensity_rows(labels[part],
+                                                   topic_ids[part]))
+        # widen the rows written so far once a chunk outgrows their dtype
+        need = np.min_scalar_type(draws.max(initial=0))
+        if need.itemsize > counts.itemsize:
+            counts = counts.astype(need)
+        counts[part] = draws
+    return DocumentBatch(counts=counts, labels=labels, topics=topic_ids)
 
 
 def _narrow(draws: np.ndarray) -> np.ndarray:

@@ -82,6 +82,24 @@ class TestDispatch:
         assert capsys.readouterr().err.startswith(
             f"error: --train-frac must lie in (0, 1), got {float(value)}")
 
+    @pytest.mark.parametrize("source,flags,message", [
+        # a --docs file that does not exist: the flags fail before any read
+        ("docs", ["--train-frac", "1.5", "--train-size", "-3"],
+         "--train-size must be >= 1, got -3"),
+        ("docs", ["--train-frac", "1.5"],
+         "--train-frac must lie in (0, 1), got 1.5"),
+        # --train-size leaves --train-frac unused, but not unchecked
+        ("corpus", ["--train-size", "3", "--train-frac", "1.5"],
+         "--train-frac must lie in (0, 1), got 1.5")],
+        ids=["docs-size-and-frac", "docs-frac", "corpus-size-and-frac"])
+    def test_split_flags_are_checked_whatever_the_source(
+            self, source, flags, message, toy_corpus, tmp_path, capsys):
+        path = (toy_corpus if source == "corpus"
+                else str(tmp_path / "missing.jsonl"))
+        code = cli_dispatch(["train", f"--{source}", path, *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
     @pytest.mark.parametrize("command", ["train", "curves", "demo-influence"])
     def test_every_delta_flag_rejects_out_of_range(self, command, value,

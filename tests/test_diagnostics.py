@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from droplab import (LinearClassifier, ZeroVarianceError,
                      berry_esseen_statistic, make_rng, margin_condition,
-                     score_moments, verify)
+                     score_moments, topics, verify)
 from droplab.diagnostics import excess_risk_decomposition, thinned_topic_rates
 from droplab.presets import (equal_length_models, orthogonal_topic_model,
                              two_word_intensity, unequal_length_control)
@@ -116,9 +116,12 @@ class TestExcessRiskDecomposition:
         clf = LinearClassifier(weights=np.array([-1.0, 0.0, 1.0]))
         rng = Recording(make_rng(6, "decomp-draws"))
         excess_risk_decomposition(model, clf, 0.5, 250_000, rng)
-        # sample_documents draws d = 3 rows in chunks of 174,762: two for
-        # the first 200,000-document round, one for the last 50,000
-        assert rng.calls.count("poisson") == 3
+        # sample_documents draws d = 3 rows in chunks of _SAMPLE_CELLS // 3
+        # (21,845): ten for the first 200,000-document round, three for the
+        # last 50,000
+        rows = topics._SAMPLE_CELLS // 3
+        assert rng.calls.count("poisson") == sum(-(-b // rows)
+                                                 for b in (200_000, 50_000))
         assert not {"binomial", "geometric"} & set(rng.calls)
 
     def test_unsampled_topic_rate_is_nan(self):

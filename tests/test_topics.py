@@ -175,6 +175,47 @@ class TestSampling:
         narrow = counts.size * np.min_scalar_type(counts.max()).itemsize
         assert peak < (2 * narrow + 4 * topics._SAMPLE_CELLS * 8) / 2 ** 20
 
+    def test_peak_memory_holds_the_counts_once(self):
+        # the chunks are written into one array, never joined: 9.5 MiB of
+        # uint8 counts plus a few MiB of chunk temporaries, labels and topic
+        # ids; joining chunks peaked at 19.4 MiB on this batch
+        out = []
+        peak = traced_peak_mib(lambda: out.append(sample_documents(
+            build_synthetic_model(), 20_000, make_rng(19, "memory"))))
+        assert peak <= (out[0].counts.nbytes + 4 * 2 ** 20) / 2 ** 20
+
+    def test_widening_mid_batch_keeps_earlier_rows(self, monkeypatch):
+        # four-row chunks over d = 2: two chunks of Poisson(2) rows fit
+        # uint8, a chunk at intensity 300 needs uint16, and a last, ragged
+        # chunk at 70,000 needs uint32, so the array widens twice
+        class RampSampler:
+            label_prior = 0.5
+            vocab_size = 2
+
+            def draw_topics(self, labels, rng):
+                return np.arange(len(labels), dtype=float)
+
+            def intensity_rows(self, labels, topic_ids):
+                lam = np.select([topic_ids < 8, topic_ids < 12],
+                                [2.0, 300.0], 70_000.0)
+                return np.repeat(lam[:, None], self.vocab_size, axis=1)
+
+        monkeypatch.setattr(topics, "_SAMPLE_CELLS", 8)
+        rng, ref_rng = make_rng(22, "widen"), make_rng(22, "widen")
+        batch = sample_documents(RampSampler(), 14, rng)
+        ref = sample_documents_one_call(RampSampler(), 14, ref_rng)
+        assert np.array_equal(batch.counts, ref.counts)
+        assert np.array_equal(batch.labels, ref.labels)
+        assert np.array_equal(batch.topics, ref.topics)
+        assert batch.counts.dtype == np.min_scalar_type(ref.counts.max())
+        assert batch.counts.dtype == np.uint32
+        # the rows written before each widening survive it
+        for rows, dtype in ((slice(0, 8), np.uint8), (slice(8, 12), np.uint16),
+                            (slice(12, 14), np.uint32)):
+            assert np.min_scalar_type(ref.counts[rows].max()) == dtype
+            assert np.array_equal(batch.counts[rows], ref.counts[rows])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     @pytest.mark.parametrize("n", [100, 2 * 128 + 37])
     def test_poisson_rows_blocks_equal_one_draw(self, monkeypatch, n):
         # blocks of 128 rows: n = 100 under one block, and a ragged n over

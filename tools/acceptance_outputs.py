@@ -22,6 +22,12 @@ from pathlib import Path
 MODEL = {"label_prior": 0.4, "vocab_size": 3, "topics": [
     {"id": 0, "rho0": 0.7, "rho1": 0.2, "intensity": [6.0, 2.0, 1.0]},
     {"id": 1, "rho0": 0.3, "rho1": 0.8, "intensity": [1.0, 3.0, 5.0]}]}
+# MODEL with a rare third topic that puts intensity 300 on one word: at
+# --seed 4 its one document falls in the second of three sampling chunks,
+# so the counts widen from uint8 to uint16 after a chunk is written
+WIDE_MODEL = {**MODEL, "topics": [
+    MODEL["topics"][0], {**MODEL["topics"][1], "rho1": 0.7999},
+    {"id": 2, "rho0": 0.0, "rho1": 0.0001, "intensity": [1.0, 1.0, 300.0]}]}
 # inputs droplab rejects: two topics with one id, ids float64 merges,
 # documents without counts, a classifier without weights
 TWIN_MODEL = {**MODEL, "topics": [{**t, "id": 0} for t in MODEL["topics"]]}
@@ -62,6 +68,8 @@ COMMANDS = {
     "curves-repeated-grid": "curves --n-grid 100,100 --delta-grid 0.5,1 "
                             "--trials 1 --test-size 300 --out curves-repeated",
     "sample": "sample --model model.json --n 200 --seed 3 --out docs.jsonl",
+    "sample-wide": "sample --model wide-model.json --n 50000 --seed 4 "
+                   "--out wide.jsonl",
     "sample-synthetic": "sample --n 50 --seed 5 --out synthetic.jsonl",
     **{f"train-{d}": f"train --docs docs.jsonl --delta {d} --out clf-{d}.json"
        for d in DELTAS},
@@ -131,6 +139,7 @@ if __name__ == "__main__":
     env = dict(os.environ, PYTHONPATH=str(src.parent))
     out.mkdir(parents=True, exist_ok=True)
     (out / "model.json").write_text(json.dumps(MODEL))
+    (out / "wide-model.json").write_text(json.dumps(WIDE_MODEL))
     (out / "twin-model.json").write_text(json.dumps(TWIN_MODEL))
     (out / "huge-id-model.json").write_text(json.dumps(HUGE_ID_MODEL))
     (out / "no-weights.json").write_text(json.dumps(NO_WEIGHTS))
