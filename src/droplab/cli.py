@@ -204,6 +204,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_curves(args) -> int:
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
     sampler = _load_sampler(args.model)
     spec = CurveSpec(sampler=sampler, n_grid=tuple(args.n_grid),
                      delta_grid=tuple(args.delta_grid), trials=args.trials,
@@ -253,8 +255,9 @@ def _float_list(text: str) -> list[float]:
 
 
 def _default_threads() -> int:
-    # capped at 8: each sampling thread holds one 8,192-row test-set block
-    # while it works (a traced peak of 11.1 MiB, of which 3.9 MiB is kept)
+    # capped at 8: each pool thread holds one cell's training set, with its
+    # float copy (8·n·d bytes, 40 MB at n = 10,000 and d = 500), or one
+    # chunk of a test block while it scores
     return min(8, usable_cpus())
 
 
@@ -314,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--test-size", type=int, default=100_000)
     p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="test-set sampling threads (default: usable CPUs, "
-                        "at most 8); outputs do not depend on it")
+                   help="threads that fit the cells and draw and score "
+                        "the test sets (default: usable CPUs, at most 8); "
+                        "outputs do not depend on it")
     logistic(p, 150)  # the curves' epoch budget, their regularizer
     p.add_argument("--timing", action="store_true",
                    help="write measured per-cell wall times (breaks "

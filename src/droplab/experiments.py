@@ -5,11 +5,10 @@ Every cell of every grid owns a random stream derived from the master seed
 and the cell coordinates, and every fixed block of a learning-curve test set
 owns one derived from (seed, trial, block), so results are independent of
 scheduling, of the thread count and of which other cells run, and any cell
-can be reproduced in isolation.  The cells run serially on the calling
-thread; `threads` sizes the pool that samples the test sets (`rng.poisson`
-releases the GIL).  A trial's cells are fitted while the pool samples its
-test set, then scored on it block by block while the pool samples the next
-trial's.  The altitude sweep runs its configurations on one thread per
+can be reproduced in isolation.  A learning-curve grid runs on one pool of
+`threads` workers: the cells fit on it, and each test block is drawn and
+scored on it chunk by chunk (`rng.poisson` and `np.einsum` release the
+GIL).  The altitude sweep runs its configurations on one thread per
 usable CPU, each on its own stream (`rng.poisson` and `rng.binomial` both
 release the GIL).
 """
@@ -19,7 +18,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -33,14 +31,14 @@ from .diagnostics import berry_esseen_statistic, score_moments
 from .dropout import dropout_posterior, thin_counts
 from .streams import make_rng, map_streams, seed_fingerprint
 from .topics import (DocumentBatch, GenerativeSampler, Topic, TopicModel,
-                     bayes_posterior, enumerate_counts, poisson_rows,
-                     sample_documents)
+                     _sample_chunks, bayes_posterior, enumerate_counts,
+                     poisson_rows, sample_documents)
 
 VERSION = "0.1.0"
 
 _CELL_TAG = "curve-cell"
 _TEST_TAG = "curve-test"
-_TEST_BLOCK_ROWS = 8_192    # test-set rows per sampling block and stream
+_TEST_BLOCK_ROWS = 8_192    # test-set rows per pool task and stream
 _SWEEP_CHUNK = 1_000_000    # sweep documents drawn before any is thinned
 NB_SMOOTHING = 1.0          # naive Bayes smoothing: curves, train's default
 
@@ -170,42 +168,62 @@ def _fit_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int
                        seed=fingerprint, note=note), clf
 
 
-def _score_cells(spec: CurveSpec, fitted, blocks) -> list[CurveRecord]:
-    """Score a trial's fitted cells on its test set, one block at a time.
+def _test_block_chunks(spec: CurveSpec, trial: int, block: int):
+    """Rows [block * _TEST_BLOCK_ROWS, ...) of a trial's test set, as the
+    narrowed chunks of `topics._sample_chunks` on the block's own stream."""
+    rows = min(_TEST_BLOCK_ROWS, spec.test_size - block * _TEST_BLOCK_ROWS)
+    return _sample_chunks(spec.sampler, rows,
+                          make_rng(spec.master_seed, _TEST_TAG, trial, block))
 
-    Each block is scored by every cell, then dropped.  A cell's test error
-    is its misclassified count summed over the blocks, over test_size: an
-    exact integer rounded once, so it equals evaluate_error on the joined
-    set bit for bit.  Scoring time is added to each cell's fit time, and a
-    ValueError while scoring fails the cell as one during its fit does.
+
+def _score_block(spec: CurveSpec, rules, trial: int, block: int
+                 ) -> tuple[list, list[float]]:
+    """Each fitted rule's misclassified count on one test block, and its
+    scoring seconds.
+
+    The block is scored chunk by chunk as it is drawn and never held.  A
+    rule that raises a ValueError gets that error in place of its count and
+    is not scored further; a rule of None (a failed fit) is not scored.
     """
-    records = [record for record, _ in fitted]
-    live = {i: clf for i, (_, clf) in enumerate(fitted) if clf is not None}
-    wrong = dict.fromkeys(live, 0)
-    busy = [0.0] * len(records)
-    for block in blocks:
-        for i, clf in list(live.items()):
+    wrong = [0] * len(rules)
+    busy = [0.0] * len(rules)
+    for chunk in _test_block_chunks(spec, trial, block):
+        for i, clf in enumerate(rules):
+            if clf is None or isinstance(wrong[i], ValueError):
+                continue
             started = time.perf_counter()
             try:
-                wrong[i] += int(np.count_nonzero(clf.predict(block.counts)
-                                                 != block.labels))
+                wrong[i] += int(np.count_nonzero(clf.predict(chunk.counts)
+                                                 != chunk.labels))
             except ValueError as exc:
-                del live[i]
-                records[i] = replace(records[i], train_error=float("nan"),
-                                     note=f"{type(exc).__name__}: {exc}")
+                wrong[i] = exc
             busy[i] += time.perf_counter() - started
-    return [replace(r, test_error=wrong[i] / spec.test_size if i in live
-                    else r.test_error,
-                    wall_time_ms=r.wall_time_ms + busy[i] * 1000.0)
-            for i, r in enumerate(records)]
+    return wrong, busy
 
 
-def _sample_test_block(spec: CurveSpec, trial: int, block: int
-                       ) -> DocumentBatch:
-    """Rows [block * _TEST_BLOCK_ROWS, ...) of a trial's test set."""
-    rows = min(_TEST_BLOCK_ROWS, spec.test_size - block * _TEST_BLOCK_ROWS)
-    return sample_documents(spec.sampler, rows,
-                            make_rng(spec.master_seed, _TEST_TAG, trial, block))
+def _scored(spec: CurveSpec, fitted, blocks) -> list[CurveRecord]:
+    """A trial's records from its fits and its blocks' `_score_block`
+    results, merged in block order.
+
+    A cell's test error is its misclassified count summed over the blocks,
+    over test_size: an exact integer rounded once, so it equals
+    evaluate_error on the joined set bit for bit.  Scoring time is added to
+    each cell's fit time, and a ValueError while scoring (the first, in
+    block order) fails the cell as one during its fit does.
+    """
+    out = []
+    for i, (record, clf) in enumerate(fitted):
+        results = [wrong[i] for wrong, _ in blocks]
+        failed = [r for r in results if isinstance(r, ValueError)]
+        busy = sum(seconds[i] for _, seconds in blocks)
+        if failed:
+            record = replace(record, train_error=float("nan"),
+                             note=f"{type(failed[0]).__name__}: {failed[0]}")
+        elif clf is not None:
+            record = replace(record, test_error=sum(results) / spec.test_size)
+        out.append(replace(record,
+                           wall_time_ms=record.wall_time_ms + busy * 1000.0))
+    return out
 
 
 def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
@@ -216,15 +234,14 @@ def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
     (delta = 1 means naive Bayes), recalibrates the intercept on the training
     set, and records train/test error.  Cell failures are recorded, not fatal.
 
-    The cells run serially on the calling thread.  `threads` is the size of
-    the pool that samples each test set in fixed blocks of _TEST_BLOCK_ROWS
-    rows, one stream per block, so no output depends on it.  A trial's
-    cells are fitted while the pool samples its test set, then scored on it
-    block by block as the blocks arrive; the set is never joined.  Each
-    trial submits the next trial's blocks before it fits, so the pool never
-    idles between trials and at most two trials' test sets are held.  A
-    cell's wall time (written with --timing) is its fit time plus its share
-    of the block scoring.
+    One pool of `threads` workers does all of the work.  Every trial's cells
+    are queued on it first; once a trial's rules are fitted, each of its
+    test blocks of _TEST_BLOCK_ROWS rows is queued as one task, which draws
+    the block on its own stream (seed, trial, block) and scores every rule
+    on each chunk as it is drawn.  No test set or block is held, and no
+    output depends on `threads`.  A cell's wall time (written with
+    --timing) is its fit time plus its scoring time, both measured while
+    other cells and blocks share the CPUs.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -234,16 +251,16 @@ def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
     records: dict[tuple[int, int, int], CurveRecord] = {}
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
-        # map submits every block at once and yields them in block order;
-        # the pool draws them while the calling thread fits the cells
-        ahead = pool.map(partial(_sample_test_block, spec, 0), blocks)
+        fits = [[pool.submit(_fit_cell, spec, n, di, trial)
+                 for n, di in cells] for trial in range(spec.trials)]
+        scores = []
         for trial in range(spec.trials):
-            test = ahead
-            if trial + 1 < spec.trials:
-                ahead = pool.map(partial(_sample_test_block, spec,
-                                         trial + 1), blocks)
-            fitted = [_fit_cell(spec, n, di, trial) for n, di in cells]
-            scored = _score_cells(spec, fitted, test)
+            fitted = [f.result() for f in fits[trial]]
+            rules = [clf for _, clf in fitted]
+            scores.append((fitted, [pool.submit(_score_block, spec, rules,
+                                                trial, k) for k in blocks]))
+        for trial, (fitted, scoring) in enumerate(scores):
+            scored = _scored(spec, fitted, [f.result() for f in scoring])
             records.update(((n, di, trial), r)
                            for (n, di), r in zip(cells, scored))
     finally:

@@ -216,30 +216,49 @@ class GenerativeSampler(Protocol):
         ...
 
 
+def _sample_chunks(sampler: GenerativeSampler, n: int,
+                   rng: np.random.Generator):
+    """Yield n documents as `DocumentBatch` chunks of about _SAMPLE_CELLS
+    cells, each chunk's counts narrowed by `_narrow`.
+
+    The labels and the topics of all n rows are drawn first, then each
+    chunk's Poisson counts, exactly as one call over all rows draws them.
+    n = 0 yields one empty chunk, so a caller still sees the label and
+    topic dtypes.
+    """
+    labels = (rng.random(n) < sampler.label_prior).astype(np.int64)
+    topic_ids = sampler.draw_topics(labels, rng)
+    rows = max(1, _SAMPLE_CELLS // sampler.vocab_size)
+    for start in range(0, max(n, 1), rows):
+        part = slice(start, start + rows)
+        yield DocumentBatch(
+            counts=_narrow(rng.poisson(sampler.intensity_rows(
+                labels[part], topic_ids[part]))),
+            labels=labels[part], topics=topic_ids[part])
+
+
 def sample_documents(sampler: GenerativeSampler, n: int,
                      rng: np.random.Generator) -> DocumentBatch:
     """Draw n documents: label, topic given the label, then independent
     Poisson counts, consuming the stream in that order.  The counts are drawn
-    in row chunks of about _SAMPLE_CELLS cells, exactly as one call over all
-    rows draws them, and written into one array kept in the narrowest
-    unsigned dtype that holds them.
+    in the row chunks of `_sample_chunks` and written into one array kept in
+    the narrowest unsigned dtype that holds them.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    labels = (rng.random(n) < sampler.label_prior).astype(np.int64)
-    topic_ids = sampler.draw_topics(labels, rng)
-    rows = max(1, _SAMPLE_CELLS // sampler.vocab_size)
     counts = np.empty((n, sampler.vocab_size), dtype=np.uint8)
-    for start in range(0, n, rows):
-        part = slice(start, start + rows)
-        draws = rng.poisson(sampler.intensity_rows(labels[part],
-                                                   topic_ids[part]))
+    labels, topic_ids = [], []
+    start = 0
+    for chunk in _sample_chunks(sampler, n, rng):
         # widen the rows written so far once a chunk outgrows their dtype
-        need = np.min_scalar_type(draws.max(initial=0))
-        if need.itemsize > counts.itemsize:
-            counts = counts.astype(need)
-        counts[part] = draws
-    return DocumentBatch(counts=counts, labels=labels, topics=topic_ids)
+        if chunk.counts.itemsize > counts.itemsize:
+            counts = counts.astype(chunk.counts.dtype)
+        counts[start:start + len(chunk)] = chunk.counts
+        start += len(chunk)
+        labels.append(chunk.labels)
+        topic_ids.append(chunk.topics)
+    return DocumentBatch(counts=counts, labels=np.concatenate(labels),
+                         topics=np.concatenate(topic_ids))
 
 
 def _narrow(draws: np.ndarray) -> np.ndarray:

@@ -251,14 +251,19 @@ def bayes_error_rowwise(model: TopicModel, max_total_count: int
 
 def learning_curves_joined(spec: CurveSpec) -> list[CurveRecord]:
     """`droplab.run_learning_curves`'s records, wall_time_ms 0, from a
-    serial grid that joins each trial's test blocks into one set and scores
-    every cell on it with evaluate_error: the grid before it fitted a
-    trial's cells first and scored them block by block."""
-    blocks = range(-(-spec.test_size // experiments._TEST_BLOCK_ROWS))
+    serial grid that draws each trial's test blocks with sample_documents
+    on their streams (seed, trial, block), joins them into one set and
+    scores every cell on it with evaluate_error: the grid before its pool
+    scored each block chunk by chunk as it was drawn."""
+    rows = experiments._TEST_BLOCK_ROWS
     records = {}
     for trial in range(spec.trials):
-        parts = [experiments._sample_test_block(spec, trial, k)
-                 for k in blocks]
+        parts = [sample_documents(spec.sampler,
+                                  min(rows, spec.test_size - start),
+                                  make_rng(spec.master_seed,
+                                           experiments._TEST_TAG, trial,
+                                           start // rows))
+                 for start in range(0, spec.test_size, rows)]
         test = DocumentBatch(
             counts=np.concatenate([p.counts for p in parts]),
             labels=np.concatenate([p.labels for p in parts]),

@@ -525,6 +525,20 @@ class TestCurves:
                 in capsys.readouterr().err)
         assert not (tmp_path / "c").exists()
 
+    def test_threads_are_checked_by_flag_name_before_sampling(
+            self, monkeypatch, tmp_path, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("sampling started before --threads was "
+                                 "checked")
+
+        monkeypatch.setattr(cli, "_load_sampler", never)
+        monkeypatch.setattr(cli, "run_learning_curves", never)
+        assert cli_dispatch(self.ARGS + ["--threads", "0",
+                                         "--out", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err == \
+            "error: --threads must be >= 1, got 0\n"
+        assert not (tmp_path / "c").exists()
+
     def test_repeated_grid_value_exits_1(self, tmp_path, capsys):
         # a repeated value would re-run identical cells and count their rows
         # as extra trials in summary.json

@@ -232,20 +232,22 @@ def tiny_spec(**overrides) -> CurveSpec:
 
 
 def captured_test_sets(monkeypatch, spec: CurveSpec, threads: int) -> dict:
-    """Each trial's test set as run_learning_curves samples it, its blocks
-    joined here in block order."""
+    """Each trial's test set as run_learning_curves draws it, the chunks of
+    its blocks joined here in block and chunk order."""
     seen = {}
-    sample_block = experiments._sample_test_block
+    block_chunks = experiments._test_block_chunks
 
     def spy(spec, trial, block):
-        seen[(trial, block)] = sample_block(spec, trial, block)
-        return seen[(trial, block)]
+        seen[(trial, block)] = chunks = []
+        for chunk in block_chunks(spec, trial, block):
+            chunks.append(chunk)
+            yield chunk
 
-    monkeypatch.setattr(experiments, "_sample_test_block", spy)
+    monkeypatch.setattr(experiments, "_test_block_chunks", spy)
     run_learning_curves(spec, threads=threads)
     joined = {}
     for trial in sorted({t for t, _ in seen}):
-        parts = [seen[k] for k in sorted(seen) if k[0] == trial]
+        parts = [c for k in sorted(seen) if k[0] == trial for c in seen[k]]
         joined[trial] = DocumentBatch(
             **{f: np.concatenate([getattr(p, f) for p in parts])
                for f in ("counts", "labels", "topics")})
@@ -315,10 +317,11 @@ class TestLearningCurves:
         assert ([replace(r, wall_time_ms=0.0) for r in a.records]
                 == [replace(r, wall_time_ms=0.0) for r in b.records])
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_block_scoring_equals_the_joined_test_set(self, threads):
-        # three trials, so trial 2 is submitted from inside the loop; a
-        # ragged last block; n = 1 draws one class, so those cells fail
+        # three trials of cells and blocks, which the pool runs in another
+        # order at each size; a ragged last block; n = 1 draws one class,
+        # so those cells fail
         spec = tiny_spec(n_grid=(1, 40), trials=3,
                          test_size=2 * experiments._TEST_BLOCK_ROWS + 37)
         got = [replace(r, wall_time_ms=0.0)
@@ -328,16 +331,50 @@ class TestLearningCurves:
         assert any(r.note.startswith("DegenerateDataError") for r in got)
         assert all(np.isnan(r.test_error) == bool(r.note) for r in got)
 
+    def test_errors_other_than_value_errors_propagate(self, monkeypatch):
+        # a ValueError fails its cell; anything else stops the grid, from a
+        # cell's fit or from a test block
+        fit = experiments.fit_classifier
+
+        def fit_or_break(train, cfg, nb_smoothing):
+            if len(train) == 80 and cfg.dropout.delta == 0.5:
+                raise RuntimeError("broken fit")
+            return fit(train, cfg, nb_smoothing=nb_smoothing)
+
+        monkeypatch.setattr(experiments, "fit_classifier", fit_or_break)
+        with pytest.raises(RuntimeError, match="^broken fit$"):
+            run_learning_curves(tiny_spec(), threads=2)
+        monkeypatch.setattr(experiments, "fit_classifier", fit)
+
+        def broken_block(spec, trial, block):
+            raise RuntimeError("broken block")
+            yield
+
+        monkeypatch.setattr(experiments, "_test_block_chunks", broken_block)
+        with pytest.raises(RuntimeError, match="^broken block$"):
+            run_learning_curves(tiny_spec(), threads=2)
+
+    def test_peak_memory_does_not_grow_with_the_test_set(self):
+        # each block is scored chunk by chunk as it is drawn; holding the
+        # blocks would add 3.9 MiB of uint8 counts per 8,192-row block
+        def peak(blocks):
+            spec = tiny_spec(n_grid=(40,), delta_grid=(0.0, 1.0), trials=1,
+                             test_size=blocks * experiments._TEST_BLOCK_ROWS)
+            return traced_peak_mib(lambda: run_learning_curves(spec,
+                                                               threads=2))
+
+        assert peak(8) <= peak(2) + 1.0
+
     def test_failed_scoring_is_recorded_like_a_failed_fit(self, monkeypatch):
-        # test blocks one word short of the training sets: every cell fits,
-        # then fails on its first block
-        sample_block = experiments._sample_test_block
+        # test chunks one word short of the training sets: every cell fits,
+        # then fails on its first chunk of every block
+        block_chunks = experiments._test_block_chunks
 
-        def short_block(spec, trial, block):
-            docs = sample_block(spec, trial, block)
-            return replace(docs, counts=docs.counts[:, 1:])
+        def short_chunks(spec, trial, block):
+            for chunk in block_chunks(spec, trial, block):
+                yield replace(chunk, counts=chunk.counts[:, 1:])
 
-        monkeypatch.setattr(experiments, "_sample_test_block", short_block)
+        monkeypatch.setattr(experiments, "_test_block_chunks", short_chunks)
         spec = tiny_spec(test_size=experiments._TEST_BLOCK_ROWS + 5)
         res = run_learning_curves(spec, threads=2)
         assert len(res.records) == 12

@@ -164,16 +164,19 @@ class TestSampling:
             assert batch.counts.dtype == np.uint16
 
     def test_peak_memory_is_the_output_and_a_few_chunks(self):
-        # twice the counts in their narrowest dtype (the chunks and their
-        # concatenation), plus four chunk-sized float or int64 temporaries;
-        # sampling through an (n, d) float intensity matrix and an int64
-        # Poisson result peaked at 153 MiB on this batch
+        # the counts once in their narrowest dtype, one chunk's float
+        # intensities and int64 draws, and 32 bytes a row for the int64
+        # labels and float topic ids, drawn and then collected from the
+        # chunks (10.96 MiB here); sampling through an (n, d) float
+        # intensity matrix and an int64 Poisson result peaked at 153 MiB
+        # on this batch
         out = []
         peak = traced_peak_mib(lambda: out.append(sample_documents(
             build_synthetic_model(), 20_000, make_rng(19, "memory"))))
         counts = out[0].counts
         narrow = counts.size * np.min_scalar_type(counts.max()).itemsize
-        assert peak < (2 * narrow + 4 * topics._SAMPLE_CELLS * 8) / 2 ** 20
+        assert peak < (narrow + 2 * topics._SAMPLE_CELLS * 8
+                       + 32 * len(counts)) / 2 ** 20
 
     def test_peak_memory_holds_the_counts_once(self):
         # the chunks are written into one array, never joined: 9.5 MiB of

@@ -48,10 +48,15 @@ DELTAS = ("0", "0.5", "1")
 COMMANDS = {
     "curves": "curves --n-grid 100,300 --delta-grid 0,0.5,0.9,1 --trials 2 "
               "--test-size 3000 --epochs 50 --out curves",
-    # three 8,192-row test blocks per trial, the last one ragged; each
-    # next trial is drawn while one is scored; the n = 1 cells fail
+    # three 8,192-row test blocks per trial, the last one ragged, each
+    # drawn and scored chunk by chunk; the n = 1 cells fail
     "curves-blocks": "curves --n-grid 1,100 --delta-grid 0,0.5,1 --trials 3 "
                      "--test-size 16421 --epochs 20 --out curves-blocks",
+    # the same grid at --threads 1 and 4: its files must equal curves-blocks'
+    **{f"curves-blocks-t{t}": "curves --n-grid 1,100 --delta-grid 0,0.5,1 "
+                              "--trials 3 --test-size 16421 --epochs 20 "
+                              f"--threads {t} --out curves-blocks-t{t}"
+       for t in (1, 4)},
     "verify": "verify --suite all --mc 20000 --out verify.json",
     # the margin suite is exact: the smallest budget passes like any other
     "verify-margin-mc8": "verify --suite margin --mc 8 --seed 0",
