@@ -10,6 +10,7 @@ max-margin topic separator from the word-probability matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,11 @@ _RANK_TOL = 1e-12            # relative eigenvalue floor of the Gram matrix
 
 
 def normal_cdf(x) -> np.ndarray | float:
-    """Standard normal CDF via the complementary error function."""
-    from scipy.special import erfc
-
+    """Standard normal CDF: 0.5 * math.erfc(-x / sqrt(2)) on each element."""
     x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(-x / np.sqrt(2.0))
-    return float(out) if out.ndim == 0 else out
+    z = -x.ravel() / np.sqrt(2.0)
+    out = 0.5 * np.fromiter(map(math.erfc, z), float, count=z.size)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def gaussian_error_estimate(weights: np.ndarray, intensity: np.ndarray,

@@ -8,7 +8,10 @@ exact Bayes risk, the tracemalloc peak of a call, the one-call Poisson
 document sampler, the altitude sweep's error counts from one Poisson draw
 per chunk, the Berry-Esseen distance from one sorted vector of every score,
 the learning-curve grid that joins each trial's test set before scoring it,
-and a subprocess running a fresh interpreter that imports this droplab.
+the scipy.special forms of the normal CDF, the class log likelihoods, the
+exact posterior and the Bayes-risk table that droplab computes with numpy
+and `math`, and a subprocess running a fresh interpreter that imports this
+droplab.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from scipy.special import erfc, gammaln, logsumexp, xlogy
 from scipy.stats import chi2_contingency
 
 import droplab
@@ -245,6 +249,53 @@ def bayes_error_rowwise(model: TopicModel, max_total_count: int
     grid = enumerate_counts(model.vocab_size, max_total_count)
     prior = np.array([1.0 - model.label_prior, model.label_prior])
     joint = np.exp(_log_class_likelihoods(model, grid)) * prior
+    return (float(np.minimum(joint[:, 0], joint[:, 1]).sum()),
+            max(0.0, 1.0 - float(joint.sum())))
+
+
+def normal_cdf_scipy(x) -> np.ndarray:
+    """0.5 * scipy.special.erfc(-x / sqrt(2)): `droplab.normal_cdf` before
+    it called `math.erfc` on each element."""
+    return 0.5 * erfc(-np.asarray(x, dtype=float) / np.sqrt(2.0))
+
+
+def log_class_likelihoods_scipy(model: TopicModel, counts) -> np.ndarray:
+    """log P(x = v | y = c) for each row v, (m, 2), from scipy.special's
+    gammaln, xlogy and logsumexp."""
+    v = np.atleast_2d(np.asarray(counts, dtype=float))
+    norm = gammaln(v + 1.0).sum(axis=-1)
+    per_topic = np.stack([xlogy(v, t.intensity).sum(axis=-1)
+                          - t.intensity.sum() - norm
+                          for t in model.topics], axis=1)
+    with np.errstate(divide="ignore"):
+        log_rho = np.log(model.rho)
+    return np.stack([logsumexp(per_topic + log_rho[c], axis=1)
+                     for c in (0, 1)], axis=1)
+
+
+def bayes_posterior_scipy(model: TopicModel, counts) -> np.ndarray:
+    """P(y = 1 | x = v) for each row v from `log_class_likelihoods_scipy`
+    and scipy.special.logsumexp."""
+    p1 = model.label_prior
+    with np.errstate(divide="ignore"):
+        log_prior = np.array([np.log(1.0 - p1) if p1 < 1.0 else -np.inf,
+                              np.log(p1) if p1 > 0.0 else -np.inf])
+    joint = log_class_likelihoods_scipy(model, counts) + log_prior
+    return np.exp(joint[:, 1] - logsumexp(joint, axis=1))
+
+
+def bayes_error_scipy(model: TopicModel, max_total_count: int
+                      ) -> tuple[float, float]:
+    """(risk, truncation mass) of `droplab.bayes_error` from the per-word
+    log-pmf table built with scipy.special's xlogy and gammaln, gathered
+    over the whole count grid at once."""
+    grid = enumerate_counts(model.vocab_size, max_total_count)
+    k = np.arange(max_total_count + 1.0)[:, None]
+    lam = model.intensities.T[:, None, :]
+    table = xlogy(k, lam) - lam - gammaln(k + 1.0)
+    ll = sum(table[j][grid[:, j]] for j in range(model.vocab_size))
+    prior = np.array([1.0 - model.label_prior, model.label_prior])
+    joint = np.einsum("mt,ct->mc", np.exp(ll), model.rho * prior[:, None])
     return (float(np.minimum(joint[:, 0], joint[:, 1]).sum()),
             max(0.0, 1.0 - float(joint.sum())))
 

@@ -15,7 +15,7 @@ from droplab.presets import (berry_esseen_suite, orthogonal_topic_model,
                              two_word_intensity)
 from droplab.verify import run_berry_esseen_suite
 from oracles import (berry_esseen_distance_sorted, kolmogorov_distance_sorted,
-                     traced_peak_mib)
+                     normal_cdf_scipy, traced_peak_mib)
 
 # frozen with 30-digit arithmetic
 PHI_M1 = 0.15865525393145705
@@ -39,6 +39,20 @@ class TestNormalCdf:
         out = normal_cdf(np.array([-1.0, 0.0, 1.0]))
         assert out.shape == (3,)
         assert out[0] + out[2] == pytest.approx(1.0, abs=1e-15)
+
+    def test_matches_scipy_erfc_form(self):
+        # from Phi(-37), about 6e-300, to where Phi rounds to 1
+        x = np.linspace(-37.0, 8.0, 450_001)
+        np.testing.assert_allclose(normal_cdf(x), normal_cdf_scipy(x),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_keeps_the_input_shape(self):
+        x = np.array([[-1.0, 0.0, 2.0], [3.0, -4.0, 0.5]])
+        out = normal_cdf(x)
+        assert out.shape == (2, 3)
+        assert out.tolist() == [[normal_cdf(v) for v in row] for row in x]
+        assert isinstance(normal_cdf(np.float64(0.5)), float)
+        assert normal_cdf(np.array([])).shape == (0,)
 
 
 class TestGaussianErrorEstimate:

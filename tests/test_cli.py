@@ -753,28 +753,9 @@ def test_module_entry_point_runs_the_cli():
     assert json.loads(out.stdout)["passed"] is True
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # droplab's numerics need scipy.special only; importing scipy.stats
-    # would roughly double the modules and memory an import costs
-    out = run_python("-c", "import sys, droplab, droplab.cli, droplab.verify; "
-                     "print(sorted(m for m in sys.modules "
-                     "if m.startswith('scipy.stats')))")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
-
-
-def test_import_loads_no_scipy():
-    # scipy.special loads on the first posterior, Bayes-error or normal-CDF
-    # call, so a process that computes none of them never pays for it
-    out = run_python("-c", "import sys, droplab, droplab.cli, droplab.verify; "
-                     "print(sorted(m for m in sys.modules "
-                     "if m.split('.')[0] == 'scipy'))")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
-
-
-def test_commands_without_scipy_numerics_leave_scipy_special_unloaded(
-        tmp_path):
+def test_commands_load_no_scipy(tmp_path):
+    # droplab computes its special functions with numpy and math, so no
+    # command, verify included, loads any scipy module
     script = """
 import sys
 from droplab.cli import cli_dispatch
@@ -788,30 +769,16 @@ for argv in (
          "--test-size", "200", "--epochs", "5", "--threads", "2",
          "--out", "curves"],
         ["demo-influence", "--delta", "0.5", "--n", "400",
-         "--out", "demo.json"]):
+         "--out", "demo.json"],
+        ["verify", "--suite", "all", "--mc", "2000", "--out", "verify.json"]):
     assert cli_dispatch(argv) == 0, argv
-print(sorted(m for m in sys.modules if m.startswith("scipy.special")))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     out = run_python("-c", script, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
     assert (tmp_path / "curves" / "curves.csv").exists()
-
-
-def test_first_scipy_import_on_pool_threads_gives_the_same_report():
-    # in a cold interpreter the Berry-Esseen configs run on map_streams
-    # threads, so scipy.special is first imported there, concurrently
-    script = """
-import sys
-from droplab.serialize import dumps
-from droplab.verify import run_verification
-assert "scipy.special" not in sys.modules
-print(dumps(run_verification("berry-esseen", mc=20_000, seed=1)))
-"""
-    out = run_python("-c", script)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == dumps(
-        run_verification("berry-esseen", mc=20_000, seed=1))
+    assert json.loads((tmp_path / "verify.json").read_text())["passed"] is True
 
 
 class TestDemoInfluence:

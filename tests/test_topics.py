@@ -7,11 +7,14 @@ from scipy.stats import chisquare
 
 from droplab import (EnumerationTooLargeError, Topic, TopicModel,
                      UndefinedPosteriorError, bayes_error, bayes_posterior,
-                     build_synthetic_model, make_rng, sample_documents)
+                     build_synthetic_model, dropout_posterior, make_rng,
+                     sample_documents, thinned_model)
 from droplab import topics
 from droplab.topics import enumerate_counts
 from droplab.presets import equal_length_models, unequal_length_control
-from oracles import (bayes_error_rowwise, chi_square_two_sample, pool_bins,
+from droplab.verify import BIAS_DELTAS
+from oracles import (bayes_error_rowwise, bayes_error_scipy,
+                     bayes_posterior_scipy, chi_square_two_sample, pool_bins,
                      sample_documents_multinomial, sample_documents_one_call,
                      traced_peak_mib)
 
@@ -356,6 +359,21 @@ class TestBayesPosterior:
         with pytest.raises(UndefinedPosteriorError):
             bayes_posterior(model, np.array([[1, 0], [0, 3], [2, 0]]))
 
+    @pytest.mark.parametrize("model", equal_length_models()
+                             + [unequal_length_control()])
+    def test_matches_scipy_special_form(self, model):
+        # raw and thinned posteriors on the bias check's grid against
+        # scipy.special's gammaln, xlogy and logsumexp
+        grid = enumerate_counts(model.vocab_size, 14)
+        np.testing.assert_allclose(bayes_posterior(model, grid),
+                                   bayes_posterior_scipy(model, grid),
+                                   rtol=0.0, atol=1e-14)
+        for delta in BIAS_DELTAS:
+            np.testing.assert_allclose(
+                dropout_posterior(model, delta, grid),
+                bayes_posterior_scipy(thinned_model(model, delta), grid),
+                rtol=0.0, atol=1e-14)
+
 
 def meshgrid_counts(d, max_total):
     """Reference enumeration: filter the full (max_total + 1)^d grid."""
@@ -416,6 +434,32 @@ ORACLE_MODELS = {
     "prior-1": two_class_model([2.0, 1.0], [1.0, 2.0], prior=1.0),
     "four-words": two_class_model([2.0, 1.0, 0.5, 1.5], [1.0, 0.5, 2.0, 1.5],
                                   prior=0.45),
+}
+
+
+def scaled_model(model: TopicModel, length: float) -> TopicModel:
+    """The model with every topic's intensity scaled to expected `length`."""
+    return TopicModel(
+        label_prior=model.label_prior, vocab_size=model.vocab_size,
+        topics=tuple(Topic(id=t.id, rho0=t.rho0, rho1=t.rho1,
+                           intensity=t.intensity * (length / t.doc_length))
+                     for t in model.topics))
+
+
+# the benchmark's three lengths, and a model where word 1 never occurs
+# under topics 0 and 2 and word 2 never under topic 1, while topic 1 has
+# weight 0 in class 1 and topic 2 weight 0 in class 0
+SCIPY_ORACLE_MODELS = {
+    **{f"length-{L:g}": scaled_model(equal_length_models()[1], L)
+       for L in (40.0, 60.0, 80.0)},
+    "zero-intensity-zero-weight": TopicModel(
+        label_prior=0.35, vocab_size=3, topics=(
+            Topic(id=0, rho0=0.5, rho1=0.4,
+                  intensity=np.array([3.0, 0.0, 1.0])),
+            Topic(id=1, rho0=0.5, rho1=0.0,
+                  intensity=np.array([1.0, 2.0, 0.0])),
+            Topic(id=2, rho0=0.0, rho1=0.6,
+                  intensity=np.array([0.5, 0.0, 4.0])))),
 }
 
 
@@ -502,27 +546,26 @@ class TestBayesError:
     def test_benchmark_references(self, length, reference):
         # equal_length_models()[1] with every topic scaled to one expected
         # length, the values the benchmark's exact part checks
-        base = equal_length_models()[1]
-        model = TopicModel(
-            label_prior=base.label_prior, vocab_size=base.vocab_size,
-            topics=tuple(Topic(id=t.id, rho0=t.rho0, rho1=t.rho1,
-                               intensity=t.intensity * (length / t.doc_length))
-                         for t in base.topics))
-        res = bayes_error(model)
+        res = bayes_error(scaled_model(equal_length_models()[1], length))
         assert res.value == pytest.approx(reference, rel=1e-12)
         assert res.truncation_mass <= 1e-12
 
-
+    @pytest.mark.parametrize("name", sorted(SCIPY_ORACLE_MODELS))
+    def test_matches_scipy_special_table(self, name):
+        # the log-pmf table from scipy.special's xlogy and gammaln, at the
+        # default truncation
+        model = SCIPY_ORACLE_MODELS[name]
+        res = bayes_error(model)
+        mean_len = float(np.max(model.doc_lengths))
+        value, mass = bayes_error_scipy(
+            model, int(np.ceil(mean_len + 10.0 * np.sqrt(mean_len))))
+        assert res.value == pytest.approx(value, rel=1e-13)
+        assert res.truncation_mass == pytest.approx(mass, abs=1e-14)
 
     def test_peak_memory_at_length_80(self):
         # 848,046 cells at the default truncation of 170 words: uint8
         # counts are 2.5 MB where int64 ones peaked at 26.0 MiB
-        base = equal_length_models()[1]
-        model = TopicModel(
-            label_prior=base.label_prior, vocab_size=base.vocab_size,
-            topics=tuple(Topic(id=t.id, rho0=t.rho0, rho1=t.rho1,
-                               intensity=t.intensity * (80.0 / t.doc_length))
-                         for t in base.topics))
+        model = scaled_model(equal_length_models()[1], 80.0)
         out = []
         peak = traced_peak_mib(lambda: out.append(bayes_error(model)))
         assert out[0].n_cells == 848_046

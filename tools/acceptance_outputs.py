@@ -4,11 +4,16 @@ Commands run as `python -m droplab` subprocesses in OUT_DIR, on the package
 PYTHONPATH resolves.  counts.json (src lines; defaulted parameters plus
 defaulted dataclass fields; names droplab/__init__.py imports) is the one
 file meant to differ by version, and bayes-error.txt whenever the order of
-the Bayes-risk arithmetic changes.  A command without --out is run for its
-exit code alone.  The quick demos of the same checkout (its demos/ beside
-src/) write their stdout to demo-<name>.txt, and bayes-error.txt holds the
-reprs of bayes_error's value, truncation mass and cell count, so a diff
-shows last-bit moves.
+the Bayes-risk arithmetic changes.  A change to the special functions (the
+normal CDF, log factorials, xlogy, log-sum-exp) also moves the last bits of
+bayes-error.txt, the verify*.json reports (tail middles, Gaussian error
+estimates, Berry-Esseen distances, bias gaps and the worst vectors that
+tie at rounding level) and demo-posterior_preservation.txt; no `passed`
+value may move.  A command without --out is run for its exit code alone.
+The quick demos of the same checkout (its demos/ beside src/) write their
+stdout to demo-<name>.txt, and bayes-error.txt holds the reprs of
+bayes_error's value, truncation mass and cell count, so a diff shows
+last-bit moves.
 """
 
 import ast
