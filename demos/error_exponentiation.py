@@ -38,9 +38,10 @@ def main():
     print("measure error; at delta 0 the two coincide.  Wherever the bound")
     print("is non-vacuous the measured error stays under it.  Where both")
     print("rates are measured at delta 0.5 the exponent sits below its")
-    print("target.  At the largest z-ratio no raw error occurs")
-    print(f"in {mc:,} documents, so eps is known only to lie below 1/mc and")
-    print("the exponent is not measured; it needs the score's exact law.")
+    print("target.  At the largest z-ratio the raw error rate is near")
+    print(f"1/mc: {mc:,} documents show it as a handful of errors or none,")
+    print("and none leaves eps known only to lie below 1/mc and the")
+    print("exponent unmeasured; it needs the score's exact law.")
 
 
 if __name__ == "__main__":

@@ -356,6 +356,9 @@ def cli_dispatch(argv) -> int:
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

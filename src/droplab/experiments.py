@@ -9,8 +9,8 @@ can be reproduced in isolation.  A learning-curve grid runs on one pool of
 `threads` workers: the cells fit on it, and each test block is drawn and
 scored on it chunk by chunk (`rng.poisson` and `np.einsum` release the
 GIL).  The altitude sweep runs its configurations on one thread per
-usable CPU, each on its own stream (`rng.poisson` and `rng.binomial` both
-release the GIL).
+usable CPU, each drawing its kept and dropped words on two streams of its
+own (`rng.poisson` releases the GIL).
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .classifiers import (LinearClassifier, TrainConfig, error_by_topic,
                           train_logistic, train_logistic_dropout,
                           train_naive_bayes)
 from .diagnostics import berry_esseen_statistic, score_moments
-from .dropout import dropout_posterior, thin_counts
+# no sweep calls thin_counts: bench/spans.py binds experiments.thin_counts
+from .dropout import dropout_posterior, thin_counts  # noqa: F401
 from .streams import make_rng, map_streams, seed_fingerprint
 from .topics import (DocumentBatch, GenerativeSampler, Topic, TopicModel,
                      _sample_chunks, bayes_posterior, enumerate_counts,
@@ -39,7 +40,6 @@ VERSION = "0.1.0"
 _CELL_TAG = "curve-cell"
 _TEST_TAG = "curve-test"
 _TEST_BLOCK_ROWS = 8_192    # test-set rows per pool task and stream
-_SWEEP_CHUNK = 1_000_000    # sweep documents drawn before any is thinned
 NB_SMOOTHING = 1.0          # naive Bayes smoothing: curves, train's default
 
 
@@ -379,23 +379,26 @@ class SweepResult:
 
 
 def _sweep_errors(cfg: SweepConfig, mc_budget: int,
-                  rng: np.random.Generator) -> tuple[int, int]:
+                  kept_rng: np.random.Generator,
+                  dropped_rng: np.random.Generator) -> tuple[int, int]:
     """Raw and thinned score <= 0 counts over mc_budget paired documents.
 
-    Each chunk of _SWEEP_CHUNK documents is drawn whole, as the narrowed
-    row blocks of `poisson_rows`, before any of it is thinned; each block is
-    then thinned with its own thin_counts call.
+    By thinning closure a Poisson(lam) document thinned at rate delta is
+    its kept words, Poisson((1 - delta) lam), plus its dropped words, an
+    independent Poisson(delta lam) document, so (kept + dropped, kept) has
+    exactly the law of (raw, thinned).  Both are drawn as the `poisson_rows`
+    blocks of their own streams and scored block by block; at delta = 0
+    every dropped count is 0.
     """
     w = np.asarray(cfg.weights, dtype=float)
+    lam = np.asarray(cfg.intensity, dtype=float)
     wrong = wrong_thin = 0
-    for start in range(0, mc_budget, _SWEEP_CHUNK):
-        blocks = list(poisson_rows(cfg.intensity,
-                                   min(_SWEEP_CHUNK, mc_budget - start), rng))
-        for raw in blocks:
-            thin = thin_counts(raw, cfg.delta, rng)
-            wrong += int(np.count_nonzero(raw @ w <= 0.0))
-            wrong_thin += int(np.count_nonzero(thin @ w <= 0.0))
-        del blocks, raw, thin  # before the next chunk is drawn
+    for kept, dropped in zip(
+            poisson_rows((1.0 - cfg.delta) * lam, mc_budget, kept_rng),
+            poisson_rows(cfg.delta * lam, mc_budget, dropped_rng)):
+        wrong += int(np.count_nonzero(np.add(kept, dropped, dtype=np.int64)
+                                      @ w <= 0.0))
+        wrong_thin += int(np.count_nonzero(kept @ w <= 0.0))
     return wrong, wrong_thin
 
 
@@ -403,15 +406,16 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
                        ) -> list[SweepResult]:
     """Measure raw and thinned sub-optimal rates for fixed linear scores.
 
-    For each configuration the raw counts are sampled from the Poisson
-    intensities and thinned binomially (paired); errors are score <= 0 events
-    under the positive-class convention (score mean must be positive).  Each
+    For each configuration the paired raw and thinned counts are drawn by
+    thinning closure (`_sweep_errors`); errors are score <= 0 events under
+    the positive-class convention (score mean must be positive).  Each
     result reports the Monte Carlo rates, their Gaussian predictions, the
     explicit error bound with its pass/fail (a vacuous bound is inf: a pass),
     and the empirical exponent log(eps) / log(eps_thinned) vs 1 / (1 - delta).
 
     The configurations run on one thread per usable CPU (map_streams), each
-    on the stream of its position k, so no result depends on the CPU count.
+    on the two streams of its position k, and hold one row block at a time,
+    so no result depends on the CPU count or the block size.
     """
     if mc_budget < 1:
         raise ValueError(f"mc_budget must be >= 1, got {mc_budget}")
@@ -425,8 +429,9 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
             raise ValueError(f"sweep config {k}: score mean must be "
                              f"positive, got {mean:g}")
     errors = map_streams(
-        lambda k: _sweep_errors(configs[k], mc_budget,
-                                make_rng(master_seed, "altitude-sweep", k)),
+        lambda k: _sweep_errors(
+            configs[k], mc_budget, make_rng(master_seed, "altitude-sweep", k),
+            make_rng(master_seed, "altitude-sweep-dropped", k)),
         range(len(configs)))
     results = []
     for cfg, (wrong, wrong_thin) in zip(configs, errors):

@@ -21,14 +21,15 @@ import numpy as np
 from .serialize import json_float, json_floats, json_int, read_field
 
 PROB_ATOL = 1e-12
-# enumeration rows per bayes_error table gather: bounds its (rows, topics)
-# float temporaries whatever the grid size
+# enumeration rows per bayes_error sum, and per table gather within it: the
+# gathers bound its (rows, topics) float temporaries whatever the grid size
 _BAYES_BLOCK_ROWS = 65_536
+_BAYES_GATHER_ROWS = 8_192
 _CELL_BUDGET = 5_000_000    # most count vectors enumerate_counts will build
 # Poisson cells per sample_documents draw: bounds its float intensity and
 # int64 count temporaries whatever the batch size
 _SAMPLE_CELLS = 2 ** 16
-_POISSON_ROWS = 65_536      # rows per poisson_rows block
+_POISSON_ROWS = 8_192       # rows per poisson_rows block
 
 
 class UndefinedPosteriorError(ValueError):
@@ -401,11 +402,15 @@ def bayes_error(model: TopicModel, max_total_count: int | None = None
     covered = risk = 0.0
     for start in range(0, grid.shape[0], _BAYES_BLOCK_ROWS):
         block = grid[start:start + _BAYES_BLOCK_ROWS]
-        ll = table[0][block[:, 0]]
-        for j in range(1, model.vocab_size):
-            ll += table[j][block[:, j]]
-        # einsum, not a BLAS product: the sums do not depend on BLAS threads
-        joint = np.einsum("mt,ct->mc", np.exp(ll), weights)
+        joint = np.empty((len(block), 2))
+        for sub in range(0, len(block), _BAYES_GATHER_ROWS):
+            rows = block[sub:sub + _BAYES_GATHER_ROWS]
+            ll = table[0][rows[:, 0]]
+            for j in range(1, model.vocab_size):
+                ll += table[j][rows[:, j]]
+            # einsum, not a BLAS product: no sum depends on BLAS threads
+            np.einsum("mt,ct->mc", np.exp(ll, out=ll), weights,
+                      out=joint[sub:sub + len(rows)])
         covered += float(joint.sum())
         risk += float(np.minimum(joint[:, 0], joint[:, 1]).sum())
     return BayesErrorResult(value=risk, truncation_mass=max(0.0, 1.0 - covered),

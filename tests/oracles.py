@@ -6,7 +6,7 @@ document sampler, an exhaustive zero-one empirical risk minimizer for
 d <= 3, the Monte Carlo dropout gradient and its descent, the row-wise
 exact Bayes risk, the tracemalloc peak of a call, the one-call Poisson
 document sampler, the altitude sweep's error counts from one Poisson draw
-per chunk, the Berry-Esseen distance from one sorted vector of every score,
+per stream, the Berry-Esseen distance from one sorted vector of every score,
 the learning-curve grid that joins each trial's test set before scoring it,
 the scipy.special forms of the normal CDF, the class log likelihoods, the
 exact posterior and the Bayes-risk table that droplab computes with numpy
@@ -108,24 +108,20 @@ def berry_esseen_distance_sorted(weights, intensity, n_samples: int,
 
 
 def altitude_sweep_errors_one_draw(cfg, mc_budget: int,
-                                   rng: np.random.Generator, chunk: int,
-                                   rows: int) -> tuple[int, int]:
+                                   kept_rng: np.random.Generator,
+                                   dropped_rng: np.random.Generator
+                                   ) -> tuple[int, int]:
     """(raw, thinned) score <= 0 counts of one `droplab.run_altitude_sweep`
-    config: one int64 Poisson draw per chunk of `chunk` documents, thinned
-    and scored `rows` rows at a time, as the sweep drew before it split its
-    chunks into narrowed row draws."""
+    config from one int64 rng.poisson call per stream: the kept words at
+    (1 - delta) times the intensities, the dropped ones at delta times
+    them, and the raw document their sum."""
     w = np.asarray(cfg.weights, dtype=float)
     lam = np.asarray(cfg.intensity, dtype=float)
-    wrong = wrong_thin = 0
-    for start in range(0, mc_budget, chunk):
-        counts = rng.poisson(lam, size=(min(chunk, mc_budget - start),
-                                        len(lam)))
-        for row in range(0, len(counts), rows):
-            raw = counts[row:row + rows]
-            thin = thin_counts(raw, cfg.delta, rng)
-            wrong += int(np.count_nonzero(raw @ w <= 0.0))
-            wrong_thin += int(np.count_nonzero(thin @ w <= 0.0))
-    return wrong, wrong_thin
+    size = (mc_budget, len(lam))
+    kept = kept_rng.poisson((1.0 - cfg.delta) * lam, size=size)
+    dropped = dropped_rng.poisson(cfg.delta * lam, size=size)
+    return (int(np.count_nonzero((kept + dropped) @ w <= 0.0)),
+            int(np.count_nonzero(kept @ w <= 0.0)))
 
 
 def traced_peak_mib(fn) -> float:

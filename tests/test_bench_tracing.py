@@ -47,15 +47,17 @@ def test_install_wraps_and_uninstall_restores():
 
 
 def test_altitude_sweep_records_thinning_spans():
-    # 70,000 documents: two thinning blocks, each thinned through the
-    # experiments.thin_counts binding that times dropout.thin
+    # the sweep draws its thinned documents by closure, with no thin_counts
+    # call; a call through the experiments.thin_counts binding is timed
     cfg = experiments.SweepConfig(weights=(1.0, -1.0),
                                   intensity=(10.0, 2.5), delta=0.5)
     recorder = spans.Recorder()
     recorder.install()
     try:
         experiments.run_altitude_sweep([cfg], mc_budget=70_000)
+        assert not [s for s in recorder.spans if s.name == "dropout.thin"]
+        experiments.thin_counts(np.array([[3, 1]]), 0.5, make_rng(2, "thin"))
     finally:
         recorder.uninstall()
     thin = [s for s in recorder.spans if s.name == "dropout.thin"]
-    assert len(thin) == 2 and all(s.end > s.start for s in thin)
+    assert len(thin) == 1 and thin[0].end > thin[0].start

@@ -115,6 +115,18 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "delta" in err
 
+    @pytest.mark.parametrize("command, handler", [("sample", "_cmd_sample"),
+                                                  ("curves", "_cmd_curves")])
+    def test_memory_error_exits_1_naming_the_command(self, command, handler,
+                                                     monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, handler, exhausted)
+        assert cli_dispatch([command]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {command} ran out of memory\n"
+
 
 class TestSample:
     def test_jsonl_output(self, model_json, tmp_path, capsys):
@@ -652,6 +664,26 @@ class TestVerify:
         out = tmp_path / "bias.json"
         assert cli_dispatch(["verify", "--suite", "bias",
                              "--out", str(out)]) == 0
+
+    def test_bias_worst_vector_is_reported_only_for_a_failed_check(
+            self, monkeypatch):
+        # a passing gap is rounding, and so is the cell it peaks at
+        checks = verify.run_bias_suite(seed=0, mc=1)
+        equal = [c for c in checks if c["name"].startswith("equal-length")]
+        assert equal and all(c["passed"] and "worst_vector" not in c
+                             for c in equal)
+        monkeypatch.setattr(verify, "POSTERIOR_GAP_TOL", -1.0)
+        failed = [c for c in verify.run_bias_suite(seed=0, mc=1)
+                  if c["name"].startswith("equal-length")]
+        assert not any(c["passed"] for c in failed)
+        models = verify.equal_length_models()
+        for k, model in enumerate(models):
+            rep = experiments.run_bias_check(model, verify.BIAS_DELTAS,
+                                             verify.BIAS_BUDGET)
+            got = failed[k * len(verify.BIAS_DELTAS):
+                         (k + 1) * len(verify.BIAS_DELTAS)]
+            assert [c["worst_vector"] for c in got] == \
+                [list(rep.worst_vector[d]) for d in verify.BIAS_DELTAS]
 
     def test_reports_are_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "v1.json", tmp_path / "v2.json"

@@ -28,12 +28,23 @@ def test_demo_runs(name):
                    if line.split()[:1] == ["100"])
         assert "1.93e-22" in row
     if name == "error_exponentiation":
-        # no raw error in 2,000,000 documents: the resolution limit, and
+        # the z = 5 row's exact raw rate, 2.9e-7, is about 0.6 errors in
+        # 2,000,000 documents: with none it prints the resolution limit and
         # no exponent, where 0.000e+00 and nan were printed
         row = next(line for line in out.stdout.splitlines()
                    if line.lstrip().startswith("(20500, 19500)"))
-        assert row.split()[3:4] == ["<5.000e-07"]
-        assert row.split()[-2:] == ["n/a", "2.000"]
+        eps, exponent, target = row.split()[3], *row.split()[-2:]
+        assert (eps == "<5.000e-07") == (exponent == "n/a")
+        assert target == "2.000"
+
+
+def test_error_exponentiation_shows_a_zero_rate_as_its_limit():
+    spec = importlib.util.spec_from_file_location(
+        "error_exponentiation", DEMOS / "error_exponentiation.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.rate(0.0, 2_000_000) == "<5.000e-07"
+    assert module.rate(5e-7, 2_000_000) == "5.000e-07"
 
 
 @pytest.mark.parametrize("name", ["influence_geometry",

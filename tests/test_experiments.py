@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import skellam
 
 from droplab import (CurveSpec, DocumentBatch, DropoutConfig, Topic,
                      TopicModel, TrainConfig, bayes_posterior,
@@ -11,7 +12,7 @@ from droplab import (CurveSpec, DocumentBatch, DropoutConfig, Topic,
                      evaluate_error, fit_classifier, make_rng,
                      recalibrate_intercept, run_altitude_sweep,
                      run_bias_check, run_influence_demo, run_learning_curves,
-                     sample_documents, thin_counts, train_logistic,
+                     sample_documents, train_logistic,
                      train_logistic_dropout, train_naive_bayes)
 from droplab import experiments, topics
 from droplab.experiments import (CurveResult, SweepConfig,
@@ -100,35 +101,49 @@ class TestAltitudeSweep:
         assert scaled.eps < base.eps
         assert scaled.bound_holds and base.bound_holds
 
-    @pytest.mark.parametrize("intensity, block", [
-        pytest.param(two_word_intensity(2.5, 10.0), 150_000, id="intensity0"),
-        pytest.param((0.8, 0.2), 65_536, id="intensity1")])
-    def test_row_blocks_equal_one_draw(self, intensity, block):
-        # 150,000 documents: three thinning blocks, the last one ragged.  The
-        # sweep thins each 65,536-row block with its own thin_counts call,
-        # one rng.binomial call per block, so the thinned stream is the
-        # per-block one the reference draws.
+    @pytest.mark.parametrize("intensity", [
+        pytest.param(two_word_intensity(2.5, 10.0), id="intensity0"),
+        pytest.param((0.8, 0.2), id="intensity1"),
+        pytest.param((300.0, 280.0), id="intensity2")])
+    def test_row_blocks_equal_one_draw(self, monkeypatch, intensity):
+        # 150,000 documents: 19 blocks of the default 8,192 rows, or 215 of
+        # 700, the last one ragged either way; the kept and the dropped
+        # words of every block come from their own streams, so the counts
+        # equal those of one rng.poisson call per stream.  At (300, 280)
+        # the kept and dropped counts are uint8 and their sums are not.
         cfg = SweepConfig(weights=(1.0, -1.0), intensity=intensity, delta=0.5)
-        res = run_altitude_sweep([cfg], mc_budget=150_000, master_seed=6)[0]
-        rng = make_rng(6, "altitude-sweep", 0)
-        counts = rng.poisson(intensity, size=(150_000, 2))
-        thinned = np.concatenate([thin_counts(counts[row:row + block], 0.5, rng)
-                                  for row in range(0, 150_000, block)])
-        w = np.array(cfg.weights)
-        assert res.eps == np.count_nonzero(counts @ w <= 0) / 150_000
-        assert res.eps_thinned == np.count_nonzero(thinned @ w <= 0) / 150_000
+        want = altitude_sweep_errors_one_draw(
+            cfg, 150_000, make_rng(6, "altitude-sweep", 0),
+            make_rng(6, "altitude-sweep-dropped", 0))
+        for rows in (topics._POISSON_ROWS, 700):
+            monkeypatch.setattr(topics, "_POISSON_ROWS", rows)
+            res = run_altitude_sweep([cfg], mc_budget=150_000,
+                                     master_seed=6)[0]
+            assert (res.eps, res.eps_thinned) == (want[0] / 150_000,
+                                                  want[1] / 150_000)
+
+    def test_rates_match_the_exact_skellam_law(self):
+        # (62.5, 37.5) at delta = 0.5: x1 - x2 is Skellam, raw and thinned
+        # (intensities halved by closure); exact eps 6.7683973519e-3 and
+        # eps_thinned 4.3627118658e-2
+        cfg = default_sweep_configs()[0]
+        n = 1_000_000
+        res = run_altitude_sweep([cfg], mc_budget=n, master_seed=10)[0]
+        lam = np.array(cfg.intensity)
+        for got, rates in ((res.eps, lam), (res.eps_thinned, 0.5 * lam)):
+            p = float(skellam.cdf(0, *rates))
+            assert abs(got - p) <= 4.0 * np.sqrt(p * (1.0 - p) / n)
 
     def test_peak_memory_at_a_million_documents(self):
-        # the chunk of narrowed row draws (2-4 MB) plus one block at a time;
-        # thinning and scoring the whole chunk at once takes 53.4 MiB
+        # one 8,192-row block of kept and of dropped counts at a time:
+        # 0.36 MiB, where the sweep that held a whole million-document
+        # chunk before thinning it peaked at 4.9 MiB
         peak = traced_peak_mib(lambda: run_altitude_sweep(
             default_sweep_configs()[:1], mc_budget=1_000_000, master_seed=3))
         assert peak <= 25.0
 
     def test_results_do_not_depend_on_cpu_count(self, monkeypatch):
-        # 5,000 documents per config: three chunks of up to 2,000, each
-        # drawn in 700-row blocks, the last chunk and blocks ragged
-        monkeypatch.setattr(experiments, "_SWEEP_CHUNK", 2_000)
+        # 5,000 documents per config in 700-row blocks, the last ragged
         monkeypatch.setattr(topics, "_POISSON_ROWS", 700)
         configs = default_sweep_configs()
         runs = []
@@ -140,14 +155,15 @@ class TestAltitudeSweep:
         assert repr(runs[0]) == repr(runs[1])  # repr: nan exponents match
         for k, (cfg, res) in enumerate(zip(configs, runs[1])):
             wrong, wrong_thin = altitude_sweep_errors_one_draw(
-                cfg, 5_000, make_rng(8, "altitude-sweep", k), 2_000, 700)
+                cfg, 5_000, make_rng(8, "altitude-sweep", k),
+                make_rng(8, "altitude-sweep-dropped", k))
             assert res.eps == wrong / 5_000
             assert res.eps_thinned == wrong_thin / 5_000
 
     def test_peak_memory_of_the_default_sweep_on_two_cpus(self, monkeypatch):
-        # two configs at a time, each holding one chunk of narrowed counts
-        # (2-4 MB) plus one row draw's temporaries; int64 chunks of 16 MB
-        # peaked at 17.8 MiB
+        # two configs at a time, each holding one row block of kept and of
+        # dropped counts: 0.81 MiB, where holding each config's chunk of
+        # narrowed counts before thinning it peaked at 11.8 MiB
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         peak = traced_peak_mib(lambda: run_altitude_sweep(

@@ -563,8 +563,10 @@ class TestBayesError:
         assert res.truncation_mass == pytest.approx(mass, abs=1e-14)
 
     def test_peak_memory_at_length_80(self):
-        # 848,046 cells at the default truncation of 170 words: uint8
-        # counts are 2.5 MB where int64 ones peaked at 26.0 MiB
+        # 848,046 cells at the default truncation of 170 words: the uint8
+        # counts (2.4 MiB) plus one 8,192-row gather and one 65,536-row
+        # joint buffer peak at 4.1 MiB; gathering whole 65,536-row blocks
+        # peaked at 7.4 MiB, and int64 counts at 26.0 MiB
         model = scaled_model(equal_length_models()[1], 80.0)
         out = []
         peak = traced_peak_mib(lambda: out.append(bayes_error(model)))

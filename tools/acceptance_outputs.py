@@ -67,10 +67,11 @@ COMMANDS = {
     "verify-margin-mc8": "verify --suite margin --mc 8 --seed 0",
     # its report matches verify-margin-mc8's checks at any --mc and --seed
     "verify-margin": "verify --suite margin --mc 500000 --out verify-margin.json",
-    # two 1,000,000-document sweep chunks, the last thinning block ragged
+    # 135 row blocks of kept and of dropped counts per config, the last one
+    # ragged
     "verify-altitude": "verify --suite altitude --mc 1100000 --seed 3 "
                        "--out verify-altitude.json",
-    # three 65,536-row Poisson blocks per config, the last one ragged, so
+    # 19 Poisson blocks of 8,192 rows per config, the last one ragged, so
     # the merge of the block tallies crosses block boundaries
     "verify-berry-esseen": "verify --suite berry-esseen --mc 150000 --seed 3 "
                            "--out verify-berry-esseen.json",
