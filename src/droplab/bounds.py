@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import (ZeroVarianceError, berry_esseen_statistic,
                           score_moments)
-from .stats import dkw_slack, kolmogorov_distance
+from .stats import dkw_slack, kolmogorov_distance, merge_tallies
 from .topics import TopicModel, poisson_rows
 
 BERRY_ESSEEN_CONSTANT = 4.0
@@ -78,10 +78,10 @@ def berry_esseen_check(weights: np.ndarray, intensity: np.ndarray,
     mu, var = score_moments(w, lam)
     be = berry_esseen_statistic(w, lam)
     sigma = np.sqrt(var)
-    # each block's scores are tallied and dropped; the tallies merge once
-    values, ties = map(np.concatenate, zip(*(
+    # each block's scores are tallied and dropped, its tally merged into one
+    values, ties = merge_tallies(
         np.unique(counts @ w, return_counts=True)
-        for counts in poisson_rows(lam, n_samples, rng))))
+        for counts in poisson_rows(lam, n_samples, rng))
     dist = kolmogorov_distance(values, ties,
                                lambda s: normal_cdf((s - mu) / sigma))
     return BerryEsseenReport(

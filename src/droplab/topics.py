@@ -21,10 +21,9 @@ import numpy as np
 from .serialize import json_float, json_floats, json_int, read_field
 
 PROB_ATOL = 1e-12
-# enumeration rows per bayes_error sum, and per table gather within it: the
-# gathers bound its (rows, topics) float temporaries whatever the grid size
-_BAYES_BLOCK_ROWS = 65_536
-_BAYES_GATHER_ROWS = 8_192
+# count vectors per bayes_error block: bounds its counts and its (rows,
+# topics) float temporaries whatever the grid size
+_BAYES_BLOCK_ROWS = 8_192
 _CELL_BUDGET = 5_000_000    # most count vectors enumerate_counts will build
 # Poisson cells per sample_documents draw: bounds its float intensity and
 # int64 count temporaries whatever the batch size
@@ -325,43 +324,70 @@ def bayes_posterior(model: TopicModel, counts: np.ndarray
     return float(post[0]) if v.ndim == 1 else post
 
 
+def _grid_cells(d: int, max_total: int) -> int:
+    """comb(max_total + d, d), the number of length-d count vectors with sum
+    at most max_total; EnumerationTooLargeError above _CELL_BUDGET."""
+    n_cells = comb(max_total + d, d)
+    if n_cells > _CELL_BUDGET:
+        raise EnumerationTooLargeError(
+            f"{n_cells} cells exceed the budget of {_CELL_BUDGET}")
+    return n_cells
+
+
+def _count_slabs(d: int, max_total: int):
+    """Yield (f, tails) for f = 0, ..., max_total: the length-(d - 1)
+    vectors with sum <= max_total - f in lexicographic order, so f followed
+    by each tail, slab after slab, gives the rows of
+    `enumerate_counts(d, max_total)` in order.  Each shorter level is built
+    whole from the slabs of the level below it; the last is never built.
+    """
+    dtype = np.min_scalar_type(max_total)
+    tails = np.zeros((1, 0), dtype=dtype)
+    for k in range(1, d + 1):
+        sums = tails.sum(axis=1, dtype=dtype)  # at most max_total
+        slabs = ((f, tails[sums <= max_total - f])
+                 for f in range(max_total + 1))
+        if k == d:
+            yield from slabs
+        else:
+            tails = next(_cut_slabs(slabs, comb(max_total + k, k), k, dtype))
+
+
+def _cut_slabs(slabs, rows: int, width: int, dtype):
+    """Yield the rows of (f, tails) slabs, f followed by each tail, in order,
+    in blocks of `rows` rows (the last one may be short).  Every block is
+    written over the one before it."""
+    block = np.empty((rows, width), dtype=dtype)
+    filled = 0
+    for f, tails in slabs:
+        while len(tails):
+            part = block[filled:filled + len(tails)]
+            part[:, 0] = f
+            part[:, 1:] = tails[:len(part)]
+            tails = tails[len(part):]
+            filled += len(part)
+            if filled == rows:
+                yield block
+                filled = 0
+    if filled:
+        yield block[:filled]
+
+
 def enumerate_counts(d: int, max_total: int) -> np.ndarray:
     """All non-negative integer vectors of length d with sum <= max_total,
-    in lexicographic order (first coordinate slowest).
+    in lexicographic order (first coordinate slowest), in the narrowest
+    unsigned dtype that holds max_total.
 
-    Built one leading coordinate at a time: the vectors of length k + 1 are,
-    for each first entry f = 0, 1, ..., the length-k vectors with sum at most
-    max_total - f.  The result, in the narrowest unsigned dtype that holds
-    max_total, is the only allocation of its size.
+    The rows are written slab by slab from `_count_slabs`, so the result
+    is the only allocation of its size.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if max_total < 0:
         raise ValueError(f"max_total must be >= 0, got {max_total}")
-    n_cells = comb(max_total + d, d)
-    if n_cells > _CELL_BUDGET:
-        raise EnumerationTooLargeError(
-            f"{n_cells} cells exceed the budget of {_CELL_BUDGET}")
-    dtype = np.min_scalar_type(max_total)
-    tails = np.zeros((1, 0), dtype=dtype)
-    sums = np.zeros(1, dtype=dtype)
-    for k in range(d):
-        # rows of the next level whose first entry is f: tails with sum <= T-f
-        fits = np.cumsum(np.bincount(sums, minlength=max_total + 1))
-        sizes = fits[::-1]
-        out = np.empty((int(sizes.sum()), k + 1), dtype=dtype)
-        out_sums = np.empty(len(out), dtype=dtype)
-        start = 0
-        for f, size in enumerate(sizes):
-            keep = sums <= max_total - f
-            block = out[start:start + size]
-            block[:, 0] = f
-            block[:, 1:] = tails[keep]
-            # each row's sum is its tail's plus f, never above max_total
-            np.add(sums[keep], f, out=out_sums[start:start + size])
-            start += size
-        tails, sums = out, out_sums
-    return tails
+    return next(_cut_slabs(_count_slabs(d, max_total),
+                           _grid_cells(d, max_total), d,
+                           np.min_scalar_type(max_total)))
 
 
 @dataclass(frozen=True)
@@ -384,14 +410,18 @@ def bayes_error(model: TopicModel, max_total_count: int | None = None
     Each cell is a table lookup: the Poisson log pmf of every count 0..K of
     every word under every topic is computed once, a cell's per-topic log
     likelihood is the sum of its d entries, and the class joints are
-    prior_c * sum_t rho_ct * exp(that sum).
+    prior_c * sum_t rho_ct * exp(that sum).  The cells are read from the
+    slabs of `_count_slabs` in lexicographic order, in blocks of
+    _BAYES_BLOCK_ROWS rows, and each block's joints are summed on their
+    own: the whole grid is never built.
     """
     if max_total_count is None:
         mean_len = float(np.max(model.doc_lengths))
         max_total_count = int(np.ceil(mean_len + 10.0 * np.sqrt(mean_len)))
     elif max_total_count < 0:
         raise ValueError(f"max_total_count must be >= 0, got {max_total_count}")
-    grid = enumerate_counts(model.vocab_size, max_total_count)
+    d = model.vocab_size
+    n_cells = _grid_cells(d, max_total_count)
     # table[j, k, t] = log P(word j has count k | topic t), (d, K + 1, T);
     # _xlogy(0, 0) = 0 gives a zero-intensity word count 0 with probability 1
     k = np.arange(max_total_count + 1.0)[:, None]
@@ -400,21 +430,18 @@ def bayes_error(model: TopicModel, max_total_count: int | None = None
     prior = np.array([1.0 - model.label_prior, model.label_prior])
     weights = model.rho * prior[:, None]  # (2, T): prior_c * rho_ct
     covered = risk = 0.0
-    for start in range(0, grid.shape[0], _BAYES_BLOCK_ROWS):
-        block = grid[start:start + _BAYES_BLOCK_ROWS]
-        joint = np.empty((len(block), 2))
-        for sub in range(0, len(block), _BAYES_GATHER_ROWS):
-            rows = block[sub:sub + _BAYES_GATHER_ROWS]
-            ll = table[0][rows[:, 0]]
-            for j in range(1, model.vocab_size):
-                ll += table[j][rows[:, j]]
-            # einsum, not a BLAS product: no sum depends on BLAS threads
-            np.einsum("mt,ct->mc", np.exp(ll, out=ll), weights,
-                      out=joint[sub:sub + len(rows)])
+    for block in _cut_slabs(_count_slabs(d, max_total_count),
+                            _BAYES_BLOCK_ROWS, d,
+                            np.min_scalar_type(max_total_count)):
+        ll = table[0][block[:, 0]]
+        for j in range(1, d):
+            ll += table[j][block[:, j]]
+        # einsum, not a BLAS product: no sum depends on BLAS threads
+        joint = np.einsum("mt,ct->mc", np.exp(ll, out=ll), weights)
         covered += float(joint.sum())
         risk += float(np.minimum(joint[:, 0], joint[:, 1]).sum())
     return BayesErrorResult(value=risk, truncation_mass=max(0.0, 1.0 - covered),
-                            n_cells=grid.shape[0])
+                            n_cells=n_cells)
 
 
 SYNTHETIC_PRESET = "synthetic-sec6"

@@ -4,7 +4,8 @@ uses: bin pooling for chi-square tests (goodness of fit runs
 test, the per-sample Kolmogorov statistic, the length-first multinomial
 document sampler, an exhaustive zero-one empirical risk minimizer for
 d <= 3, the Monte Carlo dropout gradient and its descent, the row-wise
-exact Bayes risk, the tracemalloc peak of a call, the one-call Poisson
+exact Bayes risk, the Bayes risk summed in blocks over the whole count
+grid, the tracemalloc peak of a call, the one-call Poisson
 document sampler, the altitude sweep's error counts from one Poisson draw
 per stream, the Berry-Esseen distance from one sorted vector of every score,
 the learning-curve grid that joins each trial's test set before scoring it,
@@ -37,7 +38,7 @@ from droplab.bounds import normal_cdf
 from droplab.classifiers import _sigmoid
 from droplab.diagnostics import score_moments
 from droplab.topics import (TopicModel, _log_class_likelihoods,
-                            enumerate_counts)
+                            _log_factorial, _xlogy, enumerate_counts)
 
 
 def pool_bins(observed, expected, min_expected: float):
@@ -247,6 +248,30 @@ def bayes_error_rowwise(model: TopicModel, max_total_count: int
     joint = np.exp(_log_class_likelihoods(model, grid)) * prior
     return (float(np.minimum(joint[:, 0], joint[:, 1]).sum()),
             max(0.0, 1.0 - float(joint.sum())))
+
+
+def bayes_error_in_blocks(model: TopicModel, max_total_count: int,
+                          rows: int) -> tuple[float, float]:
+    """(risk, truncation mass) of `droplab.bayes_error` from the whole
+    enumerate_counts grid, cut into blocks of `rows` rows, each block's
+    joints summed on their own: the loop before bayes_error read its cells
+    slab by slab instead of building the grid."""
+    grid = enumerate_counts(model.vocab_size, max_total_count)
+    k = np.arange(max_total_count + 1.0)[:, None]
+    lam = model.intensities.T[:, None, :]
+    table = _xlogy(k, lam) - lam - _log_factorial(k)
+    prior = np.array([1.0 - model.label_prior, model.label_prior])
+    weights = model.rho * prior[:, None]
+    covered = risk = 0.0
+    for start in range(0, len(grid), rows):
+        block = grid[start:start + rows]
+        ll = table[0][block[:, 0]]
+        for j in range(1, model.vocab_size):
+            ll += table[j][block[:, j]]
+        joint = np.einsum("mt,ct->mc", np.exp(ll), weights)
+        covered += float(joint.sum())
+        risk += float(np.minimum(joint[:, 0], joint[:, 1]).sum())
+    return risk, max(0.0, 1.0 - covered)
 
 
 def normal_cdf_scipy(x) -> np.ndarray:

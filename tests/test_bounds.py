@@ -122,13 +122,40 @@ class TestBerryEsseenCheck:
         assert rep.sup_distance == kolmogorov_distance_sorted(
             scores, lambda s: normal_cdf((s - mu) / sd))
 
+    @pytest.mark.parametrize("k", range(5))
+    def test_merged_block_tallies_equal_one_sorted_draw(self, k,
+                                                        monkeypatch):
+        # 20,000 samples in 67 blocks of 300 rows, the last one ragged, so
+        # the running tally is rebuilt at several sizes; the distance must
+        # be that of every score drawn on the same stream and sorted
+        monkeypatch.setattr(topics, "_POISSON_ROWS", 300)
+        w, lam = berry_esseen_suite()[k]
+        rep = berry_esseen_check(w, lam, 20_000, make_rng(k, "be-merge"))
+        assert rep.sup_distance == berry_esseen_distance_sorted(
+            w, lam, 20_000, make_rng(k, "be-merge"), 300)
+
     def test_peak_memory_at_a_million_samples(self):
-        # 8 MB of scores plus one chunk of counts; drawing every row at
-        # once takes 68.7 MiB
+        # one block of counts and scores, and the running tally of a few
+        # hundred lattice values: 0.30 MiB; holding every block's tally
+        # until one merge peaked at 1.14 MiB, and drawing every row at once
+        # takes 68.7 MiB
         w, lam = berry_esseen_suite()[3]
         peak = traced_peak_mib(lambda: berry_esseen_check(
             w, lam, 1_000_000, make_rng(1, "be-memory")))
-        assert peak <= 25.0
+        assert peak <= 1.0
+
+    def test_a_million_distinct_scores(self):
+        # incommensurate weights on long documents: every score distinct,
+        # so the running tally ends with 10^6 entries.  The distance keeps
+        # the bits it had when every block's tally was merged once at the
+        # end, which peaked at 68.5 MiB; the running merge peaks at 49.4
+        w = np.array([1.0, np.sqrt(2.0), -np.pi])
+        lam = np.array([1e4, 2e4, 3e4])
+        out = []
+        peak = traced_peak_mib(lambda: out.append(berry_esseen_check(
+            w, lam, 1_000_000, make_rng(1, "be-distinct"))))
+        assert out[0].sup_distance.hex() == "0x1.0b12b22a02180p-11"
+        assert peak <= 68.5
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_empty_budget_is_rejected_by_name(self, n):
@@ -160,14 +187,15 @@ class TestBerryEsseenSuite:
                 w, lam, 3_500, make_rng(4, "verify-berry-esseen", k), 1_000)
 
     def test_peak_memory_at_a_million_samples_on_two_cpus(self, monkeypatch):
-        # two configs at a time, each holding one chunk of counts and the
-        # tally of its scores; a float vector of every score peaked at
-        # 17.2 MiB
+        # two configs at a time, each holding one block of counts and the
+        # running tally of its scores: 0.55 MiB; holding every block's
+        # tally until one merge peaked at 3.81 MiB, and a float vector of
+        # every score at 17.2 MiB
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         peak = traced_peak_mib(lambda: run_berry_esseen_suite(seed=1,
                                                               mc=1_000_000))
-        assert peak <= 8.0
+        assert peak <= 2.0
 
 
 class TestAltitudeErrorBound:

@@ -3,7 +3,9 @@ import pytest
 from scipy import stats as sps
 from scipy.stats import chisquare
 
-from droplab.stats import binomial_se, dkw_slack, kolmogorov_distance
+from droplab import stats
+from droplab.stats import (binomial_se, dkw_slack, kolmogorov_distance,
+                           merge_tallies)
 from oracles import chi_square_two_sample, kolmogorov_distance_sorted, pool_bins
 
 
@@ -99,10 +101,10 @@ def test_kolmogorov_distance_empty_rejected():
 
 
 def _tally_in_chunks(x, size):
-    """Each chunk's tally, concatenated: a tally with repeated values."""
-    values, ties = zip(*(np.unique(x[start:start + size], return_counts=True)
-                         for start in range(0, len(x), size)))
-    return np.concatenate(values), np.concatenate(ties)
+    """Each chunk's tally, merged by merge_tallies: values that recur across
+    chunks are added up."""
+    return merge_tallies(np.unique(x[start:start + size], return_counts=True)
+                         for start in range(0, len(x), size))
 
 
 def test_chunk_tallies_with_ties_across_chunks_are_bit_exact():
@@ -136,6 +138,58 @@ def test_chunk_tallies_of_distinct_scores_are_bit_exact():
 
     assert (kolmogorov_distance(values, ties, cdf)
             == kolmogorov_distance_sorted(x, cdf))
+
+
+@pytest.mark.parametrize("values, ties", [
+    ([1.0, 3.0, 2.0], [1, 1, 1]),           # unsorted
+    ([1.0, 2.0, 2.0, 3.0], [1, 2, 1, 1]),   # a repeated value
+    ([1.0, np.nan], [1, 1]),
+])
+def test_kolmogorov_distance_rejects_a_tally_not_merged(values, ties):
+    with pytest.raises(ValueError, match="sorted and distinct"):
+        kolmogorov_distance(np.array(values), np.array(ties), sps.norm.cdf)
+
+
+@pytest.mark.parametrize("sizes", [[5] * 20, [64, 1, 1, 1, 30, 2, 200]])
+def test_merge_tallies_equals_one_tally_of_every_value(sizes):
+    # values from a small lattice, so the tallies overlap each other and the
+    # running tally; the merge must equal np.unique of the whole sample
+    rng = np.random.default_rng(31)
+    parts = [rng.integers(0, 40, size=m).astype(float) for m in sizes]
+    values, ties = merge_tallies(np.unique(p, return_counts=True)
+                                 for p in parts)
+    want_values, want_ties = np.unique(np.concatenate(parts),
+                                       return_counts=True)
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(ties, want_ties) and ties.dtype == np.int64
+
+
+def test_merge_tallies_merges_once_pending_holds_the_running_size(
+        monkeypatch):
+    # disjoint values, so the running tally holds every entry merged in:
+    # 3 >= 0, then 1 + 2 >= 3, then 4 + 1 + 1 >= 6; 1 + 5 < 12 is merged
+    # only because the tallies end
+    batches = []
+    merge_into = stats._merge_into
+
+    def recording(values, ties, pending):
+        batches.append([len(v) for v, _ in pending])
+        return merge_into(values, ties, pending)
+
+    monkeypatch.setattr(stats, "_merge_into", recording)
+    sizes = [3, 1, 2, 4, 1, 1, 1, 5]
+    bounds = np.cumsum([0] + sizes)
+    values, ties = merge_tallies(
+        (np.arange(a, b, dtype=float), np.ones(b - a, dtype=np.int64))
+        for a, b in zip(bounds[:-1], bounds[1:]))
+    assert batches == [[3], [1, 2], [4, 1, 1], [1, 5]]
+    assert np.array_equal(values, np.arange(18.0))
+    assert np.array_equal(ties, np.ones(18))
+
+
+def test_merge_tallies_of_nothing_is_empty():
+    values, ties = merge_tallies([])
+    assert len(values) == len(ties) == 0
 
 
 def test_dkw_slack_formula():

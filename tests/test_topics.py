@@ -1,4 +1,5 @@
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from droplab import topics
 from droplab.topics import enumerate_counts
 from droplab.presets import equal_length_models, unequal_length_control
 from droplab.verify import BIAS_DELTAS
-from oracles import (bayes_error_rowwise, bayes_error_scipy,
-                     bayes_posterior_scipy, chi_square_two_sample, pool_bins,
+from oracles import (bayes_error_in_blocks, bayes_error_rowwise,
+                     bayes_error_scipy, bayes_posterior_scipy,
+                     chi_square_two_sample, pool_bins,
                      sample_documents_multinomial, sample_documents_one_call,
                      traced_peak_mib)
 
@@ -463,6 +465,16 @@ SCIPY_ORACLE_MODELS = {
 }
 
 
+# the equal-length presets, the d = 1 control, and the benchmark's three
+# lengths (up to 848,046 cells)
+BLOCK_ORACLE_MODELS = {
+    **{f"equal-length-{k}": m for k, m in enumerate(equal_length_models())},
+    "unequal-length": unequal_length_control(),
+    **{f"length-{L:g}": scaled_model(equal_length_models()[1], L)
+       for L in (40.0, 60.0, 80.0)},
+}
+
+
 class TestBayesError:
     def test_uninformative_model_is_half(self):
         model = two_class_model([2.0], [2.0])
@@ -562,16 +574,45 @@ class TestBayesError:
         assert res.value == pytest.approx(value, rel=1e-13)
         assert res.truncation_mass == pytest.approx(mass, abs=1e-14)
 
+    @pytest.mark.parametrize("rows", [None, 1_000])
+    @pytest.mark.parametrize("name", sorted(BLOCK_ORACLE_MODELS))
+    def test_slab_blocks_equal_blocks_of_the_whole_grid(self, name, rows,
+                                                        monkeypatch):
+        # the same blocks in the same order, bit for bit, whether read from
+        # the slabs or cut from the whole grid; 1,000-row blocks straddle
+        # the slabs of successive leading counts
+        if rows is not None:
+            monkeypatch.setattr(topics, "_BAYES_BLOCK_ROWS", rows)
+        model = BLOCK_ORACLE_MODELS[name]
+        mean_len = float(np.max(model.doc_lengths))
+        total = int(np.ceil(mean_len + 10.0 * np.sqrt(mean_len)))
+        res = bayes_error(model)
+        value, mass = bayes_error_in_blocks(model, total,
+                                            topics._BAYES_BLOCK_ROWS)
+        assert res.value.hex() == value.hex()
+        assert res.truncation_mass.hex() == mass.hex()
+        assert res.n_cells == comb(total + model.vocab_size,
+                                   model.vocab_size)
+
+    def test_budget_counts_the_real_cells(self, monkeypatch):
+        # comb(11, 3) = 165 cells at a total of 8
+        model = equal_length_models()[1]
+        monkeypatch.setattr(topics, "_CELL_BUDGET", 165)
+        assert bayes_error(model, max_total_count=8).n_cells == 165
+        monkeypatch.setattr(topics, "_CELL_BUDGET", 164)
+        with pytest.raises(EnumerationTooLargeError):
+            bayes_error(model, max_total_count=8)
+
     def test_peak_memory_at_length_80(self):
-        # 848,046 cells at the default truncation of 170 words: the uint8
-        # counts (2.4 MiB) plus one 8,192-row gather and one 65,536-row
-        # joint buffer peak at 4.1 MiB; gathering whole 65,536-row blocks
-        # peaked at 7.4 MiB, and int64 counts at 26.0 MiB
+        # 848,046 cells at the default truncation of 170 words, read in
+        # 8,192-row blocks from slabs of the 14,706 two-word tails: 0.68
+        # MiB; the whole uint8 grid with one 65,536-row joint buffer peaked
+        # at 4.63 MiB, and int64 counts at 26.0 MiB
         model = scaled_model(equal_length_models()[1], 80.0)
         out = []
         peak = traced_peak_mib(lambda: out.append(bayes_error(model)))
         assert out[0].n_cells == 848_046
-        assert peak <= 10.0
+        assert peak <= 2.0
 
 
 class TestSyntheticBenchmark:

@@ -111,13 +111,22 @@ QUICK_DEMOS = ("posterior_preservation", "gaussian_score_accuracy",
                "margin_separator", "error_exponentiation")
 
 # one line per model: name, truncation, repr(value), repr(truncation_mass),
-# n_cells; equal_length_models() at the default truncation, MODEL at 30
+# n_cells; equal_length_models() at the default truncation, the second one
+# also scaled to expected length 80 (848,046 cells, 104 blocks of 8,192),
+# unequal_length_control() (one word), MODEL at 30
 BAYES_ERROR = """
 import json
-from droplab import TopicModel, bayes_error
-from droplab.presets import equal_length_models
+from droplab import Topic, TopicModel, bayes_error
+from droplab.presets import equal_length_models, unequal_length_control
 cases = [(f"equal_length_models()[{k}]", m, None)
          for k, m in enumerate(equal_length_models())]
+m = equal_length_models()[1]
+cases.append(("equal_length_models()[1] at length 80", TopicModel(
+    label_prior=m.label_prior, vocab_size=m.vocab_size,
+    topics=tuple(Topic(id=t.id, rho0=t.rho0, rho1=t.rho1,
+                       intensity=t.intensity * (80.0 / t.doc_length))
+                 for t in m.topics)), None))
+cases.append(("unequal_length_control()", unequal_length_control(), None))
 with open("model.json") as fh:
     cases.append(("MODEL", TopicModel.from_dict(json.load(fh)), 30))
 for name, model, total in cases:
