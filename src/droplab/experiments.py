@@ -7,10 +7,12 @@ owns one derived from (seed, trial, block), so results are independent of
 scheduling, of the thread count and of which other cells run, and any cell
 can be reproduced in isolation.  A learning-curve grid runs on one pool of
 `threads` workers: the cells fit on it, and each test block is drawn and
-scored on it chunk by chunk (`rng.poisson` and `np.einsum` release the
-GIL).  The altitude sweep runs its configurations on one thread per
-usable CPU, each drawing its kept and dropped words on two streams of its
-own (`rng.poisson` releases the GIL).
+scored on it chunk by chunk.  The draws (`rng.poisson`, `integers`) and
+`np.einsum` release the GIL; the `np.repeat` and `np.bincount` that place
+a chunk's split words (`topics._sample_chunks`) hold it for much of their
+work.  The altitude sweep runs its configurations on one thread per usable
+CPU, each drawing its kept and dropped words on two streams of its own
+(`rng.poisson` releases the GIL).
 """
 
 from __future__ import annotations
@@ -150,9 +152,6 @@ def _fit_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int
     started = time.perf_counter()
     rng = make_rng(spec.master_seed, _CELL_TAG, n, delta, trial)
     fingerprint = seed_fingerprint(spec.master_seed, _CELL_TAG, n, delta, trial)
-    # the trainers draw nothing; this draw keeps each cell's training-set
-    # stream, so the delta = 0 and delta = 1 rows stay as they were
-    rng.integers(0, 2 ** 31 - 1)
     note = ""
     try:
         train = sample_documents(spec.sampler, n, rng)

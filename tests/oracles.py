@@ -5,8 +5,8 @@ test, the per-sample Kolmogorov statistic, the length-first multinomial
 document sampler, an exhaustive zero-one empirical risk minimizer for
 d <= 3, the Monte Carlo dropout gradient and its descent, the row-wise
 exact Bayes risk, the Bayes risk summed in blocks over the whole count
-grid, the tracemalloc peak of a call, the one-call Poisson
-document sampler, the altitude sweep's error counts from one Poisson draw
+grid, the tracemalloc peak of a call, the document sampler with one call
+per random stream, the altitude sweep's error counts from one Poisson draw
 per stream, the Berry-Esseen distance from one sorted vector of every score,
 the learning-curve grid that joins each trial's test set before scoring it,
 the scipy.special forms of the normal CDF, the class log likelihoods, the
@@ -37,7 +37,7 @@ from droplab import (CurveRecord, CurveSpec, DocumentBatch, EmptyDataError,
 from droplab.bounds import normal_cdf
 from droplab.classifiers import _sigmoid
 from droplab.diagnostics import score_moments
-from droplab.topics import (TopicModel, _log_class_likelihoods,
+from droplab.topics import (_FLOOR_MAX, TopicModel, _log_class_likelihoods,
                             _log_factorial, _xlogy, enumerate_counts)
 
 
@@ -155,12 +155,29 @@ def sample_documents_multinomial(sampler: GenerativeSampler, n: int,
 
 def sample_documents_one_call(sampler: GenerativeSampler, n: int,
                               rng: np.random.Generator) -> DocumentBatch:
-    """`droplab.sample_documents` with one Poisson draw over the (n, d)
-    intensities of all n documents, counts left int64: the sampler before
-    its draws were split into row chunks."""
+    """`droplab.sample_documents` with one call per random stream over all
+    n documents, counts left int64: the sampler before its draws were split
+    into row chunks.
+
+    A row whose floor m = min_j lambda_j lies in (0, _FLOOR_MAX] and holds
+    more than half of its d cells gets Poisson(lambda_j - m) per cell on
+    `rng`, then a Poisson(d m) total on the first of two generators spawned
+    from `rng`, whose words land on the cells drawn on the second; every
+    other row gets Poisson(lambda_j) per cell on `rng`.
+    """
     labels = (rng.random(n) < sampler.label_prior).astype(np.int64)
     topic_ids = sampler.draw_topics(labels, rng)
-    counts = rng.poisson(sampler.intensity_rows(labels, topic_ids))
+    totals_rng, words_rng = rng.spawn(2)
+    lam = sampler.intensity_rows(labels, topic_ids)
+    d = sampler.vocab_size
+    floor = lam.min(axis=1)
+    at_floor = (lam == floor[:, None]).sum(axis=1)
+    split = (0 < floor) & (floor <= _FLOOR_MAX) & (at_floor > d / 2)
+    lam[split] = lam[split] - floor[split, None]
+    counts = rng.poisson(lam)
+    totals = totals_rng.poisson(d * floor[split])
+    words = words_rng.integers(0, d, size=totals.sum())
+    np.add.at(counts, (np.repeat(np.flatnonzero(split), totals), words), 1)
     return DocumentBatch(counts=counts, labels=labels, topics=topic_ids)
 
 
@@ -345,7 +362,6 @@ def learning_curves_joined(spec: CurveSpec) -> list[CurveRecord]:
                 key = (spec.master_seed, experiments._CELL_TAG, n, delta,
                        trial)
                 rng = make_rng(*key)
-                rng.integers(0, 2 ** 31 - 1)
                 cfg = replace(spec.train_cfg,
                               dropout=replace(spec.train_cfg.dropout,
                                               delta=delta))

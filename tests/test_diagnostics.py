@@ -117,8 +117,9 @@ class TestExcessRiskDecomposition:
         rng = Recording(make_rng(6, "decomp-draws"))
         excess_risk_decomposition(model, clf, 0.5, 250_000, rng)
         # sample_documents draws d = 3 rows in chunks of _SAMPLE_CELLS // 3
-        # (21,845): ten for the first 200,000-document round, three for the
-        # last 50,000
+        # (10,922): nineteen for the first 200,000-document round, five for
+        # the last 50,000; the totals and words of its split rows are drawn
+        # on generators spawned from rng
         rows = topics._SAMPLE_CELLS // 3
         assert rng.calls.count("poisson") == sum(-(-b // rows)
                                                  for b in (200_000, 50_000))

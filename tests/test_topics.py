@@ -4,13 +4,14 @@ from math import comb
 import numpy as np
 import pytest
 from scipy import stats as sps
-from scipy.stats import chisquare
+from scipy.stats import chi2_contingency, chisquare
 
 from droplab import (EnumerationTooLargeError, Topic, TopicModel,
                      UndefinedPosteriorError, bayes_error, bayes_posterior,
                      build_synthetic_model, dropout_posterior, make_rng,
                      sample_documents, thinned_model)
 from droplab import topics
+from droplab.experiments import influence_demo_model
 from droplab.topics import enumerate_counts
 from droplab.presets import equal_length_models, unequal_length_control
 from droplab.verify import BIAS_DELTAS
@@ -169,18 +170,20 @@ class TestSampling:
             assert batch.counts.dtype == np.uint16
 
     def test_peak_memory_is_the_output_and_a_few_chunks(self):
-        # the counts once in their narrowest dtype, one chunk's float
-        # intensities and int64 draws, and 32 bytes a row for the int64
-        # labels and float topic ids, drawn and then collected from the
-        # chunks (10.96 MiB here); sampling through an (n, d) float
-        # intensity matrix and an int64 Poisson result peaked at 153 MiB
-        # on this batch
+        # the counts once in their narrowest dtype, four 8-byte cells per
+        # chunk cell (a chunk's float intensities, then about two int64
+        # words per cell with their int32 row offsets), and 32 bytes a row
+        # for the int64 labels and float topic ids, drawn and then
+        # collected from the chunks: 10.81 MiB here, against 10.96 MiB for
+        # one Poisson draw per cell in chunks twice this size; sampling
+        # through an (n, d) float intensity matrix and an int64 Poisson
+        # result peaked at 153 MiB on this batch
         out = []
         peak = traced_peak_mib(lambda: out.append(sample_documents(
             build_synthetic_model(), 20_000, make_rng(19, "memory"))))
         counts = out[0].counts
         narrow = counts.size * np.min_scalar_type(counts.max()).itemsize
-        assert peak < (narrow + 2 * topics._SAMPLE_CELLS * 8
+        assert peak < (narrow + 4 * topics._SAMPLE_CELLS * 8
                        + 32 * len(counts)) / 2 ** 20
 
     def test_peak_memory_holds_the_counts_once(self):
@@ -305,6 +308,121 @@ class TestSampling:
         _, p = chi_square_two_sample(self._joint_histogram(a.counts, top=10),
                                      self._joint_histogram(b.counts, top=10))
         assert p > 0.001
+
+
+def acceptance_model():
+    """The 3-word model tools/acceptance_outputs.py samples: no floor holds
+    more than a third of a row."""
+    return TopicModel(label_prior=0.4, vocab_size=3, topics=(
+        Topic(id=0, rho0=0.7, rho1=0.2, intensity=np.array([6.0, 2.0, 1.0])),
+        Topic(id=1, rho0=0.3, rho1=0.8, intensity=np.array([1.0, 3.0, 5.0]))))
+
+
+def poisson_chi_square_p(values, lam, top):
+    """p-value of the chi-square test of the values against Poisson(lam),
+    counts above `top` in one bin."""
+    obs = np.bincount(np.minimum(values, top + 1), minlength=top + 2)
+    pmf = sps.poisson.pmf(np.arange(top + 2), lam)
+    pmf[top + 1] = sps.poisson.sf(top, lam)
+    return chisquare(*pool_bins(obs, pmf * len(values), min_expected=5.0))[1]
+
+
+class TestPoissonSplitting:
+    # a row whose floor m = min_j lambda_j lies in (0, 2] at more than half
+    # of its cells draws Poisson(lambda_j - m) per cell plus a Poisson(d m)
+    # total of uniformly placed words
+
+    @pytest.fixture(scope="class")
+    def label0_counts(self):
+        batch = sample_documents(build_synthetic_model(), 40_000,
+                                 make_rng(23, "split-law"))
+        return batch.counts[batch.labels == 0].astype(np.int64)
+
+    def test_counts_are_poisson(self, label0_counts):
+        # label 0: 493 bulk words at 1000 / (7e + 493) = 1.953, the row's
+        # floor, and 7 block words at e times that
+        bulk = 1000.0 / (7.0 * np.e + 493.0)
+        assert poisson_chi_square_p(label0_counts[:, 14:].ravel(), bulk,
+                                    10) > 0.001
+        assert poisson_chi_square_p(label0_counts[:, :7].ravel(),
+                                    np.e * bulk, 14) > 0.001
+        # a row's bulk total is Poisson too, not a fixed number of words
+        assert poisson_chi_square_p(label0_counts[:, 7:].sum(axis=1),
+                                    493 * bulk, 1100) > 0.001
+
+    @pytest.mark.parametrize("pair", [(7, 499), (0, 7), (100, 101)])
+    def test_word_pairs_are_independent(self, label0_counts, pair):
+        # the joint table of two words' counts, the last row and column
+        # holding everything from 6 up
+        a, b = (np.minimum(label0_counts[:, j], 6) for j in pair)
+        table = np.zeros((7, 7))
+        np.add.at(table, (a, b), 1)
+        assert chi2_contingency(table).pvalue > 0.001
+
+    def test_split_rows_agree_with_the_length_first_sampler(self):
+        # words 0 and 1 sit at the floor of (1, 1, 3), so every row splits
+        sampler = single_topic_model([1.0, 1.0, 3.0])
+        a = sample_documents(sampler, 100_000, make_rng(24, "independent"))
+        b = sample_documents_multinomial(sampler, 100_000,
+                                         make_rng(24, "lengthfirst"))
+        _, p = chi_square_two_sample(
+            TestSampling._joint_histogram(a.counts, top=10),
+            TestSampling._joint_histogram(b.counts, top=10))
+        assert p > 0.001
+
+    @pytest.mark.parametrize("name, n", [("influence", 40_000),
+                                         ("acceptance", 25_000),
+                                         ("distinct", 200)])
+    def test_rows_that_never_split_draw_one_poisson_call(self, name, n):
+        # floors of at least 80, floors at a third of a row, and 500
+        # distinct intensities in (0, 2]: every chunk reads the stream as
+        # one rng.poisson call over all n rows, and nothing more
+        sampler = {"influence": influence_demo_model,
+                   "acceptance": acceptance_model,
+                   "distinct": lambda: single_topic_model(
+                       np.linspace(0.01, 2.0, 500))}[name]()
+        rng, ref_rng = make_rng(25, name), make_rng(25, name)
+        batch = sample_documents(sampler, n, rng)
+        labels, topic_ids, lam = draw_head(sampler, n, ref_rng)
+        assert len(batch) > topics._SAMPLE_CELLS // sampler.vocab_size
+        assert np.array_equal(batch.labels, labels)
+        assert np.array_equal(batch.counts, ref_rng.poisson(lam))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["synthetic", "topic-model"])
+    def test_counts_do_not_depend_on_the_chunk_size(self, monkeypatch, name):
+        # the (1, 1, 300) topic splits and the other two do not, so most
+        # chunks of the topic model mix split and unsplit rows; one-row
+        # chunks end on every parity of the words drawn so far
+        sampler = (build_synthetic_model() if name == "synthetic"
+                   else small_topic_model())
+        n = 300
+        d = sampler.vocab_size
+        runs = []
+        for cells in (d, 7 * d, 64 * d, 2 ** 15):
+            monkeypatch.setattr(topics, "_SAMPLE_CELLS", cells)
+            rng = make_rng(26, name)
+            batch = sample_documents(sampler, n, rng)
+            runs.append((batch, rng.bit_generator.state))
+        (first, state), *rest = runs
+        for batch, other_state in rest:
+            assert np.array_equal(batch.counts, first.counts)
+            assert np.array_equal(batch.labels, first.labels)
+            assert other_state == state
+        if name == "topic-model":
+            assert 0 < np.count_nonzero(first.topics == 40.0) < n
+
+    def test_calls_on_one_generator_draw_fresh_words(self):
+        # every cell of a flat row sits at its floor, so rng reads only the
+        # labels and topics and each row's ~100 words come from the split
+        # streams; streams jumped from rng's state would hand the second
+        # call a shifted copy of the first call's rows
+        sampler = single_topic_model(np.full(50, 2.0))
+        rng = make_rng(27, "two-calls")
+        first, second = (sample_documents(sampler, 2_000, rng).counts
+                         for _ in range(2))
+        seen = {row.tobytes() for row in first}
+        assert not any(row.tobytes() in seen for row in second)
 
 
 class TestBayesPosterior:
