@@ -210,8 +210,7 @@ class GenerativeSampler(Protocol):
 
     def intensity_rows(self, labels: np.ndarray, topic_ids: np.ndarray
                        ) -> np.ndarray:
-        """The (m, vocab_size) intensities of m documents, in a new array
-        the caller may overwrite; draws nothing."""
+        """The (m, vocab_size) intensities of m documents; draws nothing."""
         ...
 
 
@@ -222,15 +221,14 @@ def _sample_chunks(sampler: GenerativeSampler, n: int,
 
     The labels and the topics of all n rows are drawn first, then each
     chunk's counts.  A row whose floor m = min_j lambda_j lies in
-    (0, _FLOOR_MAX] and holds more than half its d cells is split: a
-    Poisson(lambda_j - m) draw per cell on `rng`, plus a Poisson(d m) total
-    on the first of two generators spawned from `rng`, whose words fall
-    uniformly on the d cells, drawn on the second.  By Poisson splitting
-    every cell is still Poisson(lambda_j).  Each stream is read in row
-    order, so no count depends on the chunk size, and a row that is not
-    split reads `rng` as one rng.poisson call over its intensities would
-    (a zero rate draws nothing).  n = 0 yields one empty chunk, so a caller
-    still sees the label and topic dtypes.
+    (0, _FLOOR_MAX] is split: a Poisson(lambda_j - m) draw per cell on
+    `rng`, plus a Poisson(d m) total on the first of two generators spawned
+    from `rng`, whose words fall uniformly on the d cells, drawn on the
+    second.  By Poisson splitting every cell is still Poisson(lambda_j).
+    Each stream is read in row order, so no count depends on the chunk
+    size, and a row that is not split reads `rng` as one rng.poisson call
+    over its intensities would (a zero rate draws nothing).  n = 0 yields
+    one empty chunk, so a caller still sees the label and topic dtypes.
     """
     labels = (rng.random(n) < sampler.label_prior).astype(np.int64)
     topic_ids = sampler.draw_topics(labels, rng)
@@ -245,30 +243,22 @@ def _sample_chunks(sampler: GenerativeSampler, n: int,
         # each row's minimum; min(axis=1) is several times slower on short rows
         floor = np.minimum.reduceat(lam.ravel(), np.arange(0, lam.size, d))
         split = (floor > 0) & (floor <= _FLOOR_MAX)
-        if split.any():  # and more than half the cells sit at the floor
-            split &= 2 * np.count_nonzero(lam > floor[:, None], axis=1) < d
-        if not split.any():
-            counts = rng.poisson(lam)
-            del lam  # a generator's locals live on across its yield
-        else:
-            floor[~split] = 0.0
-            lam -= floor[:, None]
-            # rng.poisson draws nothing at a zero rate, so one call over
-            # the positive rates reads rng as a call over the chunk would
-            drawn = lam > 0
-            residual = rng.poisson(lam[drawn])
-            del lam
-            totals = totals_rng.poisson(d * floor[split])
-            # int64 words reach bincount uncopied (int16 ones would not be
-            # drawn split-invariantly); the row offsets, below rows * d,
-            # fit int32
-            words = words_rng.integers(0, d, size=int(totals.sum()))
-            words += np.repeat(np.flatnonzero(split).astype(np.int32) * d,
-                               totals)
-            counts = np.bincount(words, minlength=drawn.size
-                                 ).reshape(drawn.shape)
-            del words
-            counts[drawn] += residual
+        floor[~split] = 0.0
+        lam = lam - floor[:, None]
+        # rng.poisson draws nothing at a zero rate, so one call over the
+        # other rates reads rng as a call over the chunk would; a negative
+        # or NaN rate still reaches it and raises
+        drawn = lam != 0
+        residual = rng.poisson(lam[drawn])
+        del lam  # a generator's locals live on across its yield
+        totals = totals_rng.poisson(d * floor[split])
+        # int64 words reach bincount uncopied (int16 ones would not be
+        # drawn split-invariantly); the row offsets, below rows * d, fit int32
+        words = words_rng.integers(0, d, size=int(totals.sum()))
+        words += np.repeat(np.flatnonzero(split).astype(np.int32) * d, totals)
+        counts = np.bincount(words, minlength=drawn.size).reshape(drawn.shape)
+        del words
+        counts[drawn] += residual
         counts = _narrow(counts)
         yield DocumentBatch(counts=counts, labels=labels[part],
                             topics=topic_ids[part])
@@ -278,10 +268,14 @@ def sample_documents(sampler: GenerativeSampler, n: int,
                      rng: np.random.Generator) -> DocumentBatch:
     """Draw n documents: label, topic given the label, then independent
     Poisson counts, consuming the stream in that order.  The counts are drawn
-    in the row chunks of `_sample_chunks`, a row with a low, shared floor
-    intensity by Poisson splitting on two generators spawned from `rng`, and
-    written into one array kept in the narrowest unsigned dtype that holds
-    them.
+    in the row chunks of `_sample_chunks`, a row whose smallest intensity
+    lies in (0, 2] by Poisson splitting on two generators spawned from
+    `rng`, and written into one array kept in the narrowest unsigned dtype
+    that holds them.
+
+    `rng` must be seeded from a SeedSequence, as `make_rng` does: the split
+    rows' words depend on its seed sequence and on how many children it has
+    spawned, neither of which `rng.bit_generator.state` holds.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

@@ -159,11 +159,11 @@ def sample_documents_one_call(sampler: GenerativeSampler, n: int,
     n documents, counts left int64: the sampler before its draws were split
     into row chunks.
 
-    A row whose floor m = min_j lambda_j lies in (0, _FLOOR_MAX] and holds
-    more than half of its d cells gets Poisson(lambda_j - m) per cell on
-    `rng`, then a Poisson(d m) total on the first of two generators spawned
-    from `rng`, whose words land on the cells drawn on the second; every
-    other row gets Poisson(lambda_j) per cell on `rng`.
+    A row whose floor m = min_j lambda_j lies in (0, _FLOOR_MAX] gets
+    Poisson(lambda_j - m) per cell on `rng`, then a Poisson(d m) total on
+    the first of two generators spawned from `rng`, whose words land on the
+    cells drawn on the second; every other row gets Poisson(lambda_j) per
+    cell on `rng`.
     """
     labels = (rng.random(n) < sampler.label_prior).astype(np.int64)
     topic_ids = sampler.draw_topics(labels, rng)
@@ -171,10 +171,8 @@ def sample_documents_one_call(sampler: GenerativeSampler, n: int,
     lam = sampler.intensity_rows(labels, topic_ids)
     d = sampler.vocab_size
     floor = lam.min(axis=1)
-    at_floor = (lam == floor[:, None]).sum(axis=1)
-    split = (0 < floor) & (floor <= _FLOOR_MAX) & (at_floor > d / 2)
-    lam[split] = lam[split] - floor[split, None]
-    counts = rng.poisson(lam)
+    split = (0 < floor) & (floor <= _FLOOR_MAX)
+    counts = rng.poisson(lam - np.where(split, floor, 0.0)[:, None])
     totals = totals_rng.poisson(d * floor[split])
     words = words_rng.integers(0, d, size=totals.sum())
     np.add.at(counts, (np.repeat(np.flatnonzero(split), totals), words), 1)

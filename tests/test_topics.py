@@ -127,8 +127,8 @@ class TestSampling:
     def test_labels_are_drawn_before_topics(self, monkeypatch):
         # one uniform per document decides its label, then draw_topics sees
         # the labels and the stream just past those uniforms; intensity_rows
-        # draws nothing, so three 128-row chunks of Poisson draws continue
-        # the stream as one call over all 300 rows would
+        # draws nothing, so three 128-row chunks continue each stream as one
+        # call over all 300 rows would
         monkeypatch.setattr(topics, "_SAMPLE_CELLS", 256)
         sampler = FixedIntensitySampler([1.0, 2.0])
         batch = sample_documents(sampler, 300, make_rng(17, "order"))
@@ -140,8 +140,9 @@ class TestSampling:
         assert seen_state == rng.bit_generator.state
         assert [m for m, _ in sampler.rows] == [128, 128, 44]
         assert sampler.rows[0][1] == seen_state
-        assert np.array_equal(batch.counts,
-                              rng.poisson(np.tile([1.0, 2.0], (300, 1))))
+        ref = sample_documents_one_call(FixedIntensitySampler([1.0, 2.0]), 300,
+                                        make_rng(17, "order"))
+        assert np.array_equal(batch.counts, ref.counts)
 
     def test_negative_n_is_rejected_by_name(self):
         with pytest.raises(ValueError, match="n must be >= 0, got -1"):
@@ -151,20 +152,28 @@ class TestSampling:
             assert len(sample_documents(sampler, 0, make_rng(0, "n"))) == 0
 
     @pytest.mark.parametrize("name", ["synthetic", "topic-model"])
-    def test_chunks_match_one_poisson_call(self, name):
-        # n = 0, n = 1, exactly one chunk, and a ragged n over three chunks
+    def test_chunks_match_one_poisson_call(self, monkeypatch, name):
+        # chunks of 1, 7 and 64 rows and of the default size, and at each
+        # n = 0, n = 1, exactly one chunk, and a ragged n over three chunks;
+        # every synthetic row splits, while the topic model's (0, 2, 3)
+        # topic does not, so its chunks mix split and unsplit rows
         sampler = (build_synthetic_model() if name == "synthetic"
                    else small_topic_model())
-        rows = topics._SAMPLE_CELLS // sampler.vocab_size
-        for n in (0, 1, rows, 2 * rows + 37):
-            batch = sample_documents(sampler, n, make_rng(18, name, n))
-            ref = sample_documents_one_call(sampler, n, make_rng(18, name, n))
-            assert batch.counts.shape == (n, sampler.vocab_size)
-            assert np.array_equal(batch.counts, ref.counts)
-            assert np.array_equal(batch.labels, ref.labels)
-            assert np.array_equal(batch.topics, ref.topics)
-            assert batch.counts.dtype == np.min_scalar_type(
-                ref.counts.max(initial=0))
+        d = sampler.vocab_size
+        for cells in (d, 7 * d, 64 * d, topics._SAMPLE_CELLS):
+            monkeypatch.setattr(topics, "_SAMPLE_CELLS", cells)
+            rows = cells // d
+            for n in (0, 1, rows, 2 * rows + 37):
+                rng, ref_rng = make_rng(18, name, n), make_rng(18, name, n)
+                batch = sample_documents(sampler, n, rng)
+                ref = sample_documents_one_call(sampler, n, ref_rng)
+                assert batch.counts.shape == (n, d)
+                assert np.array_equal(batch.counts, ref.counts)
+                assert np.array_equal(batch.labels, ref.labels)
+                assert np.array_equal(batch.topics, ref.topics)
+                assert batch.counts.dtype == np.min_scalar_type(
+                    ref.counts.max(initial=0))
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
         if name == "topic-model":
             assert set(batch.topics) == {7.0, 2.0, 40.0}
             assert batch.counts.dtype == np.uint16
@@ -310,14 +319,6 @@ class TestSampling:
         assert p > 0.001
 
 
-def acceptance_model():
-    """The 3-word model tools/acceptance_outputs.py samples: no floor holds
-    more than a third of a row."""
-    return TopicModel(label_prior=0.4, vocab_size=3, topics=(
-        Topic(id=0, rho0=0.7, rho1=0.2, intensity=np.array([6.0, 2.0, 1.0])),
-        Topic(id=1, rho0=0.3, rho1=0.8, intensity=np.array([1.0, 3.0, 5.0]))))
-
-
 def poisson_chi_square_p(values, lam, top):
     """p-value of the chi-square test of the values against Poisson(lam),
     counts above `top` in one bin."""
@@ -328,9 +329,9 @@ def poisson_chi_square_p(values, lam, top):
 
 
 class TestPoissonSplitting:
-    # a row whose floor m = min_j lambda_j lies in (0, 2] at more than half
-    # of its cells draws Poisson(lambda_j - m) per cell plus a Poisson(d m)
-    # total of uniformly placed words
+    # a row whose floor m = min_j lambda_j lies in (0, 2] draws
+    # Poisson(lambda_j - m) per cell plus a Poisson(d m) total of uniformly
+    # placed words
 
     @pytest.fixture(scope="class")
     def label0_counts(self):
@@ -360,7 +361,7 @@ class TestPoissonSplitting:
         assert chi2_contingency(table).pvalue > 0.001
 
     def test_split_rows_agree_with_the_length_first_sampler(self):
-        # words 0 and 1 sit at the floor of (1, 1, 3), so every row splits
+        # (1, 1, 3) has floor 1, so every row splits
         sampler = single_topic_model([1.0, 1.0, 3.0])
         a = sample_documents(sampler, 100_000, make_rng(24, "independent"))
         b = sample_documents_multinomial(sampler, 100_000,
@@ -371,16 +372,17 @@ class TestPoissonSplitting:
         assert p > 0.001
 
     @pytest.mark.parametrize("name, n", [("influence", 40_000),
-                                         ("acceptance", 25_000),
-                                         ("distinct", 200)])
+                                         ("zero-floor", 200),
+                                         ("above-max", 200)])
     def test_rows_that_never_split_draw_one_poisson_call(self, name, n):
-        # floors of at least 80, floors at a third of a row, and 500
-        # distinct intensities in (0, 2]: every chunk reads the stream as
-        # one rng.poisson call over all n rows, and nothing more
+        # floors of at least 80, 500 intensities from 0 to 2, and 500 from
+        # just above 2: every chunk reads the stream as one rng.poisson call
+        # over all n rows, and nothing more
         sampler = {"influence": influence_demo_model,
-                   "acceptance": acceptance_model,
-                   "distinct": lambda: single_topic_model(
-                       np.linspace(0.01, 2.0, 500))}[name]()
+                   "zero-floor": lambda: single_topic_model(
+                       np.linspace(0.0, 2.0, 500)),
+                   "above-max": lambda: single_topic_model(
+                       np.linspace(np.nextafter(2.0, 3.0), 4.0, 500))}[name]()
         rng, ref_rng = make_rng(25, name), make_rng(25, name)
         batch = sample_documents(sampler, n, rng)
         labels, topic_ids, lam = draw_head(sampler, n, ref_rng)
@@ -389,28 +391,35 @@ class TestPoissonSplitting:
         assert np.array_equal(batch.counts, ref_rng.poisson(lam))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("name", ["synthetic", "topic-model"])
-    def test_counts_do_not_depend_on_the_chunk_size(self, monkeypatch, name):
-        # the (1, 1, 300) topic splits and the other two do not, so most
-        # chunks of the topic model mix split and unsplit rows; one-row
-        # chunks end on every parity of the words drawn so far
-        sampler = (build_synthetic_model() if name == "synthetic"
-                   else small_topic_model())
-        n = 300
-        d = sampler.vocab_size
-        runs = []
-        for cells in (d, 7 * d, 64 * d, 2 ** 15):
-            monkeypatch.setattr(topics, "_SAMPLE_CELLS", cells)
-            rng = make_rng(26, name)
-            batch = sample_documents(sampler, n, rng)
-            runs.append((batch, rng.bit_generator.state))
-        (first, state), *rest = runs
-        for batch, other_state in rest:
-            assert np.array_equal(batch.counts, first.counts)
-            assert np.array_equal(batch.labels, first.labels)
-            assert other_state == state
-        if name == "topic-model":
-            assert 0 < np.count_nonzero(first.topics == 40.0) < n
+    def test_bad_rates_raise_and_the_intensities_stay_unwritten(self):
+        # a GenerativeSampler need not validate its intensities: beside a
+        # row that splits, a negative or NaN rate still reaches rng.poisson
+        # and raises; and the rows intensity_rows returns, here one cached
+        # array, are read but never written
+        class CachedSampler:
+            label_prior = 0.5
+            vocab_size = 3
+
+            def __init__(self, second_row):
+                self.lam = np.array([[1.0, 1.0, 3.0], second_row])
+
+            def draw_topics(self, labels, rng):
+                return np.zeros(len(labels))
+
+            def intensity_rows(self, labels, topic_ids):
+                return self.lam
+
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError):
+                sample_documents(CachedSampler([2.0, bad, 5.0]), 2,
+                                 make_rng(28, "bad"))
+        sampler = CachedSampler([4.0, 3.0, 5.0])
+        sampler.lam.flags.writeable = False
+        batch = sample_documents(sampler, 2, make_rng(28, "cached"))
+        assert np.array_equal(sampler.lam, [[1.0, 1.0, 3.0], [4.0, 3.0, 5.0]])
+        ref = sample_documents_one_call(CachedSampler([4.0, 3.0, 5.0]), 2,
+                                        make_rng(28, "cached"))
+        assert np.array_equal(batch.counts, ref.counts)
 
     def test_calls_on_one_generator_draw_fresh_words(self):
         # every cell of a flat row sits at its floor, so rng reads only the

@@ -30,8 +30,8 @@ MODEL = {"label_prior": 0.4, "vocab_size": 3, "topics": [
 # MODEL with a rare third topic that puts intensity 300 on one word: at
 # --seed 4 its one document (row 28,334) falls in the third of five
 # 10,922-row sampling chunks, so the counts widen from uint8 to uint16 after
-# two chunks are written; its floor of 1 holds two of its three words, so
-# that row is drawn by Poisson splitting
+# two chunks are written; every row of this model has a floor of 1, so every
+# row is drawn by Poisson splitting
 WIDE_MODEL = {**MODEL, "topics": [
     MODEL["topics"][0], {**MODEL["topics"][1], "rho1": 0.7999},
     {"id": 2, "rho0": 0.0, "rho1": 0.0001, "intensity": [1.0, 1.0, 300.0]}]}
