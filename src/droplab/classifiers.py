@@ -26,6 +26,18 @@ class EmptyDataError(ValueError):
     """No examples supplied."""
 
 
+def _stacked_scores(counts: np.ndarray, weights: np.ndarray,
+                    intercepts) -> np.ndarray:
+    """Scores w_k.x + b_k of R rules on each row x of counts, shape (..., R),
+    for weights (R, d) and intercepts (R,) or a scalar.
+
+    einsum reads the stored counts directly and calls no BLAS, so a row's
+    score does not depend on the row count, the thread count or the other
+    rules of the stack: each column equals the one-rule call bit for bit.
+    """
+    return np.einsum("...j,kj->...k", np.asarray(counts), weights) + intercepts
+
+
 @dataclass(frozen=True)
 class LinearClassifier:
     """Weights and intercept of the linear rule 1{w.x + b > 0}."""
@@ -41,10 +53,8 @@ class LinearClassifier:
             raise ValueError("classifier parameters must be finite")
 
     def scores(self, counts: np.ndarray) -> np.ndarray:
-        # einsum reads the stored counts directly and calls no BLAS, so a
-        # row's score does not depend on the row count or the thread count
-        return np.einsum("...j,j->...", np.asarray(counts),
-                         self.weights) + self.intercept
+        return _stacked_scores(counts, self.weights[None, :],
+                               self.intercept)[..., 0]
 
     def predict(self, counts: np.ndarray) -> np.ndarray:
         return (self.scores(counts) > 0.0).astype(np.int64)
@@ -254,7 +264,7 @@ def recalibrate_intercept(clf: LinearClassifier, data) -> LinearClassifier:
     x, y, _ = as_arrays(data)
     if len(y) == 0:
         raise EmptyDataError("no examples to recalibrate on")
-    s = LinearClassifier(weights=clf.weights).scores(x)
+    s = _stacked_scores(x, clf.weights[None, :], 0.0)[:, 0]
     u, inverse = np.unique(s, return_inverse=True)
     n1_at = np.bincount(inverse, weights=(y == 1), minlength=len(u))
     n0_at = np.bincount(inverse, weights=(y == 0), minlength=len(u))

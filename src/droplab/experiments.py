@@ -7,7 +7,8 @@ owns one derived from (seed, trial, block), so results are independent of
 scheduling, of the thread count and of which other cells run, and any cell
 can be reproduced in isolation.  A learning-curve grid runs on one pool of
 `threads` workers: the cells fit on it, and each test block is drawn and
-scored on it chunk by chunk.  The draws (`rng.poisson`, `integers`) and
+scored on it chunk by chunk, every fitted rule of the trial in one
+`np.einsum` per chunk.  The draws (`rng.poisson`, `integers`) and
 `np.einsum` release the GIL; the `np.repeat` and `np.bincount` that place
 a chunk's split words (`topics._sample_chunks`) hold it for much of their
 work.  The altitude sweep runs its configurations on one thread per usable
@@ -25,10 +26,10 @@ import numpy as np
 
 from . import serialize
 from .bounds import BoundReport, altitude_error_bound, gaussian_error_estimate
-from .classifiers import (LinearClassifier, TrainConfig, error_by_topic,
-                          evaluate_error, recalibrate_intercept,
-                          train_logistic, train_logistic_dropout,
-                          train_naive_bayes)
+from .classifiers import (LinearClassifier, TrainConfig, _stacked_scores,
+                          error_by_topic, evaluate_error,
+                          recalibrate_intercept, train_logistic,
+                          train_logistic_dropout, train_naive_bayes)
 from .diagnostics import berry_esseen_statistic, score_moments
 # no sweep calls thin_counts: bench/spans.py binds experiments.thin_counts
 from .dropout import dropout_posterior, thin_counts  # noqa: F401
@@ -176,28 +177,31 @@ def _test_block_chunks(spec: CurveSpec, trial: int, block: int):
 
 
 def _score_block(spec: CurveSpec, rules, trial: int, block: int
-                 ) -> tuple[list, list[float]]:
-    """Each fitted rule's misclassified count on one test block, and its
-    scoring seconds.
+                 ) -> tuple[np.ndarray | ValueError, float]:
+    """The misclassified counts of a trial's fitted rules on one test block,
+    and each rule's scoring seconds.
 
-    The block is scored chunk by chunk as it is drawn and never held.  A
-    rule that raises a ValueError gets that error in place of its count and
-    is not scored further; a rule of None (a failed fit) is not scored.
+    The block is scored chunk by chunk as it is drawn and never held: one
+    `_stacked_scores` call scores every rule on a chunk, and each rule is
+    charged an even share of its time.  A chunk whose width is not the
+    rules' ends the block with a ValueError in place of the counts, which
+    fails every rule.
     """
-    wrong = [0] * len(rules)
-    busy = [0.0] * len(rules)
+    weights = np.stack([clf.weights for clf in rules])
+    intercepts = np.array([clf.intercept for clf in rules])
+    wrong = np.zeros(len(rules), dtype=np.int64)
+    busy = 0.0
     for chunk in _test_block_chunks(spec, trial, block):
-        for i, clf in enumerate(rules):
-            if clf is None or isinstance(wrong[i], ValueError):
-                continue
-            started = time.perf_counter()
-            try:
-                wrong[i] += int(np.count_nonzero(clf.predict(chunk.counts)
-                                                 != chunk.labels))
-            except ValueError as exc:
-                wrong[i] = exc
-            busy[i] += time.perf_counter() - started
-    return wrong, busy
+        if chunk.counts.shape[1] != weights.shape[1]:
+            wrong = ValueError(
+                f"test documents have {chunk.counts.shape[1]} counts per row "
+                f"but the rules have {weights.shape[1]} weights")
+            break
+        started = time.perf_counter()
+        s = _stacked_scores(chunk.counts, weights, intercepts)
+        wrong += np.count_nonzero((s > 0.0) != chunk.labels[:, None], axis=0)
+        busy += time.perf_counter() - started
+    return wrong, busy / len(rules)
 
 
 def _scored(spec: CurveSpec, fitted, blocks) -> list[CurveRecord]:
@@ -207,21 +211,25 @@ def _scored(spec: CurveSpec, fitted, blocks) -> list[CurveRecord]:
     A cell's test error is its misclassified count summed over the blocks,
     over test_size: an exact integer rounded once, so it equals
     evaluate_error on the joined set bit for bit.  Scoring time is added to
-    each cell's fit time, and a ValueError while scoring (the first, in
-    block order) fails the cell as one during its fit does.
+    each fitted cell's fit time, and a ValueError while scoring (the first,
+    in block order) fails every fitted cell as one during its fit does.
     """
+    results = [wrong for wrong, _ in blocks]
+    failed = next((r for r in results if isinstance(r, ValueError)), None)
+    totals = iter(sum(results).tolist() if results and failed is None
+                  else ())
+    busy = sum(seconds for _, seconds in blocks) * 1000.0
     out = []
-    for i, (record, clf) in enumerate(fitted):
-        results = [wrong[i] for wrong, _ in blocks]
-        failed = [r for r in results if isinstance(r, ValueError)]
-        busy = sum(seconds[i] for _, seconds in blocks)
-        if failed:
-            record = replace(record, train_error=float("nan"),
-                             note=f"{type(failed[0]).__name__}: {failed[0]}")
-        elif clf is not None:
-            record = replace(record, test_error=sum(results) / spec.test_size)
-        out.append(replace(record,
-                           wall_time_ms=record.wall_time_ms + busy * 1000.0))
+    for record, clf in fitted:
+        if clf is not None:
+            if failed is not None:
+                record = replace(record, train_error=float("nan"),
+                                 note=f"{type(failed).__name__}: {failed}")
+            else:
+                record = replace(record,
+                                 test_error=next(totals) / spec.test_size)
+            record = replace(record, wall_time_ms=record.wall_time_ms + busy)
+        out.append(record)
     return out
 
 
@@ -236,11 +244,13 @@ def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
     One pool of `threads` workers does all of the work.  Every trial's cells
     are queued on it first; once a trial's rules are fitted, each of its
     test blocks of _TEST_BLOCK_ROWS rows is queued as one task, which draws
-    the block on its own stream (seed, trial, block) and scores every rule
-    on each chunk as it is drawn.  No test set or block is held, and no
-    output depends on `threads`.  A cell's wall time (written with
-    --timing) is its fit time plus its scoring time, both measured while
-    other cells and blocks share the CPUs.
+    the block on its own stream (seed, trial, block) and scores every
+    fitted rule on each chunk as it is drawn, with one stacked einsum per
+    chunk.  A trial with no fitted rule draws no test block.  No test set
+    or block is held, and no output depends on `threads`.  A cell's wall
+    time (written with --timing) is its fit time plus its scoring time, an
+    even share of each chunk's scoring call among the trial's fitted
+    rules, both measured while other cells and blocks share the CPUs.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -255,9 +265,10 @@ def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
         scores = []
         for trial in range(spec.trials):
             fitted = [f.result() for f in fits[trial]]
-            rules = [clf for _, clf in fitted]
+            rules = [clf for _, clf in fitted if clf is not None]
             scores.append((fitted, [pool.submit(_score_block, spec, rules,
-                                                trial, k) for k in blocks]))
+                                                trial, k) for k in blocks]
+                           if rules else []))
         for trial, (fitted, scoring) in enumerate(scores):
             scored = _scored(spec, fitted, [f.result() for f in scoring])
             records.update(((n, di, trial), r)

@@ -77,6 +77,46 @@ class TestLinearClassifier:
             assert np.array_equal(clf.scores(x.astype(dtype)), whole)
         assert clf.scores(np.zeros((0, 500), dtype=np.int64)).shape == (0,)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_stacked_scores_equal_each_rule_bit_for_bit(self, dtype):
+        # the curves score every rule of a trial in one stacked call; each
+        # column must be the rule's own score, which must be the one-rule
+        # einsum it always was, on whole chunks and lone rows
+        rng = np.random.default_rng(33)
+        train = sample_documents(build_synthetic_model(), 300,
+                                 make_rng(0, "stacked"))
+        d = train.counts.shape[1]
+        rules = [recalibrate_intercept(train_naive_bayes(train, 1.0), train),
+                 recalibrate_intercept(
+                     train_logistic(train, TrainConfig(epochs=20)), train),
+                 recalibrate_intercept(train_logistic_dropout(
+                     train, TrainConfig(epochs=20,
+                                        dropout=DropoutConfig(0.5))), train)]
+        for _ in range(6):  # |w_j| from 1e-4 to 1e2, random signs
+            rules.append(LinearClassifier(
+                weights=rng.choice([-1.0, 1.0], size=d)
+                * 10.0 ** rng.uniform(-4.0, 2.0, size=d),
+                intercept=rng.normal(scale=10.0)))
+        x = rng.poisson(2.0, size=(700, d)).astype(dtype)
+        x[:5, :3] = 200 if dtype == np.uint8 else 60_000
+        weights = np.stack([clf.weights for clf in rules])
+        intercepts = np.array([clf.intercept for clf in rules])
+        stacked = classifiers._stacked_scores(x, weights, intercepts)
+        assert stacked.shape == (700, len(rules))
+        for k, clf in enumerate(rules):
+            reference = (np.einsum("...j,j->...", x, clf.weights)
+                         + clf.intercept)
+            assert stacked[:, k].tobytes() == reference.tobytes()
+            assert clf.scores(x).tobytes() == reference.tobytes()
+            alone = classifiers._stacked_scores(x, weights[k:k + 1],
+                                                intercepts[k:k + 1])
+            assert alone[:, 0].tobytes() == reference.tobytes()
+            for i in (0, 1, 699):
+                row = classifiers._stacked_scores(x[i], weights, intercepts)
+                assert row.shape == (len(rules),)
+                assert row[k] == reference[i]
+                assert clf.scores(x[i]) == reference[i]
+
     def test_scores_do_not_depend_on_blas_threads(self):
         # A multi-threaded gemv splits rows between threads by the matrix
         # size, so a row's last bit could depend on the row count and the
@@ -87,19 +127,24 @@ class TestLinearClassifier:
         # BLAS.  Each subprocess writes, per row count, the whole and the
         # blocked scores, all of which must be equal, then the weights
         # fit_classifier trains at each delta, which must not depend on the
-        # thread count.
+        # thread count.  The first column of a stacked call of clf and two
+        # other rules is written on the same line.
         code = """
 import numpy as np
 from droplab import (DropoutConfig, LinearClassifier, TrainConfig,
                      build_synthetic_model, fit_classifier, make_rng,
                      sample_documents)
+from droplab.classifiers import _stacked_scores
 rng = np.random.default_rng(31)
 clf = LinearClassifier(weights=rng.normal(size=500), intercept=0.25)
+weights = np.stack([clf.weights, rng.normal(size=500), rng.normal(size=500)])
 x = rng.poisson(2.0, size=(4997, 500))
 for n in (4997, 2001):
     blocks = np.concatenate([clf.scores(x[i:min(i + 1048, n)])
                              for i in range(0, n, 1048)])
-    print(clf.scores(x[:n]).tobytes().hex(), blocks.tobytes().hex())
+    stacked = _stacked_scores(x[:n], weights, np.array([0.25, -1.0, 2.0]))
+    print(clf.scores(x[:n]).tobytes().hex(), blocks.tobytes().hex(),
+          stacked[:, 0].tobytes().hex())
 train = sample_documents(build_synthetic_model(), 3000, make_rng(0, "train"))
 for delta in (0.0, 0.5):
     cfg = TrainConfig(epochs=30, dropout=DropoutConfig(delta, 2))

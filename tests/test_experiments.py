@@ -370,6 +370,21 @@ class TestLearningCurves:
         with pytest.raises(RuntimeError, match="^broken block$"):
             run_learning_curves(tiny_spec(), threads=2)
 
+    def test_value_error_drawing_a_test_block_stops_the_grid(self,
+                                                            monkeypatch):
+        # only a chunk that cannot be scored fails the cells; a draw that
+        # raises, even a ValueError, is not a cell's note
+        block_chunks = experiments._test_block_chunks
+
+        def broken_draw(spec, trial, block):
+            chunks = block_chunks(spec, trial, block)
+            yield next(chunks)
+            raise ValueError("broken draw")
+
+        monkeypatch.setattr(experiments, "_test_block_chunks", broken_draw)
+        with pytest.raises(ValueError, match="^broken draw$"):
+            run_learning_curves(tiny_spec(), threads=2)
+
     def test_peak_memory_does_not_grow_with_the_test_set(self):
         # each block is scored chunk by chunk as it is drawn; holding the
         # blocks would add 3.9 MiB of uint8 counts per 8,192-row block
@@ -382,8 +397,9 @@ class TestLearningCurves:
         assert peak(8) <= peak(2) + 1.0
 
     def test_failed_scoring_is_recorded_like_a_failed_fit(self, monkeypatch):
-        # test chunks one word short of the training sets: every cell fits,
-        # then fails on its first chunk of every block
+        # test chunks one word short of the training sets: every cell that
+        # fits fails on its first chunk of every block, with one message;
+        # n = 1 draws one class, so those cells keep their fit's note
         block_chunks = experiments._test_block_chunks
 
         def short_chunks(spec, trial, block):
@@ -391,11 +407,18 @@ class TestLearningCurves:
                 yield replace(chunk, counts=chunk.counts[:, 1:])
 
         monkeypatch.setattr(experiments, "_test_block_chunks", short_chunks)
-        spec = tiny_spec(test_size=experiments._TEST_BLOCK_ROWS + 5)
+        spec = tiny_spec(n_grid=(1, 40, 80),
+                         test_size=experiments._TEST_BLOCK_ROWS + 5)
         res = run_learning_curves(spec, threads=2)
-        assert len(res.records) == 12
+        d = SYNTHETIC_PARAMS["vocab_size"]
+        assert len(res.records) == 18
         for r in res.records:
-            assert r.note.startswith("ValueError: ")
+            if r.n == 1:
+                assert r.note.startswith("DegenerateDataError: ")
+            else:
+                assert r.note == (f"ValueError: test documents have {d - 1} "
+                                  f"counts per row but the rules have {d} "
+                                  f"weights")
             assert np.isnan(r.test_error) and np.isnan(r.train_error)
 
     def test_synthetic_test_counts_are_uint8(self, monkeypatch):
