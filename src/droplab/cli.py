@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "outputs do not depend on it")
     logistic(p, 150)  # the curves' epoch budget, their regularizer
     p.add_argument("--timing", action="store_true",
-                   help="write measured per-cell wall times (breaks "
+                   help="write measured per-cell fit times (breaks "
                         "byte-for-byte reproducibility)")
     p.set_defaults(func=_cmd_curves)
 

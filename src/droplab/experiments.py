@@ -5,21 +5,20 @@ Every cell of every grid owns a random stream derived from the master seed
 and the cell coordinates, and every fixed block of a learning-curve test set
 owns one derived from (seed, trial, block), so results are independent of
 scheduling, of the thread count and of which other cells run, and any cell
-can be reproduced in isolation.  A learning-curve grid runs on one pool of
-`threads` workers: the cells fit on it, and each test block is drawn and
-scored on it chunk by chunk, every fitted rule of the trial in one
-`np.einsum` per chunk.  The draws (`rng.poisson`, `integers`) and
-`np.einsum` release the GIL; the `np.repeat` and `np.bincount` that place
-a chunk's split words (`topics._sample_chunks`) hold it for much of their
-work.  The altitude sweep runs its configurations on one thread per usable
-CPU, each drawing its kept and dropped words on two streams of its own
-(`rng.poisson` releases the GIL).
+can be reproduced in isolation.  A learning-curve grid runs as two
+`map_streams` passes on `threads` workers: the first fits the cells, the
+second draws and scores each test block chunk by chunk, every fitted rule
+of the trial in one `np.einsum` per chunk.  The draws (`rng.poisson`,
+`integers`) and `np.einsum` release the GIL; the `np.repeat` and
+`np.bincount` that place a chunk's split words (`topics._sample_chunks`)
+hold it for much of their work.  The altitude sweep runs its
+configurations on one thread per usable CPU, each drawing its kept and
+dropped words on two streams of its own (`rng.poisson` releases the GIL).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +32,7 @@ from .classifiers import (LinearClassifier, TrainConfig, _stacked_scores,
 from .diagnostics import berry_esseen_statistic, score_moments
 # no sweep calls thin_counts: bench/spans.py binds experiments.thin_counts
 from .dropout import dropout_posterior, thin_counts  # noqa: F401
-from .streams import make_rng, map_streams, seed_fingerprint
+from .streams import make_rng, map_streams, seed_fingerprint, usable_cpus
 from .topics import (DocumentBatch, GenerativeSampler, Topic, TopicModel,
                      _sample_chunks, bayes_posterior, enumerate_counts,
                      poisson_rows, sample_documents)
@@ -140,32 +139,24 @@ def _at_delta(cfg: TrainConfig, delta: float) -> TrainConfig:
     return replace(cfg, dropout=replace(cfg.dropout, delta=delta))
 
 
-def _fit_cell(spec: CurveSpec, n: int, delta_idx: int, trial: int
-              ) -> tuple[CurveRecord, LinearClassifier | None]:
-    """A cell up to its test set: its training set, rule and training error.
-
-    The record holds the fit time and a NaN test error.  A ValueError
-    becomes the record's note, with both errors NaN, and no rule.
-    """
+def _fit_cell(spec: CurveSpec, n: int, delta: float, trial: int
+              ) -> tuple[LinearClassifier | None, float, str, float]:
+    """A cell's rule, training error, note and own milliseconds (training
+    set draw, fit and training error).  A ValueError becomes the note, with
+    no rule and a NaN training error."""
+    started = time.perf_counter()
     # streams derive from the delta value (not its grid position) so a cell's
     # record never depends on which other cells are in the grid
-    delta = spec.delta_grid[delta_idx]
-    started = time.perf_counter()
     rng = make_rng(spec.master_seed, _CELL_TAG, n, delta, trial)
-    fingerprint = seed_fingerprint(spec.master_seed, _CELL_TAG, n, delta, trial)
-    note = ""
     try:
         train = sample_documents(spec.sampler, n, rng)
         clf = fit_classifier(train, _at_delta(spec.train_cfg, delta),
                              nb_smoothing=NB_SMOOTHING)
-        train_error = evaluate_error(clf, train)
+        train_error, note = evaluate_error(clf, train), ""
     except ValueError as exc:
         clf, train_error = None, float("nan")
         note = f"{type(exc).__name__}: {exc}"
-    wall = (time.perf_counter() - started) * 1000.0
-    return CurveRecord(n=n, delta=delta, trial=trial, test_error=float("nan"),
-                       train_error=train_error, wall_time_ms=wall,
-                       seed=fingerprint, note=note), clf
+    return clf, train_error, note, (time.perf_counter() - started) * 1000.0
 
 
 def _test_block_chunks(spec: CurveSpec, trial: int, block: int):
@@ -177,63 +168,26 @@ def _test_block_chunks(spec: CurveSpec, trial: int, block: int):
 
 
 def _score_block(spec: CurveSpec, rules, trial: int, block: int
-                 ) -> tuple[np.ndarray | ValueError, float]:
+                 ) -> np.ndarray | ValueError:
     """The misclassified counts of a trial's fitted rules on one test block,
-    and each rule's scoring seconds.
-
-    The block is scored chunk by chunk as it is drawn and never held: one
-    `_stacked_scores` call scores every rule on a chunk, and each rule is
-    charged an even share of its time.  A chunk whose width is not the
-    rules' ends the block with a ValueError in place of the counts, which
-    fails every rule.
+    scored chunk by chunk as it is drawn, one `_stacked_scores` call per
+    chunk, and never held.  A chunk whose width is not the rules' ends the
+    block with a ValueError in place of the counts, which fails every rule.
     """
     weights = np.stack([clf.weights for clf in rules])
     intercepts = np.array([clf.intercept for clf in rules])
     wrong = np.zeros(len(rules), dtype=np.int64)
-    busy = 0.0
     for chunk in _test_block_chunks(spec, trial, block):
         if chunk.counts.shape[1] != weights.shape[1]:
-            wrong = ValueError(
+            return ValueError(
                 f"test documents have {chunk.counts.shape[1]} counts per row "
                 f"but the rules have {weights.shape[1]} weights")
-            break
-        started = time.perf_counter()
         s = _stacked_scores(chunk.counts, weights, intercepts)
         wrong += np.count_nonzero((s > 0.0) != chunk.labels[:, None], axis=0)
-        busy += time.perf_counter() - started
-    return wrong, busy / len(rules)
+    return wrong
 
 
-def _scored(spec: CurveSpec, fitted, blocks) -> list[CurveRecord]:
-    """A trial's records from its fits and its blocks' `_score_block`
-    results, merged in block order.
-
-    A cell's test error is its misclassified count summed over the blocks,
-    over test_size: an exact integer rounded once, so it equals
-    evaluate_error on the joined set bit for bit.  Scoring time is added to
-    each fitted cell's fit time, and a ValueError while scoring (the first,
-    in block order) fails every fitted cell as one during its fit does.
-    """
-    results = [wrong for wrong, _ in blocks]
-    failed = next((r for r in results if isinstance(r, ValueError)), None)
-    totals = iter(sum(results).tolist() if results and failed is None
-                  else ())
-    busy = sum(seconds for _, seconds in blocks) * 1000.0
-    out = []
-    for record, clf in fitted:
-        if clf is not None:
-            if failed is not None:
-                record = replace(record, train_error=float("nan"),
-                                 note=f"{type(failed).__name__}: {failed}")
-            else:
-                record = replace(record,
-                                 test_error=next(totals) / spec.test_size)
-            record = replace(record, wall_time_ms=record.wall_time_ms + busy)
-        out.append(record)
-    return out
-
-
-def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
+def run_learning_curves(spec: CurveSpec, threads: int) -> CurveResult:
     """Run the full (n, delta, trial) grid.
 
     Each trial shares one held-out test sample across its cells so grid
@@ -241,45 +195,50 @@ def run_learning_curves(spec: CurveSpec, threads: int = 1) -> CurveResult:
     (delta = 1 means naive Bayes), recalibrates the intercept on the training
     set, and records train/test error.  Cell failures are recorded, not fatal.
 
-    One pool of `threads` workers does all of the work.  Every trial's cells
-    are queued on it first; once a trial's rules are fitted, each of its
-    test blocks of _TEST_BLOCK_ROWS rows is queued as one task, which draws
-    the block on its own stream (seed, trial, block) and scores every
-    fitted rule on each chunk as it is drawn, with one stacked einsum per
-    chunk.  A trial with no fitted rule draws no test block.  No test set
-    or block is held, and no output depends on `threads`.  A cell's wall
-    time (written with --timing) is its fit time plus its scoring time, an
-    even share of each chunk's scoring call among the trial's fitted
-    rules, both measured while other cells and blocks share the CPUs.
+    The grid runs as two `map_streams` passes on `threads` workers: the
+    first fits every cell, largest n first so that no long fit runs alone
+    at the end; the second draws each test block of _TEST_BLOCK_ROWS rows
+    of a trial with a fitted rule on its own stream (seed, trial, block)
+    and scores all of the trial's fitted rules on each chunk as it is
+    drawn.  No test set or block is held, and no output depends on
+    `threads`.  A cell's test error is its misclassified count summed over
+    the blocks, over test_size, so it equals evaluate_error on the joined
+    set bit for bit; the first ValueError while scoring, in block order,
+    fails every fitted cell of its trial.  A cell's wall time (--timing)
+    is its own: training-set draw, fit and training error.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    blocks = range(-(-spec.test_size // _TEST_BLOCK_ROWS))
-    cells = [(n, di) for n in spec.n_grid
-             for di in range(len(spec.delta_grid))]
-    records: dict[tuple[int, int, int], CurveRecord] = {}
-    pool = ThreadPoolExecutor(max_workers=threads)
-    try:
-        fits = [[pool.submit(_fit_cell, spec, n, di, trial)
-                 for n, di in cells] for trial in range(spec.trials)]
-        scores = []
-        for trial in range(spec.trials):
-            fitted = [f.result() for f in fits[trial]]
-            rules = [clf for _, clf in fitted if clf is not None]
-            scores.append((fitted, [pool.submit(_score_block, spec, rules,
-                                                trial, k) for k in blocks]
-                           if rules else []))
-        for trial, (fitted, scoring) in enumerate(scores):
-            scored = _scored(spec, fitted, [f.result() for f in scoring])
-            records.update(((n, di, trial), r)
-                           for (n, di), r in zip(cells, scored))
-    finally:
-        pool.shutdown(cancel_futures=True)
-    ordered = [records[(n, di, t)]
-               for n in spec.n_grid
-               for di in range(len(spec.delta_grid))
-               for t in range(spec.trials)]
-    return CurveResult(spec=spec, records=tuple(ordered))
+    cells = [(n, delta, trial) for n in spec.n_grid
+             for delta in spec.delta_grid for trial in range(spec.trials)]
+    order = sorted(cells, key=lambda cell: -cell[0])
+    fits = dict(zip(order, map_streams(lambda cell: _fit_cell(spec, *cell),
+                                       order, threads)))
+    fitted = {t: [c for c in cells if c[2] == t and fits[c][0] is not None]
+              for t in range(spec.trials)}
+    blocks = [(t, k) for t in range(spec.trials) if fitted[t]
+              for k in range(-(-spec.test_size // _TEST_BLOCK_ROWS))]
+    wrong, failed = {}, {}
+    for (t, _), tally in zip(blocks, map_streams(
+            lambda tk: _score_block(
+                spec, [fits[c][0] for c in fitted[tk[0]]], *tk),
+            blocks, threads)):
+        if isinstance(tally, ValueError):
+            failed.setdefault(t, f"{type(tally).__name__}: {tally}")
+        else:
+            wrong.update((c, wrong.get(c, 0) + w)
+                         for c, w in zip(fitted[t], tally.tolist()))
+    records = []
+    for cell in cells:
+        clf, train_error, note, wall = fits[cell]
+        if clf is not None and cell[2] in failed:
+            clf, train_error, note = None, float("nan"), failed[cell[2]]
+        records.append(CurveRecord(
+            *cell, train_error=train_error, wall_time_ms=wall, note=note,
+            test_error=(float("nan") if clf is None
+                        else wrong[cell] / spec.test_size),
+            seed=seed_fingerprint(spec.master_seed, _CELL_TAG, *cell)))
+    return CurveResult(spec=spec, records=tuple(records))
 
 
 CSV_HEADER = "n,delta,trial,test_error,train_error,wall_time_ms,seed"
@@ -412,7 +371,7 @@ def _sweep_errors(cfg: SweepConfig, mc_budget: int,
     return wrong, wrong_thin
 
 
-def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
+def run_altitude_sweep(configs, mc_budget: int, master_seed: int
                        ) -> list[SweepResult]:
     """Measure raw and thinned sub-optimal rates for fixed linear scores.
 
@@ -442,7 +401,7 @@ def run_altitude_sweep(configs, mc_budget: int, master_seed: int = 0
         lambda k: _sweep_errors(
             configs[k], mc_budget, make_rng(master_seed, "altitude-sweep", k),
             make_rng(master_seed, "altitude-sweep-dropped", k)),
-        range(len(configs)))
+        range(len(configs)), usable_cpus())
     results = []
     for cfg, (wrong, wrong_thin) in zip(configs, errors):
         eps = wrong / mc_budget

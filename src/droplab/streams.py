@@ -3,8 +3,9 @@
 Every stochastic task in the library owns an independent generator derived
 from a master seed plus a structured path (purpose tag, grid indices, trial
 number).  Two runs with the same master seed and path always see the same
-stream, no matter how work is scheduled across threads.  `map_streams`
-runs such tasks on a thread pool and returns their results in task order.
+stream, no matter how work is scheduled across threads.  `map_streams`,
+the one place the library starts threads, runs such tasks on as many
+threads as its caller asks for and returns their results in task order.
 """
 
 from __future__ import annotations
@@ -55,16 +56,16 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def map_streams(fn, items) -> list:
-    """[fn(item) for item in items] on min(len(items), usable_cpus())
-    threads, inline when that is 1.
+def map_streams(fn, items, threads: int) -> list:
+    """[fn(item) for item in items] on min(len(items), threads) threads,
+    inline when that is 1.
 
     Each item must own its random stream, so no result depends on the
     thread count.  Results come back in item order; the first failure in
     that order is raised once the items already running have finished.
     """
     items = list(items)
-    threads = min(len(items), usable_cpus())
+    threads = min(len(items), threads)
     if threads <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:

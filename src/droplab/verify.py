@@ -20,7 +20,7 @@ from .experiments import VERSION, run_altitude_sweep, run_bias_check
 from .presets import (berry_esseen_suite, default_sweep_configs,
                       equal_length_models, orthogonal_topic_model,
                       unequal_length_control)
-from .streams import make_rng, map_streams
+from .streams import make_rng, map_streams, usable_cpus
 
 TAIL_GRID = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)
 BIAS_DELTAS = (0.25, 0.5, 0.9)
@@ -45,7 +45,7 @@ def run_berry_esseen_suite(seed: int, mc: int) -> list[dict]:
     reports = map_streams(
         lambda k: berry_esseen_check(
             *configs[k], mc, make_rng(seed, "verify-berry-esseen", k)),
-        range(len(configs)))
+        range(len(configs)), usable_cpus())
     return [{
         "suite": "berry-esseen",
         "name": f"config-{k} (concentration {rep.be_stat:.3g})",

@@ -54,7 +54,8 @@ def test_altitude_sweep_records_thinning_spans():
     recorder = spans.Recorder()
     recorder.install()
     try:
-        experiments.run_altitude_sweep([cfg], mc_budget=70_000)
+        experiments.run_altitude_sweep([cfg], mc_budget=70_000,
+                                       master_seed=0)
         assert not [s for s in recorder.spans if s.name == "dropout.thin"]
         experiments.thin_counts(np.array([[3, 1]]), 0.5, make_rng(2, "thin"))
     finally:

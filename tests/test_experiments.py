@@ -1,4 +1,5 @@
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -65,7 +66,8 @@ class TestAltitudeSweep:
     def test_budget_below_one_is_rejected(self, budget):
         with pytest.raises(ValueError, match=f"mc_budget must be >= 1, "
                                              f"got {budget}"):
-            run_altitude_sweep(default_sweep_configs(), mc_budget=budget)
+            run_altitude_sweep(default_sweep_configs(), mc_budget=budget,
+                               master_seed=0)
 
     def test_unthinned_control_has_unit_exponent(self):
         cfg = SweepConfig(weights=(1.0, -1.0),
@@ -167,7 +169,7 @@ class TestAltitudeSweep:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         peak = traced_peak_mib(lambda: run_altitude_sweep(
-            default_sweep_configs(), mc_budget=1_000_000))
+            default_sweep_configs(), mc_budget=1_000_000, master_seed=0))
         assert peak <= 16.0
 
     @pytest.mark.parametrize("delta", [1.0, 1.5, -0.1])
@@ -181,7 +183,7 @@ class TestAltitudeSweep:
         configs[2] = replace(configs[2], delta=delta)
         with pytest.raises(ValueError, match=rf"sweep config 2: delta must "
                                              rf"lie in \[0, 1\), got {delta}"):
-            run_altitude_sweep(configs, mc_budget=3_000_000)
+            run_altitude_sweep(configs, mc_budget=3_000_000, master_seed=0)
 
     def test_positive_mean_required(self):
         cfg = SweepConfig(weights=(1.0, -1.0), intensity=(1.0, 5.0),
@@ -189,7 +191,7 @@ class TestAltitudeSweep:
         with pytest.raises(ValueError, match=r"^sweep config 1: score mean "
                                              r"must be positive, got -4$"):
             run_altitude_sweep([default_sweep_configs()[0], cfg],
-                               mc_budget=100)
+                               mc_budget=100, master_seed=0)
 
 
 class TestFitClassifier:
@@ -302,8 +304,8 @@ class TestCurveSpec:
 
 class TestLearningCurves:
     def test_rerun_is_identical(self):
-        a = run_learning_curves(tiny_spec())
-        b = run_learning_curves(tiny_spec())
+        a = run_learning_curves(tiny_spec(), threads=1)
+        b = run_learning_curves(tiny_spec(), threads=1)
         assert curve_csv(a) == curve_csv(b)
 
     def test_threads_below_one_rejected(self):
@@ -332,6 +334,45 @@ class TestLearningCurves:
         b = run_learning_curves(spec, threads=3)
         assert ([replace(r, wall_time_ms=0.0) for r in a.records]
                 == [replace(r, wall_time_ms=0.0) for r in b.records])
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_threads_bound_the_threads_that_fit_and_score(self, monkeypatch,
+                                                          threads):
+        # threads=1 fits every cell and scores every block on the calling
+        # thread, starting none; at 3, no more than 3 threads run either
+        seen = {}
+        for name in ("_fit_cell", "_score_block"):
+            original = getattr(experiments, name)
+
+            def spy(*args, _name=name, _original=original):
+                seen.setdefault(_name, set()).add(threading.get_ident())
+                return _original(*args)
+
+            monkeypatch.setattr(experiments, name, spy)
+        spec = tiny_spec(trials=3,
+                         test_size=2 * experiments._TEST_BLOCK_ROWS + 3)
+        run_learning_curves(spec, threads=threads)
+        assert set(seen) == {"_fit_cell", "_score_block"}
+        if threads == 1:
+            assert all(ids == {threading.get_ident()}
+                       for ids in seen.values())
+        assert all(len(ids) <= threads for ids in seen.values())
+
+    def test_fit_order_does_not_leak_into_outputs(self):
+        # the largest n fits first; records still come in each grid's own
+        # order, and a cell's record does not depend on where its n stands
+        runs = {grid: run_learning_curves(tiny_spec(n_grid=grid),
+                                          threads=2).records
+                for grid in ((80, 40), (40, 80))}
+        for grid, records in runs.items():
+            assert [(r.n, r.delta, r.trial) for r in records] == [
+                (n, delta, t) for n in grid for delta in (0.0, 0.5, 1.0)
+                for t in range(2)]
+        by_cell = {(r.n, r.delta, r.trial): replace(r, wall_time_ms=0.0)
+                   for r in runs[40, 80]}
+        assert (repr([replace(r, wall_time_ms=0.0) for r in runs[80, 40]])
+                == repr([by_cell[r.n, r.delta, r.trial]
+                         for r in runs[80, 40]]))
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_block_scoring_equals_the_joined_test_set(self, threads):
@@ -446,9 +487,9 @@ class TestLearningCurves:
         assert evaluate_error(clf, test) == evaluate_error(clf, wide)
 
     def test_cells_are_independent_of_grid(self):
-        full = run_learning_curves(tiny_spec())
+        full = run_learning_curves(tiny_spec(), threads=1)
         subset = run_learning_curves(tiny_spec(n_grid=(80,),
-                                               delta_grid=(0.5,)))
+                                               delta_grid=(0.5,)), threads=1)
         wanted = {(r.n, r.delta, r.trial): r for r in full.records
                   if r.n == 80 and r.delta == 0.5}
         for r in subset.records:
@@ -457,17 +498,17 @@ class TestLearningCurves:
             assert r.seed == ref.seed
 
     def test_summary_is_order_independent(self):
-        res = run_learning_curves(tiny_spec())
+        res = run_learning_curves(tiny_spec(), threads=1)
         reversed_result = CurveResult(spec=res.spec,
                                       records=tuple(reversed(res.records)))
         assert curve_summary(res) == curve_summary(reversed_result)
 
     def test_naive_bayes_endpoint_runs(self):
-        res = run_learning_curves(tiny_spec(delta_grid=(1.0,)))
+        res = run_learning_curves(tiny_spec(delta_grid=(1.0,)), threads=1)
         assert all(np.isfinite(r.test_error) for r in res.records)
 
     def test_csv_timing_column_defaults_to_zero(self):
-        res = run_learning_curves(tiny_spec())
+        res = run_learning_curves(tiny_spec(), threads=1)
         rows = [l for l in curve_csv(res).splitlines()
                 if l and not l.startswith("#")][1:]
         assert all(row.split(",")[5] == "0" for row in rows)
@@ -480,7 +521,7 @@ class TestLearningCurves:
         # records the cell failure and keeps going
         spec = tiny_spec(n_grid=(2,), delta_grid=(0.0,), trials=2,
                          test_size=200)
-        res = run_learning_curves(spec)
+        res = run_learning_curves(spec, threads=1)
         assert len(res.records) == 2
         for r in res.records:
             assert (r.note == "") == np.isfinite(r.test_error)

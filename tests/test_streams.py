@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from droplab.streams import (make_rng, map_streams, seed_fingerprint,
-                             seed_sequence)
+                             seed_sequence, usable_cpus)
 
 
 def test_same_path_same_stream():
@@ -47,7 +47,8 @@ def _use_cpus(monkeypatch, n):
 
 def test_map_streams_keeps_item_order_on_a_pool(monkeypatch):
     _use_cpus(monkeypatch, 4)
-    out = map_streams(lambda k: (k * k, threading.get_ident()), range(10))
+    out = map_streams(lambda k: (k * k, threading.get_ident()), range(10),
+                      usable_cpus())
     assert [v for v, _ in out] == [k * k for k in range(10)]
     assert threading.get_ident() not in {t for _, t in out}
 
@@ -55,7 +56,8 @@ def test_map_streams_keeps_item_order_on_a_pool(monkeypatch):
 @pytest.mark.parametrize("cpus, items", [(1, 5), (4, 1)])
 def test_map_streams_runs_inline_with_one_thread(cpus, items, monkeypatch):
     _use_cpus(monkeypatch, cpus)
-    out = map_streams(lambda k: threading.get_ident(), range(items))
+    out = map_streams(lambda k: threading.get_ident(), range(items),
+                      usable_cpus())
     assert out == [threading.get_ident()] * items
 
 
@@ -68,4 +70,4 @@ def test_map_streams_raises_the_first_failure_in_item_order(monkeypatch):
         return k
 
     with pytest.raises(ValueError, match="^item 2$"):
-        map_streams(fail_from_two, range(6))
+        map_streams(fail_from_two, range(6), usable_cpus())
